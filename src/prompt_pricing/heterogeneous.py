@@ -11,8 +11,8 @@ the stage-2 rules.  This module provides:
 * the preference price bound that separates the two tiers of a
   two-model set (:func:`price_upper_bound`),
 * the two-model optimizer that sweeps the low-tier price and, for each
-  value, maximizes a restricted-density gain function over the high-tier
-  price (:func:`opp`),
+  value, takes the best high-tier price from a separable price-pair
+  lattice (:func:`opp`),
 * an exhaustive two-dimensional lattice oracle (:func:`grid_oracle`) and
   the utility- and cost-proportional benchmark mechanisms.
 """
@@ -86,15 +86,19 @@ class PricingOutcome:
 class OppConfig:
     """Tuning knobs for the two-model price search.
 
-    ``step_alpha`` is the low-tier grid step (defaults to 1e-3 times the
-    low-tier utility); ``refinement`` adds one golden-section polish pass
-    around the best grid value.
+    ``step_alpha`` is the low-tier sweep step (defaults to 1e-3 times the
+    low-tier utility).  ``inner_grid`` is the number of high-tier prices,
+    evenly spaced from the high-tier cost to its utility, that every
+    sweep step is scored against.  ``refinement`` polishes the strongest
+    sweep steps at full resolution with shrinking price-pair lattices and
+    a closing golden-section pass per price; without it the best sweep
+    pair is returned as is.
     """
 
     step_alpha: float | None = None
     refinement: bool = True
     quad: QuadratureConfig = field(default_factory=QuadratureConfig)
-    inner_grid: int = 1000
+    inner_grid: int = 250
 
     def resolve_alpha(self, low_utility: float) -> float:
         alpha = self.step_alpha if self.step_alpha is not None else 1e-3 * low_utility
@@ -165,6 +169,9 @@ def _family_volumes(
     return payoffs, volumes
 
 
+_LATTICE_BUDGET = 1 << 19  # elements per pairwise temporary (4 MB of float64)
+
+
 def _pair_lattice_payoffs(
     low: GaiModel,
     high: GaiModel,
@@ -172,13 +179,14 @@ def _pair_lattice_payoffs(
     axis_high: np.ndarray,
     nodes: np.ndarray,
     weights: np.ndarray,
-    chunk: int = 8,
 ) -> np.ndarray:
     """Payoff of every (low price, high price) pair, exploiting separability.
 
     Counts and user payoffs depend on one price each, so they are
     profiled per axis once; the pairwise work is pure selection and
-    reduction, no transcendentals.  Returns shape (len low, len high).
+    reduction, no transcendentals.  Low-axis rows are taken in chunks
+    whose pairwise temporaries hold about ``_LATTICE_BUDGET`` elements.
+    Returns shape (len low, len high).
     """
     def profile(model: GaiModel, axis: np.ndarray):
         counts = _counts_vec(model.utility, axis[:, None], nodes)
@@ -191,6 +199,7 @@ def _pair_lattice_payoffs(
     score_h, gain_h = profile(high, axis_high)
     base_low = gain_l.sum(axis=1)
     out = np.empty((len(axis_low), len(axis_high)))
+    chunk = max(1, _LATTICE_BUDGET // (len(axis_high) * len(nodes)))
     for start in range(0, len(axis_low), chunk):
         rows = slice(start, min(start + chunk, len(axis_low)))
         # the high tier wins payoff ties (strictly higher utility)
@@ -435,38 +444,14 @@ def price_upper_bound(
     return max(0.0, bound)
 
 
-def _price_bounds_vec(
-    m: GaiModel,
-    m_prime: GaiModel,
-    price_m_prime: float,
-    nodes: np.ndarray,
-    rival_counts: np.ndarray,
-    rival_payoffs: np.ndarray,
-    k_cap: int = 4096,
-) -> np.ndarray:
-    """Vectorized preference bound over quadrature nodes."""
-    u = m.utility
-    one_minus = 1.0 - nodes
-    tau = np.zeros(nodes.shape, dtype=float)
-    active = rival_payoffs < u
-    ek = np.ones_like(nodes)
-    k = 1
-    while active.any() and k <= k_cap:
-        ek = ek * nodes
-        own = (1.0 - ek) * u - k * ek * one_minus * u
-        done = active & (rival_payoffs < own)
-        tau[done] = k
-        active &= ~done
-        k += 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = ((1.0 - nodes ** tau) * u - rival_payoffs) / tau
-    bound = np.where(tau > 0, np.maximum(bound, 0.0), 0.0)
-    return bound
-
-
 # --------------------------------------------------------------------------
 # Two-model optimal pricing
 # --------------------------------------------------------------------------
+
+_POLISH_ROWS = 8      # strongest sweep steps the refinement polishes
+_WINDOW_POINTS = 33   # prices per axis of one refinement window
+_WINDOW_ROUNDS = 4    # windows per polished step, each a quarter the size of the last
+
 
 def opp(
     models: ModelSet,
@@ -474,19 +459,19 @@ def opp(
     cfg: OppConfig = OppConfig(),
     trace_sink: list | None = None,
 ) -> PricingOutcome:
-    """Two-model price optimization by low-tier sweep and high-tier gain search.
+    """Two-model price optimization: low-tier sweep, high-tier argmax per step.
 
-    For each low-tier price on the step grid, the high-tier demand is the
-    ambiguity mass on which the high tier is still preferred (nodes with
-    the candidate price under their preference bound).  The gain of the
-    high-tier price over serving those users at the low tier is maximized
-    over {the high-tier cost, interior stationary points found by
-    finite-difference sign changes plus golden polish, and the bound at
-    vanishing ambiguity}.  The gain search runs on a reduced quadrature;
-    every surviving price pair is re-scored by full-resolution schedule
-    evaluation, which is what the returned payoff and the sweep argmax
-    use.  If ``trace_sink`` is given, one (p_L, p_H, payoff) tuple per
-    sweep step is appended.
+    The low-tier price sweeps the step grid from its cost to its utility.
+    Counts and user payoffs depend on one price each, so every pair of a
+    sweep step and one of ``cfg.inner_grid`` high-tier prices is scored in
+    one lattice on a reduced quadrature, and each step keeps its best
+    high-tier price.  Those pairs are re-scored by full-resolution
+    schedule evaluation, which is what the sweep argmax uses.  With
+    ``cfg.refinement`` the strongest steps are then polished at full
+    resolution: a few shrinking price-pair lattices around each (the
+    first spans one sweep step and two high-tier grid steps either way),
+    then one golden-section pass per price.  If ``trace_sink`` is given,
+    one (p_L, p_H, payoff) tuple per sweep step is appended.
     """
     low, high = models.require_pair()
     nodes, weights = dist.quadrature(cfg.quad)
@@ -500,100 +485,58 @@ def opp(
 
     alpha = cfg.resolve_alpha(low.utility)
     steps = int(math.floor((low.utility - low.cost) / alpha)) + 1
-    low_prices = [low.cost + i * alpha for i in range(steps)]
+    low_prices = low.cost + np.arange(steps) * alpha
     if low_prices[-1] < low.utility:
-        low_prices.append(low.utility)
-    low_prices = [p for p in low_prices if p > 0.0]
+        low_prices = np.append(low_prices, low.utility)
+    low_prices = low_prices[low_prices > 0.0]
+    high_grid = np.linspace(max(high.cost, 1e-12), high.utility, cfg.inner_grid)
 
     s_nodes, s_weights = dist.quadrature(
         QuadratureConfig(max(501, cfg.quad.node_count // 4)))
-    high_grid = np.linspace(max(high.cost, 1e-12), high.utility, cfg.inner_grid)
-    counts_high = _counts_vec(high.utility, high_grid[:, None], s_nodes)
-    gain_high_w = s_weights * (high_grid[:, None] - high.cost) * counts_high
+    lattice = _pair_lattice_payoffs(low, high, low_prices, high_grid, s_nodes, s_weights)
+    sweep = np.column_stack([low_prices, high_grid[np.argmax(lattice, axis=1)]])
+    # small row chunks keep the full-resolution temporaries to about 1 MB each
+    payoffs, _ = _family_volumes(models, sweep, nodes, weights, chunk=64)
+    if trace_sink is not None:
+        trace_sink.extend(
+            (float(p_low), float(p_high), float(v)) for (p_low, p_high), v in zip(sweep, payoffs))
+    i = int(np.argmax(payoffs))
+    best = (float(sweep[i, 0]), float(sweep[i, 1]), float(payoffs[i]))
+    if not cfg.refinement:
+        return _outcome_for(models, best[:2], nodes, weights, method="OPP")
 
-    best: tuple[float, float, float] | None = None
+    span = (high.utility - high.cost) / cfg.inner_grid
+    limits = [(low_prices[0], low.utility), (high_grid[0], high.utility)]
+    for row in np.argsort(-payoffs, kind="stable")[:_POLISH_ROWS]:
+        centre, half = sweep[row], np.array([alpha, 2 * span])
+        for _ in range(_WINDOW_ROUNDS):
+            axes = [np.linspace(max(c - h, lo), min(c + h, hi), _WINDOW_POINTS)
+                    for c, h, (lo, hi) in zip(centre, half, limits)]
+            window = _pair_lattice_payoffs(low, high, axes[0], axes[1], nodes, weights)
+            a, b = np.unravel_index(int(np.argmax(window)), window.shape)
+            centre, half = np.array([axes[0][a], axes[1][b]]), half / 4
+            if window[a, b] > best[2]:
+                best = (float(centre[0]), float(centre[1]), float(window[a, b]))
 
-    def inner_step(p_low: float) -> tuple[float, float]:
-        """Best high-tier price and full-schedule payoff for one sweep value."""
-        n_low = _counts_vec(low.utility, p_low, s_nodes)
-        pay_low = _payoffs_at_counts(low.utility, p_low, s_nodes, n_low)
-        bounds = _price_bounds_vec(high, low, p_low, s_nodes, n_low, pay_low)
-        low_term_w = s_weights * (p_low - low.cost) * n_low
+    def payoff_at(p_low: float, p_high: float) -> float:
+        payoffs, _ = _family_volumes(models, np.array([[p_low, p_high]]), nodes, weights)
+        return float(payoffs[0])
 
-        mask = (high_grid[:, None] <= bounds[None, :]).astype(float)
-        gains = (mask * gain_high_w).sum(axis=1) - mask @ low_term_w
+    # final coordinate polish at full resolution, one pass per price
+    x, fx = _golden_max(lambda p: payoff_at(best[0], p),
+                        max(best[1] - 2 * span, 1e-12),
+                        min(best[1] + 2 * span, high.utility),
+                        tol=1e-8 * high.utility)
+    if fx > best[2]:
+        best = (best[0], x, fx)
+    x, fx = _golden_max(lambda p: payoff_at(p, best[1]),
+                        max(best[0] - alpha, np.nextafter(0.0, 1.0)),
+                        min(best[0] + alpha, low.utility),
+                        tol=1e-8 * low.utility)
+    if fx > best[2]:
+        best = (x, best[1], fx)
 
-        def gain_at(x: float) -> float:
-            n_h = _counts_vec(high.utility, x, s_nodes)
-            m = x <= bounds
-            return float((m * (s_weights * (x - high.cost) * n_h - low_term_w)).sum())
-
-        candidates = {max(high.cost, 1e-12)}
-        bound_origin = price_upper_bound(high, low, p_low, 1e-6)
-        if bound_origin > 0.0:
-            candidates.add(min(bound_origin, high.utility))
-        diffs = np.diff(gains)
-        rises = diffs > 0.0
-        brackets = [i for i in range(1, len(diffs)) if rises[i - 1] and not rises[i]]
-        if len(brackets) > 8:  # keep the strongest humps; the rest cannot win
-            brackets = sorted(brackets, key=lambda i: -gains[i])[:8]
-        for i in brackets:
-            x, _ = _golden_max(gain_at, float(high_grid[i - 1]), float(high_grid[i + 1]),
-                               tol=1e-7 * high.utility)
-            candidates.add(min(max(x, high_grid[0]), high.utility))
-        peak = int(np.argmax(gains))
-        candidates.add(float(high_grid[peak]))
-
-        # the gain equals the schedule payoff up to a p_low-only constant, so
-        # rank candidates by it, then settle the leaders at full resolution
-        ranked = sorted(candidates, key=lambda x: (-gain_at(x), x))[:3]
-        family = np.array([[p_low, x] for x in ranked])
-        payoffs, _ = _family_volumes(models, family, nodes, weights)
-        j = int(np.argmax(payoffs))
-        return float(ranked[j]), float(payoffs[j])
-
-    for p_low in low_prices:
-        p_high, payoff = inner_step(p_low)
-        if trace_sink is not None:
-            trace_sink.append((p_low, p_high, payoff))
-        if best is None or payoff >= best[2]:
-            best = (p_low, p_high, payoff)
-
-    assert best is not None
-    if cfg.refinement:
-        lo = max(best[0] - alpha, np.nextafter(0.0, 1.0))
-        hi = min(best[0] + alpha, low.utility)
-        cache: dict[float, tuple[float, float]] = {}
-
-        def swept(p_low: float) -> float:
-            if p_low not in cache:
-                cache[p_low] = inner_step(p_low)
-            return cache[p_low][1]
-
-        x, fx = _golden_max(swept, lo, hi, tol=1e-6 * low.utility)
-        if fx > best[2]:
-            best = (x, cache[x][0], fx)
-
-        def payoff_at(p_low: float, p_high: float) -> float:
-            payoffs, _ = _family_volumes(models, np.array([[p_low, p_high]]), nodes, weights)
-            return float(payoffs[0])
-
-        # final coordinate polish at full resolution, one pass per price
-        span = (high.utility - high.cost) / cfg.inner_grid
-        x, fx = _golden_max(lambda p: payoff_at(best[0], p),
-                            max(best[1] - 2 * span, 1e-12),
-                            min(best[1] + 2 * span, high.utility),
-                            tol=1e-8 * high.utility)
-        if fx > best[2]:
-            best = (best[0], x, fx)
-        x, fx = _golden_max(lambda p: payoff_at(p, best[1]),
-                            max(best[0] - alpha, np.nextafter(0.0, 1.0)),
-                            min(best[0] + alpha, low.utility),
-                            tol=1e-8 * low.utility)
-        if fx > best[2]:
-            best = (x, best[1], fx)
-
-    return _outcome_for(models, [best[0], best[1]], nodes, weights, method="OPP")
+    return _outcome_for(models, best[:2], nodes, weights, method="OPP")
 
 
 def _one_sided_opp(

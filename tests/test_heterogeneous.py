@@ -12,6 +12,7 @@ from prompt_pricing import (
     OppConfig,
     PriceSchedule,
     QuadratureConfig,
+    TabulatedAmbiguity,
     UnboundedDemand,
     UniformAmbiguity,
     cost_based_pricing,
@@ -175,16 +176,14 @@ class TestGainDecomposition:
     def test_partition_matches_direct_payoff(self):
         """Serving everyone at the low tier plus the high-tier gain equals the
         schedule payoff, wherever no node sits on a decision boundary."""
-        from prompt_pricing.heterogeneous import _price_bounds_vec
-        from prompt_pricing.user_strategy import _counts_vec, _payoffs_at_counts
+        from prompt_pricing.user_strategy import _counts_vec
 
         low, high = PAIR.require_pair()
         p_low = 0.3
         quad = QuadratureConfig(501)
         nodes, weights = U01.quadrature(quad)
         n_low = _counts_vec(low.utility, p_low, nodes)
-        pay_low = _payoffs_at_counts(low.utility, p_low, nodes, n_low)
-        bounds = _price_bounds_vec(high, low, p_low, nodes, n_low, pay_low)
+        bounds = np.array([price_upper_bound(high, low, p_low, float(e)) for e in nodes])
         low_total = float((weights * (p_low - low.cost) * n_low).sum())
 
         for p_high in (0.41, 0.93, 1.37):
@@ -227,6 +226,14 @@ class TestOpp:
         expected_steps = int(math.floor((1.0 - 0.02) / 0.05)) + 2  # grid plus the endpoint
         assert len(trace) == expected_steps
 
+    @pytest.mark.parametrize("step", [0.005, 0.01])
+    def test_coarse_sweep_still_beats_utility_pricing(self, step):
+        # the best pair lies between two sweep steps here: p_L = 0.09 on the
+        # step grid pays less than the best utility-proportional schedule
+        dist = UniformAmbiguity(0.6, 1.0)
+        got = opp(PAIR, dist, OppConfig(step_alpha=step))
+        assert got.platform_payoff >= utility_based_pricing(PAIR, dist).platform_payoff
+
     def test_homogeneous_limit(self):
         eps0 = 0.5
         dist = UniformAmbiguity(eps0 - 1e-4, eps0 + 1e-4)
@@ -253,6 +260,36 @@ class TestGridOracle:
         b = grid_oracle(PAIR, U01, grid_n=200, quad=FAST)
         assert b.platform_payoff >= a.platform_payoff - 1e-12
         assert abs(a.platform_payoff - b.platform_payoff) <= 5e-3 * 1.8
+
+
+class TestPairLattice:
+    """``opp`` and ``grid_oracle`` both search with the pair lattice, so its
+    cells are checked against direct evaluation of the same schedules."""
+
+    @pytest.mark.parametrize("dist", [
+        UniformAmbiguity(0.3, 1.0),
+        TabulatedAmbiguity((0.0, 0.2, 0.4, 0.6, 0.8, 1.0), (1.1, 0.7, 1.3, 0.6, 0.9, 1.2)),
+    ], ids=["uniform", "tabulated"])
+    def test_cells_match_platform_payoff(self, dist):
+        from prompt_pricing.heterogeneous import _pair_lattice_payoffs
+
+        low, high = PAIR.require_pair()
+        quad = QuadratureConfig()
+        nodes, weights = dist.quadrature(quad)
+        grid_n = 400  # grid_oracle's default axes: (cost, utility] in grid_n steps
+        tiers = list(zip((low, high), [(m.utility - m.cost) / grid_n for m in (low, high)]))
+        rng = np.random.default_rng(20240811)
+        sampled = [np.sort(m.cost + step * rng.choice(np.arange(1, grid_n + 1), 8, replace=False))
+                   for m, step in tiers]
+        answer = opp(PAIR, dist, FAST_OPP).schedule
+        near = [answer.price_for(m) + step * np.arange(-2, 3) for m, step in tiers]
+        for axis_low, axis_high in (sampled, near):
+            lattice = _pair_lattice_payoffs(low, high, axis_low, axis_high, nodes, weights)
+            for i, p_low in enumerate(axis_low):
+                for j, p_high in enumerate(axis_high):
+                    sched = PriceSchedule({"ml": float(p_low), "mh": float(p_high)})
+                    direct = platform_payoff(PAIR, sched, dist, quad).platform_payoff
+                    assert abs(lattice[i, j] - direct) <= 1e-12 * high.utility
 
 
 class TestBenchmarks:
