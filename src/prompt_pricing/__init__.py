@@ -19,8 +19,6 @@ from .core import (
     InvalidModel,
     InvalidPrice,
     ModelSet,
-    NoBracket,
-    NonFiniteIntegrand,
     PriceSchedule,
     PromptPricingError,
     QuadratureConfig,
@@ -28,8 +26,6 @@ from .core import (
     TabulatedAmbiguity,
     UnboundedDemand,
     UniformAmbiguity,
-    find_root_bracketed,
-    integrate,
 )
 from .heterogeneous import (
     OppConfig,
@@ -79,8 +75,6 @@ __all__ = [
     "InvalidModel",
     "InvalidPrice",
     "ModelSet",
-    "NoBracket",
-    "NonFiniteIntegrand",
     "OppConfig",
     "PriceSchedule",
     "PricingOutcome",
@@ -97,11 +91,9 @@ __all__ = [
     "classify_cost_shape",
     "classify_prompt_shape",
     "cost_based_pricing",
-    "find_root_bracketed",
     "grid_oracle",
     "homogeneous_payoff_curve",
     "induced_prompt_count",
-    "integrate",
     "opp",
     "optimal_homogeneous_price",
     "optimal_prompt_count",

@@ -1,17 +1,16 @@
 """Domain types and the numerical substrate shared by every solver.
 
 This module owns the immutable value types (models, price schedules,
-ambiguity distributions), the composite-midpoint quadrature used to
-average over a population of users, and a guaranteed-convergence
-bracketed root finder.  Everything here is pure and safe to share across
-concurrent workers.
+ambiguity distributions) and the composite-midpoint quadrature used to
+average over a population of users.  Everything here is pure and safe
+to share across concurrent workers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,14 +41,6 @@ class InvalidPrice(PromptPricingError):
 
 class SchedulePriceMissing(PromptPricingError):
     pass
-
-
-class NoBracket(PromptPricingError):
-    """The root finder was given endpoints whose values share a sign."""
-
-
-class NonFiniteIntegrand(PromptPricingError):
-    """An integrand evaluated to NaN or infinity at a quadrature node."""
 
 
 class UnboundedDemand(PromptPricingError):
@@ -318,62 +309,3 @@ class TabulatedAmbiguity:
 
 
 AmbiguityDistribution = UniformAmbiguity | TabulatedAmbiguity
-
-
-# --------------------------------------------------------------------------
-# Quadrature and root finding
-# --------------------------------------------------------------------------
-
-def integrate(
-    f: Callable[[float], float],
-    dist: AmbiguityDistribution,
-    quad: QuadratureConfig = QuadratureConfig(),
-) -> float:
-    """Integrate ``f`` against the ambiguity density by composite midpoint.
-
-    Returns ``sum_i f(eps_i) * density(eps_i) * d_eps`` over the
-    distribution's support.  Deterministic for a fixed configuration.
-    Raises :class:`NonFiniteIntegrand` naming the offending node if ``f``
-    returns NaN or infinity anywhere.
-    """
-    nodes, weights = dist.quadrature(quad)
-    total = 0.0
-    for i, (x, w) in enumerate(zip(nodes, weights)):
-        v = f(float(x))
-        if not math.isfinite(v):
-            raise NonFiniteIntegrand(f"integrand is {v!r} at node {i} (eps={x!r})")
-        total += v * w
-    return total
-
-
-def find_root_bracketed(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-) -> float:
-    """Bisection root of ``g`` on [lo, hi]; the endpoints must bracket a sign change.
-
-    Guaranteed to converge: stops when ``|g|`` falls below ``tol`` or the
-    bracket narrows below ``tol``.
-    """
-    if not (lo < hi):
-        raise NoBracket(f"need lo < hi, got [{lo}, {hi}]")
-    g_lo = g(lo)
-    g_hi = g(hi)
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
-        raise NoBracket(f"g({lo}) = {g_lo} and g({hi}) = {g_hi} do not bracket a root")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if abs(g_mid) < tol or (hi - lo) < tol:
-            return mid
-        if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

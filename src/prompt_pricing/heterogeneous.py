@@ -129,26 +129,42 @@ def _family_volumes(
     buys from the eligible model with the highest payoff, ties resolving
     to higher utility then smaller id (model order already encodes the
     id rank within equal utilities).
+
+    Rows are taken in chunks of ``chunk``.  A node is skipped for the
+    whole chunk when even the chunk's cheapest price for every model is
+    above the first prompt's gain ``(1 - eps) * U`` there.  That is the
+    count kernel's own ``buy`` test, so every row of the chunk would get
+    0 prompts at that node from every model, and the node adds nothing
+    to any volume.  A chunk that keeps no node sells to no one: its rows
+    are written as zeros without running the kernel.
     """
     price_matrix = np.asarray(price_matrix, dtype=float)
     n_rows, n_models = price_matrix.shape
     if n_models != len(models):
         raise ValueError("price matrix columns must match the model set")
-    volumes = np.empty((n_rows, n_models))
-    payoffs = np.empty(n_rows)
+    volumes = np.zeros((n_rows, n_models))
+    payoffs = np.zeros(n_rows)
     utils = [m.utility for m in models]
     costs = [m.cost for m in models]
+    ceilings = [(1.0 - nodes) * u for u in utils]  # as in _counts_vec's buy test
     for start in range(0, n_rows, chunk):
         rows = slice(start, min(start + chunk, n_rows))
         prices = price_matrix[rows]
+        cheapest = prices.min(axis=0)
+        keep = np.zeros(len(nodes), dtype=bool)
+        for j in range(n_models):
+            keep |= cheapest[j] <= ceilings[j]
+        if not keep.any():
+            continue
+        k_nodes, k_weights = nodes[keep], weights[keep]
         counts = []
         best_pay = None
         best_util = None
         sel = None
         for j, u in enumerate(utils):
             p = prices[:, j][:, None]
-            n_j = _counts_vec(u, p, nodes, exact=exact)
-            pay_j = _payoffs_at_counts(u, p, nodes, n_j)
+            n_j = _counts_vec(u, p, k_nodes, exact=exact)
+            pay_j = _payoffs_at_counts(u, p, k_nodes, n_j)
             counts.append(n_j)
             elig = n_j >= 1.0
             if sel is None:
@@ -162,7 +178,7 @@ def _family_volumes(
                 best_util = np.where(take, u, best_util)
         chunk_pay = np.zeros(prices.shape[0])
         for j in range(n_models):
-            vol = ((sel == j) * counts[j]) @ weights
+            vol = ((sel == j) * counts[j]) @ k_weights
             volumes[rows, j] = vol
             chunk_pay += (prices[:, j] - costs[j]) * vol
         payoffs[rows] = chunk_pay
@@ -187,26 +203,47 @@ def _pair_lattice_payoffs(
     reduction, no transcendentals.  Low-axis rows are taken in chunks
     whose pairwise temporaries hold about ``_LATTICE_BUDGET`` elements.
     Returns shape (len low, len high).
+
+    The nodes are sorted ascending first.  A price sells at a node only
+    if it is at most ``(1 - eps) * U``, which falls as ``eps`` rises, so
+    each price's buyers are a prefix of the sorted nodes.  The pairwise
+    selection runs only on the prefix where both tiers can sell: the
+    low tier at the chunk's cheapest row, the high tier at the cheapest
+    column.  The other nodes need no selection, so skipping it there is
+    exact: past the low tier's last buyer every user who can buy the
+    high tier does, which adds each column's tail sum of high-tier gain,
+    and past the high tier's last buyer only the low tier sells, which
+    ``base_low`` already counts.
     """
+    order = np.argsort(nodes, kind="stable")
+    nodes, weights = nodes[order], weights[order]
+
     def profile(model: GaiModel, axis: np.ndarray):
         counts = _counts_vec(model.utility, axis[:, None], nodes)
         pay = _payoffs_at_counts(model.utility, axis[:, None], nodes, counts)
-        score = np.where(counts >= 1.0, pay, -np.inf)
+        buy = counts >= 1.0
+        score = np.where(buy, pay, -np.inf)
         gain_w = (axis[:, None] - model.cost) * counts * weights
-        return score, gain_w
+        return score, gain_w, np.count_nonzero(buy, axis=1)
 
-    score_l, gain_l = profile(low, axis_low)
-    score_h, gain_h = profile(high, axis_high)
+    score_l, gain_l, reach_l = profile(low, axis_low)
+    score_h, gain_h, reach_h = profile(high, axis_high)
     base_low = gain_l.sum(axis=1)
+    # tail_h[:, k] is the high tier's gain summed over the nodes from k on
+    tail_h = np.zeros((len(axis_high), len(nodes) + 1))
+    tail_h[:, :-1] = np.cumsum(gain_h[:, ::-1], axis=1)[:, ::-1]
+    reach_high = int(reach_h.max(initial=0))
     out = np.empty((len(axis_low), len(axis_high)))
     chunk = max(1, _LATTICE_BUDGET // (len(axis_high) * len(nodes)))
     for start in range(0, len(axis_low), chunk):
         rows = slice(start, min(start + chunk, len(axis_low)))
+        reach_low = int(reach_l[rows].max())
+        both = min(reach_low, reach_high)
         # the high tier wins payoff ties (strictly higher utility)
-        mask = (score_h[None, :, :] >= score_l[rows][:, None, :]).astype(float)
-        term_h = np.einsum("cbk,bk->cb", mask, gain_h)
-        term_l = np.einsum("cbk,ck->cb", mask, gain_l[rows])
-        out[rows] = base_low[rows][:, None] + term_h - term_l
+        mask = (score_h[None, :, :both] >= score_l[rows, None, :both]).astype(float)
+        term_h = np.einsum("cbk,bk->cb", mask, gain_h[:, :both])
+        term_l = np.einsum("cbk,ck->cb", mask, gain_l[rows, :both])
+        out[rows] = base_low[rows][:, None] + term_h - term_l + tail_h[:, reach_low]
     return out
 
 
@@ -448,6 +485,12 @@ def price_upper_bound(
 # Two-model optimal pricing
 # --------------------------------------------------------------------------
 
+def _reduced_quad(quad: QuadratureConfig) -> QuadratureConfig:
+    """The quadrature of the coarse search sweeps: a quarter of the nodes,
+    at least 501, and never more than the full rule."""
+    return QuadratureConfig(min(quad.node_count, max(501, quad.node_count // 4)))
+
+
 _POLISH_ROWS = 8      # strongest sweep steps the refinement polishes
 _WINDOW_POINTS = 33   # prices per axis of one refinement window
 _WINDOW_ROUNDS = 4    # windows per polished step, each a quarter the size of the last
@@ -491,8 +534,7 @@ def opp(
     low_prices = low_prices[low_prices > 0.0]
     high_grid = np.linspace(max(high.cost, 1e-12), high.utility, cfg.inner_grid)
 
-    s_nodes, s_weights = dist.quadrature(
-        QuadratureConfig(max(501, cfg.quad.node_count // 4)))
+    s_nodes, s_weights = dist.quadrature(_reduced_quad(cfg.quad))
     lattice = _pair_lattice_payoffs(low, high, low_prices, high_grid, s_nodes, s_weights)
     sweep = np.column_stack([low_prices, high_grid[np.argmax(lattice, axis=1)]])
     # small row chunks keep the full-resolution temporaries to about 1 MB each
@@ -612,7 +654,10 @@ def cost_based_pricing(
     """Best member of the cost-proportional family p_m = (1 + mu) * C_m.
 
     The shared markup mu is swept over [0, max U / min C] in steps of
-    1e-3; zero cost anywhere makes the family degenerate.
+    1e-3; zero cost anywhere makes the family degenerate.  Once the
+    markup prices every model above its utility no user buys, and the
+    schedule evaluator skips those rows' chunks outright; in the fig7
+    catalogues that is about half the family.
     """
     costs = np.array([m.cost for m in models])
     if np.any(costs <= 0.0):
@@ -621,7 +666,7 @@ def cost_based_pricing(
     mus = np.arange(0, int(math.floor(mu_max / 1e-3)) + 1) * 1e-3
     family = (1.0 + mus)[:, None] * costs[None, :]
     nodes, weights = dist.quadrature(quad)
-    coarse = dist.quadrature(QuadratureConfig(max(501, quad.node_count // 4)))
+    coarse = dist.quadrature(_reduced_quad(quad))
     idx = _family_argmax(models, family, nodes, weights, coarse=coarse)
     return _outcome_for(models, list(family[idx]), nodes, weights, method="CostBased")
 
@@ -633,17 +678,36 @@ def _family_argmax(
     weights: np.ndarray,
     coarse: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> int:
-    """Argmax row of a 1-D schedule family: cheap sweep, exact local re-score.
+    """Argmax row of a 1-D schedule family: cheap sweep, exact local climb.
 
     The sweep uses the uncorrected closed-form counts (optionally on a
-    coarser quadrature); rows within three grid steps of its winner are
-    then re-scored exactly at full resolution, so the returned row is
-    the exact argmax of its neighbourhood.
+    coarser quadrature).  Like every schedule evaluation it skips the
+    nodes where no price of a row chunk can sell, which count 0 prompts
+    for every row there, so the skip changes no score.  The rows within
+    three grid steps of its winner are then re-scored exactly at full
+    resolution, and from the best of them the search steps one row at a
+    time toward the better neighbour while that neighbour pays more.
+    The payoff along a family is a sawtooth, so the window alone can end
+    on its edge; the returned row pays at least as much as both of its
+    neighbours.  Every exact score is a one-row evaluation, the same
+    route :func:`platform_payoff` takes, so the comparisons agree with
+    the payoff reported for the answer.
     """
     sweep_nodes, sweep_weights = coarse if coarse is not None else (nodes, weights)
     approx, _ = _family_volumes(models, family, sweep_nodes, sweep_weights, exact=False)
+    scores: dict[int, float] = {}
+
+    def score(i: int) -> float:
+        if i not in scores:
+            payoffs, _ = _family_volumes(models, family[i:i + 1], nodes, weights)
+            scores[i] = float(payoffs[0])
+        return scores[i]
+
     rough = int(np.argmax(approx))
-    lo = max(0, rough - 3)
-    hi = min(len(family), rough + 4)
-    precise, _ = _family_volumes(models, family[lo:hi], nodes, weights, exact=True)
-    return lo + int(np.argmax(precise))
+    best = max(range(max(0, rough - 3), min(len(family), rough + 4)), key=score)
+    while True:
+        step = max((i for i in (best - 1, best + 1) if 0 <= i < len(family)),
+                   key=score, default=best)
+        if score(step) <= score(best):
+            return best
+        best = step

@@ -1,11 +1,8 @@
-"""Domain types, quadrature, and the bracketed root finder."""
+"""Domain types and the quadrature rules of the ambiguity distributions."""
 
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from prompt_pricing import (
     Ambiguity,
@@ -16,14 +13,10 @@ from prompt_pricing import (
     InvalidModel,
     InvalidPrice,
     ModelSet,
-    NoBracket,
-    NonFiniteIntegrand,
     PriceSchedule,
     QuadratureConfig,
     TabulatedAmbiguity,
     UniformAmbiguity,
-    find_root_bracketed,
-    integrate,
 )
 
 
@@ -93,6 +86,13 @@ class TestTypes:
         assert dist.mass(0.0, 0.5) == pytest.approx((y0 + y1) / 2 * 0.5, abs=1e-12)
 
 
+def integrate(f, dist, quad=QuadratureConfig()):
+    """``sum_i f(eps_i) * w_i`` over the distribution's quadrature rule,
+    the average every solver takes over the user population."""
+    nodes, weights = dist.quadrature(quad)
+    return sum(f(float(x)) * w for x, w in zip(nodes, weights))
+
+
 class TestIntegrate:
     def test_density_normalization(self):
         assert integrate(lambda e: 1.0, UniformAmbiguity(0.0, 1.0)) == pytest.approx(1.0, abs=1e-9)
@@ -122,36 +122,3 @@ class TestIntegrate:
         coarse = integrate(f, dist, QuadratureConfig(2001))
         fine = integrate(f, dist, QuadratureConfig(4001))
         assert abs(fine - coarse) < 1e-3
-
-    def test_non_finite_rejected_with_node_index(self):
-        def f(e):
-            return float("inf") if e > 0.5 else 1.0
-
-        with pytest.raises(NonFiniteIntegrand, match="node"):
-            integrate(f, UniformAmbiguity(0.0, 1.0), QuadratureConfig(11))
-
-
-class TestRootFinder:
-    def test_linear(self):
-        assert find_root_bracketed(lambda x: x - 0.5, 0.0, 1.0, 1e-12) == pytest.approx(0.5, abs=1e-10)
-
-    def test_quadratic_both_branches(self):
-        g = lambda e: e * (1 - e) - 0.1
-        left = (1 - math.sqrt(0.6)) / 2
-        right = (1 + math.sqrt(0.6)) / 2
-        assert find_root_bracketed(g, 0.0, 0.5, 1e-12) == pytest.approx(left, abs=1e-9)
-        assert find_root_bracketed(g, 0.5, 1.0, 1e-12) == pytest.approx(right, abs=1e-9)
-
-    def test_no_bracket(self):
-        with pytest.raises(NoBracket):
-            find_root_bracketed(lambda x: x + 2.0, 0.0, 1.0, 1e-12)
-
-    @given(st.floats(0.05, 0.95), st.floats(-3.0, 3.0), st.floats(0.1, 2.0))
-    @settings(max_examples=200, deadline=None)
-    def test_root_stays_inside_bracket(self, t, lo, width):
-        hi = lo + width
-        root = lo + t * width
-        g = lambda x: x - root
-        x = find_root_bracketed(g, lo, hi, 1e-12)
-        assert lo <= x <= hi
-        assert abs(x - root) < 1e-9

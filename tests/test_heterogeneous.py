@@ -35,6 +35,37 @@ FAST = QuadratureConfig(501)
 FAST_OPP = OppConfig(step_alpha=0.01, quad=FAST)
 
 
+def _scalar_route(models, prices, nodes, weights):
+    """Payoff and volumes by the scalar stage-2 rules at every node.
+
+    ``select_model`` picks each user's model and prompt count (through
+    ``optimal_prompt_count``), and the counts are summed with the weights.
+    """
+    sched = PriceSchedule({m.id: float(p) for m, p in zip(models, prices)})
+    volumes = {m.id: 0.0 for m in models}
+    for e, w in zip(nodes, weights):
+        decision = select_model(models, sched, float(e))
+        if decision.selected_model is not None:
+            volumes[decision.selected_model] += w * decision.prompt_count
+    payoff = sum((sched.price_for(m) - m.cost) * volumes[m.id] for m in models)
+    return payoff, [volumes[m.id] for m in models]
+
+
+class _RecordingUniform:
+    """A uniform density that records every quadrature it is asked for."""
+
+    def __init__(self, lo, hi):
+        self.inner = UniformAmbiguity(lo, hi)
+        self.node_counts = []
+
+    def quadrature(self, quad):
+        self.node_counts.append(quad.node_count)
+        return self.inner.quadrature(quad)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
 class TestPlatformPayoff:
     def test_prohibitive_prices_sell_nothing(self):
         out = platform_payoff(PAIR, PriceSchedule({"ml": 1.0, "mh": 1.8}), U01, FAST)
@@ -70,14 +101,10 @@ class TestPlatformPayoff:
     def test_matches_per_node_model_selection(self):
         nodes, weights = U01.quadrature(QuadratureConfig(301))
         sched = PriceSchedule({"ml": 0.22, "mh": 0.71})
-        volumes = {"ml": 0.0, "mh": 0.0}
-        for e, w in zip(nodes, weights):
-            decision = select_model(PAIR, sched, float(e))
-            if decision.selected_model is not None:
-                volumes[decision.selected_model] += w * decision.prompt_count
+        _, (vol_ml, vol_mh) = _scalar_route(PAIR, [0.22, 0.71], nodes, weights)
         out = platform_payoff(PAIR, sched, U01, QuadratureConfig(301))
-        assert out.prompt_volume["ml"] == pytest.approx(volumes["ml"], abs=1e-12)
-        assert out.prompt_volume["mh"] == pytest.approx(volumes["mh"], abs=1e-12)
+        assert out.prompt_volume["ml"] == pytest.approx(vol_ml, abs=1e-12)
+        assert out.prompt_volume["mh"] == pytest.approx(vol_mh, abs=1e-12)
 
 
 class TestSegmentRoots:
@@ -292,6 +319,67 @@ class TestPairLattice:
                     assert abs(lattice[i, j] - direct) <= 1e-12 * high.utility
 
 
+PRUNING_DISTS = [
+    UniformAmbiguity(0.3, 1.0),
+    TabulatedAmbiguity((0.0, 0.2, 0.4, 0.6, 0.8, 1.0), (1.1, 0.7, 1.3, 0.6, 0.9, 1.2)),
+]
+
+
+class TestNodePruning:
+    """The schedule evaluator and the pair lattice skip the nodes where no
+    price can sell.  Their answers are checked against the scalar route at
+    prices on either side of one node's cut-off ``(1 - eps) * U`` and at
+    prices no user pays."""
+
+    NODE = 100  # the node whose cut-offs the straddling prices sit on
+
+    @staticmethod
+    def straddle(cut):
+        return [float(np.nextafter(cut, 0.0)), float(cut), float(np.nextafter(cut, np.inf))]
+
+    def axes(self, nodes):
+        """Per tier: prices straddling the node's cut-off, a price every
+        node can afford, the utility itself and a price above it."""
+        return [self.straddle((1.0 - nodes[self.NODE]) * m.utility)
+                + [0.05 * m.utility, m.utility, 2.0 * m.utility] for m in PAIR]
+
+    @pytest.mark.parametrize("dist", PRUNING_DISTS, ids=["uniform", "tabulated"])
+    def test_family_rows_match_scalar_route(self, dist):
+        from prompt_pricing.heterogeneous import _family_volumes
+
+        nodes, weights = dist.quadrature(QuadratureConfig(301))
+        axis_low, axis_high = self.axes(nodes)
+        dead = [axis_low[-1], axis_high[-1]]
+        rows = ([[p, axis_high[-2]] for p in axis_low[:3]]
+                + [[axis_low[-2], p] for p in axis_high[:3]]
+                + [dead, [axis_low[-2], axis_high[-2]], dead]
+                + [[p, q] for p, q in zip(axis_low, axis_high)])
+        want = [_scalar_route(PAIR, r, nodes, weights) for r in rows]
+        for chunk in (1, 3, 512):
+            payoffs, volumes = _family_volumes(PAIR, np.array(rows), nodes, weights, chunk=chunk)
+            for (pay, vol), got_pay, got_vol in zip(want, payoffs, volumes):
+                assert abs(got_pay - pay) <= 1e-12 * PAIR.high.utility
+                assert np.all(np.abs(got_vol - vol) <= 1e-12 * PAIR.high.utility)
+
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["sorted", "shuffled"])
+    @pytest.mark.parametrize("dist", PRUNING_DISTS, ids=["uniform", "tabulated"])
+    def test_lattice_cells_match_scalar_route(self, dist, shuffle):
+        from prompt_pricing.heterogeneous import _pair_lattice_payoffs
+
+        nodes, weights = dist.quadrature(QuadratureConfig(301))
+        axis_low, axis_high = self.axes(nodes)
+        if shuffle:
+            order = np.random.default_rng(20240811).permutation(len(nodes))
+            nodes, weights = nodes[order], weights[order]
+        low, high = PAIR.require_pair()
+        lattice = _pair_lattice_payoffs(
+            low, high, np.array(axis_low), np.array(axis_high), nodes, weights)
+        for i, p_low in enumerate(axis_low):
+            for j, p_high in enumerate(axis_high):
+                want, _ = _scalar_route(PAIR, [p_low, p_high], nodes, weights)
+                assert abs(lattice[i, j] - want) <= 1e-12 * high.utility
+
+
 class TestBenchmarks:
     def test_utility_based_is_a_constrained_optimum(self):
         out = utility_based_pricing(PAIR, U01, FAST)
@@ -315,6 +403,31 @@ class TestBenchmarks:
                 PAIR, PriceSchedule({"ml": (1 + m) * 0.02, "mh": (1 + m) * 0.04}),
                 U01, FAST).platform_payoff
             assert out.platform_payoff >= neighbour - 1e-12
+
+    @pytest.mark.parametrize("lo", [0.0, 0.15])
+    def test_cost_based_row_beats_both_neighbours(self, lo):
+        # re-scoring only three rows either side of the coarse winner once
+        # returned rows 21797 (lo = 0) and 8183 (lo = 0.15) here, while
+        # rows 21798 and 8182 paid more
+        dist = UniformAmbiguity(lo, 1.0)
+        out = cost_based_pricing(PAIR, dist)
+        costs = np.array([m.cost for m in PAIR])
+        row = round((out.schedule.price_for("ml") / costs[0] - 1.0) / 1e-3)
+        assert [out.schedule.price_for(m) for m in PAIR] == list((1.0 + row * 1e-3) * costs)
+        for i in (row - 1, row + 1):
+            prices = (1.0 + i * 1e-3) * costs
+            sched = PriceSchedule({m.id: float(p) for m, p in zip(PAIR, prices)})
+            assert platform_payoff(PAIR, sched, dist).platform_payoff <= out.platform_payoff
+
+    @pytest.mark.parametrize("solver", ["opp", "cost_based"])
+    def test_search_quadrature_never_exceeds_the_full_rule(self, solver):
+        dist = _RecordingUniform(0.3, 1.0)
+        quad = QuadratureConfig(301)
+        if solver == "opp":
+            opp(PAIR, dist, OppConfig(step_alpha=0.01, quad=quad))
+        else:
+            cost_based_pricing(PAIR, dist, quad)
+        assert dist.node_counts and max(dist.node_counts) <= 301
 
     def test_cost_based_needs_positive_costs(self):
         models = ModelSet([GaiModel("ml", 1.0, 0.0), GaiModel("mh", 1.8, 0.04)])
