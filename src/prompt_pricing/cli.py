@@ -24,9 +24,16 @@ import json
 import sys
 from pathlib import Path
 
-from .core import ConfigError, InvalidDistribution, InvalidModel, PromptPricingError
+from .core import (
+    ConfigError,
+    InvalidDistribution,
+    InvalidModel,
+    PriceSchedule,
+    PromptPricingError,
+    UniformAmbiguity,
+)
 from .heterogeneous import cost_based_pricing, grid_oracle, opp, utility_based_pricing
-from .homogeneous import homogeneous_payoff_curve, optimal_homogeneous_price
+from .homogeneous import homogeneous_payoff_curve
 from .scenario import Scenario, ScenarioError, load_scenario
 from .user_strategy import UNBOUNDED, optimal_prompt_count, select_model
 
@@ -90,7 +97,7 @@ def cmd_user_strategy(scenario: Scenario, args: argparse.Namespace) -> tuple[lis
     if missing:
         raise ScenarioError(
             scenario.name, [f"[model.{mid}] price: required by user-strategy" for mid in missing])
-    schedule = scenario.price_schedule()
+    schedule = PriceSchedule(scenario.prices)
     columns = ["eps"] + [f"n_star_{m.id}" for m in models] + ["selected_model", "user_payoff"]
     rows = []
     for eps in scenario.sweep.values():
@@ -108,20 +115,16 @@ def cmd_homog_price(scenario: Scenario, args: argparse.Namespace) -> tuple[list[
     models = scenario.model_set()
     grid = [float(e) for e in scenario.sweep.values()]
     columns = ["eps", "price", "induced_count", "served_model", "prompt_count", "platform_payoff"]
-    rows = []
-    curve = homogeneous_payoff_curve(models, grid)
-    for eps, point in zip(grid, curve):
-        sol = optimal_homogeneous_price(models, eps)
-        rows.append([eps, point.price, sol.induced_count,
-                     sol.served_model if sol.served_model else "none",
-                     point.prompt_count, point.payoff])
+    rows = [[eps, point.price, point.induced_count, point.served_model or "none",
+             point.prompt_count, point.payoff]
+            for eps, point in zip(grid, homogeneous_payoff_curve(models, grid))]
     return columns, rows
 
 
 def cmd_opp(scenario: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list]]:
     models = scenario.model_set()
     models.require_pair()
-    dist = scenario.distribution()
+    dist = scenario.dist
     cfg = scenario.opp_config(nodes_override=args.nodes, alpha_override=args.alpha)
     trace: list | None = [] if args.trace else None
     outcome = opp(models, dist, cfg, trace_sink=trace)
@@ -144,7 +147,7 @@ def cmd_opp(scenario: Scenario, args: argparse.Namespace) -> tuple[list[str], li
 
 def cmd_compare(scenario: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list]]:
     _require_sweep(scenario, "eps_min", "compare")
-    if scenario.dist_kind != "uniform":
+    if not isinstance(scenario.dist, UniformAmbiguity):
         raise ScenarioError(
             scenario.name, ["[distribution] kind: compare sweeps eps_min of a uniform distribution"])
     models = scenario.model_set()
@@ -153,7 +156,7 @@ def cmd_compare(scenario: Scenario, args: argparse.Namespace) -> tuple[list[str]
     columns = ["eps_min", "payoff_opp", "payoff_utility", "payoff_cost"]
     rows = []
     for eps_min in scenario.sweep.values():
-        dist = scenario.distribution(lo_override=float(eps_min))
+        dist = UniformAmbiguity(float(eps_min), scenario.dist.hi)
         row_opp = opp(models, dist, cfg)
         row_util = utility_based_pricing(models, dist, cfg.quad)
         row_cost = cost_based_pricing(models, dist, cfg.quad)

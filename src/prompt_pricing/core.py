@@ -73,12 +73,15 @@ class GaiModel:
     cost: float = 0.0
 
     def __post_init__(self) -> None:
+        problems = []
         if not self.id:
-            raise InvalidModel("model id must be a non-empty string")
+            problems.append("id must be a non-empty string")
         if not math.isfinite(self.utility) or self.utility <= 0.0:
-            raise InvalidModel(f"model {self.id!r}: utility must be positive, got {self.utility}")
+            problems.append(f"utility must be positive, got {self.utility}")
         if not math.isfinite(self.cost) or self.cost < 0.0:
-            raise InvalidModel(f"model {self.id!r}: cost must be non-negative, got {self.cost}")
+            problems.append(f"cost must be non-negative, got {self.cost}")
+        if problems:
+            raise InvalidModel(f"model {self.id!r}: " + "; ".join(problems))
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .core import (
     InvalidPrice,
     ModelSet,
     PriceSchedule,
+    PromptPricingError,
     QuadratureConfig,
     UnboundedDemand,
     check_ambiguity,
@@ -41,6 +42,7 @@ from .user_strategy import (
     UNBOUNDED,
     _counts_vec,
     _payoffs_at_counts,
+    _prefers,
     optimal_prompt_count,
     prompt_upper_bound,
     user_payoff,
@@ -87,25 +89,25 @@ class OppConfig:
     """Tuning knobs for the two-model price search.
 
     ``step_alpha`` is the low-tier sweep step (defaults to 1e-3 times the
-    low-tier utility).  ``inner_grid`` is the number of high-tier prices,
-    evenly spaced from the high-tier cost to its utility, that every
-    sweep step is scored against.  ``refinement`` polishes the strongest
-    sweep steps at full resolution with shrinking price-pair lattices and
-    a closing golden-section pass per price; without it the best sweep
-    pair is returned as is.
+    low-tier utility).  ``refinement`` polishes the strongest sweep steps
+    at full resolution with shrinking price-pair lattices and a closing
+    golden-section pass per price; without it the best sweep pair is
+    returned as is.
     """
 
     step_alpha: float | None = None
     refinement: bool = True
     quad: QuadratureConfig = field(default_factory=QuadratureConfig)
-    inner_grid: int = 250
+
+    def __post_init__(self) -> None:
+        if self.step_alpha is not None and not (
+                math.isfinite(self.step_alpha) and self.step_alpha > 0.0):
+            raise ConfigError(f"step_alpha must be finite and > 0, got {self.step_alpha}")
 
     def resolve_alpha(self, low_utility: float) -> float:
         alpha = self.step_alpha if self.step_alpha is not None else 1e-3 * low_utility
-        if not (0.0 < alpha < low_utility) or not math.isfinite(alpha):
+        if not alpha < low_utility:
             raise ConfigError(f"step_alpha must lie in (0, U_L), got {alpha}")
-        if self.inner_grid < 10:
-            raise ConfigError(f"inner_grid must be >= 10, got {self.inner_grid}")
         return alpha
 
 
@@ -125,10 +127,9 @@ def _family_volumes(
 
     ``price_matrix`` has one row per schedule and one column per model in
     set order.  Returns ``(payoffs, volumes)`` with shapes (F,) and
-    (F, M).  Selection per node replicates the stage-2 rules: a user
-    buys from the eligible model with the highest payoff, ties resolving
-    to higher utility then smaller id (model order already encodes the
-    id rank within equal utilities).
+    (F, M).  Selection per node is the stage-2 rule of
+    :func:`~prompt_pricing.user_strategy.select_model`: a user buys from
+    the eligible model that :func:`_prefers` picks, in set order.
 
     Rows are taken in chunks of ``chunk``.  A node is skipped for the
     whole chunk when even the chunk's cheapest price for every model is
@@ -158,24 +159,18 @@ def _family_volumes(
             continue
         k_nodes, k_weights = nodes[keep], weights[keep]
         counts = []
-        best_pay = None
-        best_util = None
-        sel = None
+        sel, best_pay, best_util = -1, -np.inf, -np.inf
         for j, u in enumerate(utils):
             p = prices[:, j][:, None]
             n_j = _counts_vec(u, p, k_nodes, exact=exact)
             pay_j = _payoffs_at_counts(u, p, k_nodes, n_j)
             counts.append(n_j)
-            elig = n_j >= 1.0
-            if sel is None:
-                sel = np.where(elig, j, -1)
-                best_pay = np.where(elig, pay_j, -np.inf)
-                best_util = np.where(elig, u, -np.inf)
-            else:
-                take = elig & ((pay_j > best_pay) | ((pay_j == best_pay) & (u > best_util)))
-                sel = np.where(take, j, sel)
-                best_pay = np.where(take, pay_j, best_pay)
-                best_util = np.where(take, u, best_util)
+            take = n_j >= 1.0
+            if j:  # the first model has no rival yet
+                take &= _prefers(pay_j, u, best_pay, best_util)
+            sel = np.where(take, j, sel)
+            best_pay = np.where(take, pay_j, best_pay)
+            best_util = np.where(take, u, best_util)
         chunk_pay = np.zeros(prices.shape[0])
         for j in range(n_models):
             vol = ((sel == j) * counts[j]) @ k_weights
@@ -239,7 +234,7 @@ def _pair_lattice_payoffs(
         rows = slice(start, min(start + chunk, len(axis_low)))
         reach_low = int(reach_l[rows].max())
         both = min(reach_low, reach_high)
-        # the high tier wins payoff ties (strictly higher utility)
+        # _prefers with the high tier's strictly higher utility: it wins payoff ties
         mask = (score_h[None, :, :both] >= score_l[rows, None, :both]).astype(float)
         term_h = np.einsum("cbk,bk->cb", mask, gain_h[:, :both])
         term_l = np.einsum("cbk,ck->cb", mask, gain_l[rows, :both])
@@ -458,7 +453,9 @@ def price_upper_bound(
     payoff ``m`` can deliver at its own per-count indifference prices;
     the first prompt count that beats the rival pins the indifference
     price.  Returns 0 when ``m`` can never beat the rival at this
-    ambiguity (empty demand).
+    ambiguity (empty demand).  Raises :class:`PromptPricingError` when
+    that count lies beyond ``_TAU_CAP`` prompts (ambiguity within about
+    1e-6 of one against a nearly free rival).
     """
     eps = check_ambiguity(eps)
     if price_m_prime <= 0.0 or not math.isfinite(price_m_prime):
@@ -476,7 +473,9 @@ def price_upper_bound(
             break
         k += 1
     else:
-        return 0.0
+        raise PromptPricingError(
+            f"price_upper_bound: no prompt count up to the cap of {_TAU_CAP} beats the rival "
+            f"at eps={eps}")
     bound = ((1.0 - eps ** k) * u - rival_payoff) / k
     return max(0.0, bound)
 
@@ -491,6 +490,7 @@ def _reduced_quad(quad: QuadratureConfig) -> QuadratureConfig:
     return QuadratureConfig(min(quad.node_count, max(501, quad.node_count // 4)))
 
 
+_INNER_GRID = 250     # high-tier prices, cost to utility, scored against every sweep step
 _POLISH_ROWS = 8      # strongest sweep steps the refinement polishes
 _WINDOW_POINTS = 33   # prices per axis of one refinement window
 _WINDOW_ROUNDS = 4    # windows per polished step, each a quarter the size of the last
@@ -506,7 +506,7 @@ def opp(
 
     The low-tier price sweeps the step grid from its cost to its utility.
     Counts and user payoffs depend on one price each, so every pair of a
-    sweep step and one of ``cfg.inner_grid`` high-tier prices is scored in
+    sweep step and one of ``_INNER_GRID`` high-tier prices is scored in
     one lattice on a reduced quadrature, and each step keeps its best
     high-tier price.  Those pairs are re-scored by full-resolution
     schedule evaluation, which is what the sweep argmax uses.  With
@@ -532,7 +532,7 @@ def opp(
     if low_prices[-1] < low.utility:
         low_prices = np.append(low_prices, low.utility)
     low_prices = low_prices[low_prices > 0.0]
-    high_grid = np.linspace(max(high.cost, 1e-12), high.utility, cfg.inner_grid)
+    high_grid = np.linspace(max(high.cost, 1e-12), high.utility, _INNER_GRID)
 
     s_nodes, s_weights = dist.quadrature(_reduced_quad(cfg.quad))
     lattice = _pair_lattice_payoffs(low, high, low_prices, high_grid, s_nodes, s_weights)
@@ -547,7 +547,7 @@ def opp(
     if not cfg.refinement:
         return _outcome_for(models, best[:2], nodes, weights, method="OPP")
 
-    span = (high.utility - high.cost) / cfg.inner_grid
+    span = (high.utility - high.cost) / _INNER_GRID
     limits = [(low_prices[0], low.utility), (high_grid[0], high.utility)]
     for row in np.argsort(-payoffs, kind="stable")[:_POLISH_ROWS]:
         centre, half = sweep[row], np.array([alpha, 2 * span])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import GaiModel, InvalidAmbiguity, ModelSet, PriceSchedule, check_ambiguity
-from .user_strategy import UNBOUNDED, marginal_expected_utility, optimal_prompt_count
+from .user_strategy import UNBOUNDED, _prefers, marginal_expected_utility, optimal_prompt_count
 
 
 class CostShape(enum.Enum):
@@ -48,12 +48,20 @@ class HomogeneousSolution:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One ambiguity grid point of the optimal-pricing sweep."""
+    """One ambiguity grid point of the optimal-pricing sweep.
+
+    ``induced_count`` and ``served_model`` are the closed form's
+    (:class:`HomogeneousSolution`); ``prompt_count`` is what a user
+    buys at the quoted price, worked out independently by
+    :func:`optimal_prompt_count`.
+    """
 
     eps: float
     price: float
     prompt_count: int
     payoff: float
+    induced_count: int
+    served_model: str | None
 
 
 def induced_prompt_count(model: GaiModel, eps: float, cap: int = 10_000) -> int:
@@ -95,9 +103,10 @@ def optimal_homogeneous_price(
 
     Each model's candidate payoff is ``(price_k - cost) * k`` at its own
     optimal induced count ``k``; the best candidate is served (ties go
-    to higher utility, then smaller id) and every other model is priced
-    at its utility.  A served count of zero means no trade: the quoted
-    formula price exceeds what any user accepts, and the payoff is zero.
+    to higher utility, then smaller id: the user's rule, :func:`_prefers`)
+    and every other model is priced at its utility.  A served count of
+    zero means no trade: the quoted formula price exceeds what any user
+    accepts, and the payoff is zero.
     """
     eps = check_ambiguity(eps)
     best: tuple[GaiModel, int, float, float] | None = None
@@ -106,17 +115,7 @@ def optimal_homogeneous_price(
         k = induced_prompt_count(model, eps, cap=cap)
         price = marginal_expected_utility(model.utility, eps, k)
         payoff = (price - model.cost) * k
-        if best is None:
-            best = (model, k, price, payoff)
-            continue
-        b_model, _, _, b_payoff = best
-        wins = payoff > b_payoff
-        if payoff == b_payoff:
-            if model.utility != b_model.utility:
-                wins = model.utility > b_model.utility
-            else:
-                wins = model.id < b_model.id
-        if wins:
+        if best is None or _prefers(payoff, model.utility, best[3], best[0].utility):
             best = (model, k, price, payoff)
     assert best is not None
     winner, k, price, payoff = best
@@ -145,9 +144,10 @@ def homogeneous_payoff_curve(
         winner = models[sol.best_model]
         price = sol.schedule.price_for(winner)
         if sol.served_model is None:
-            points.append(CurvePoint(eps, price, 0, 0.0))
+            points.append(CurvePoint(eps, price, 0, 0.0, sol.induced_count, None))
             continue
         n = optimal_prompt_count(winner, price, eps)
         count = sol.induced_count if n is UNBOUNDED else int(n)
-        points.append(CurvePoint(eps, price, count, sol.platform_payoff))
+        points.append(CurvePoint(eps, price, count, sol.platform_payoff,
+                                 sol.induced_count, sol.served_model))
     return points

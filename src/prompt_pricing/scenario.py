@@ -32,20 +32,25 @@ A scenario is an INI file with nested dotted sections::
     stop = 0.999
     points = 999
 
-Validation reports every violation at once, naming the offending field
-and the constraint it breaks.
+Loading builds the domain objects directly: the constructors of
+:class:`GaiModel`, :class:`ModelSet`, :class:`PriceSchedule`, the
+ambiguity distributions, :class:`QuadratureConfig` and :class:`OppConfig`
+hold the input rules, and each of their messages is filed under the
+field it came from.  Only the sweep, which has no domain type, is
+checked here.  Every violation is reported at once.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .core import (
+    AmbiguityDistribution,
     GaiModel,
     ModelSet,
     PriceSchedule,
@@ -80,67 +85,67 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario ready to be turned into solver inputs."""
+    """A validated scenario: the solver inputs it describes."""
 
     name: str
-    models: tuple[GaiModel, ...]
-    prices: dict[str, float] = field(default_factory=dict)
-    dist_kind: str = "uniform"
-    dist_lo: float = 0.0
-    dist_hi: float = 1.0
-    dist_knots: tuple[float, ...] = ()
-    dist_values: tuple[float, ...] = ()
-    quad_nodes: int = 2001
-    opp_alpha: float | None = None
-    opp_refinement: bool = True
+    models: ModelSet
+    prices: dict[str, float]
+    dist: AmbiguityDistribution
+    opp: OppConfig
     sweep: SweepSpec | None = None
 
+    @property
+    def quad_nodes(self) -> int:
+        return self.opp.quad.node_count
+
+    @property
+    def opp_alpha(self) -> float | None:
+        return self.opp.step_alpha
+
     def model_set(self) -> ModelSet:
-        return ModelSet(self.models)
-
-    def price_schedule(self) -> PriceSchedule:
-        return PriceSchedule(self.prices)
-
-    def distribution(self, lo_override: float | None = None):
-        if self.dist_kind == "uniform":
-            lo = self.dist_lo if lo_override is None else lo_override
-            return UniformAmbiguity(lo, self.dist_hi)
-        return TabulatedAmbiguity(self.dist_knots, self.dist_values)
-
-    def quadrature(self, nodes_override: int | None = None) -> QuadratureConfig:
-        return QuadratureConfig(nodes_override if nodes_override is not None else self.quad_nodes)
+        return self.models
 
     def opp_config(
         self, nodes_override: int | None = None, alpha_override: float | None = None
     ) -> OppConfig:
-        alpha = alpha_override if alpha_override is not None else self.opp_alpha
-        return OppConfig(
-            step_alpha=alpha,
-            refinement=self.opp_refinement,
-            quad=self.quadrature(nodes_override),
-        )
+        cfg = self.opp
+        if nodes_override is not None:
+            cfg = replace(cfg, quad=QuadratureConfig(nodes_override))
+        if alpha_override is not None:
+            cfg = replace(cfg, step_alpha=alpha_override)
+        return cfg
 
 
-def _parse_float(raw: str, where: str, bad: list[str]) -> float | None:
+_KINDS = {"float": "a decimal number", "int": "an integer", "boolean": "a boolean",
+          "floats": "a list of decimal numbers"}
+
+
+def _floats(raw: str) -> list[float]:
+    return [float(piece) for piece in raw.replace(",", " ").split()]
+
+
+def _read(parser: configparser.ConfigParser, bad: list[str], section: str, key: str, kind: str,
+          default):
+    """``[section] key`` parsed as ``kind`` (a key of ``_KINDS``), or ``default`` when absent.
+
+    A value that does not parse is filed in ``bad`` and ``default`` is
+    returned, so the constructors still check the other fields; the
+    scenario is rejected either way.
+    """
     try:
-        v = float(raw)
+        return getattr(parser, f"get{kind}")(section, key, fallback=default)
     except ValueError:
-        bad.append(f"{where}: not a decimal number: {raw!r}")
-        return None
-    if not math.isfinite(v):
-        bad.append(f"{where}: must be finite, got {raw!r}")
-        return None
-    return v
+        bad.append(f"[{section}] {key}: not {_KINDS[kind]}: {parser.get(section, key)!r}")
+        return default
 
 
-def _parse_float_list(raw: str, where: str, bad: list[str]) -> tuple[float, ...]:
-    out = []
-    for piece in raw.replace(",", " ").split():
-        v = _parse_float(piece, where, bad)
-        if v is None:
-            return ()
-        out.append(v)
-    return tuple(out)
+def _build(bad: list[str], where: str, make, *args):
+    """``make(*args)``, or None with the constructor's message filed under ``where``."""
+    try:
+        return make(*args)
+    except PromptPricingError as exc:
+        bad.append(f"{where}: {exc}")
+        return None
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -151,7 +156,8 @@ def load_scenario(path: str | Path) -> Scenario:
     """
     path = Path(path)
     bad: list[str] = []
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=(";", "#"), converters={"floats": _floats})
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -162,126 +168,60 @@ def load_scenario(path: str | Path) -> Scenario:
 
     name = parser.get("scenario", "name", fallback=path.stem)
 
-    models: list[GaiModel] = []
+    built: list[GaiModel | None] = []
     prices: dict[str, float] = {}
     for section in parser.sections():
         if not section.startswith("model."):
             continue
         mid = section[len("model."):]
-        if not mid:
-            bad.append(f"[{section}]: empty model id")
-            continue
-        utility = _parse_float(parser.get(section, "utility", fallback="nan"), f"[{section}] utility", bad)
-        cost = _parse_float(parser.get(section, "cost", fallback="0"), f"[{section}] cost", bad)
-        if utility is not None and utility <= 0:
-            bad.append(f"[{section}] utility: must be > 0, got {utility}")
-            utility = None
-        if cost is not None and cost < 0:
-            bad.append(f"[{section}] cost: must be >= 0, got {cost}")
-            cost = None
-        if utility is not None and cost is not None:
-            models.append(GaiModel(mid, utility, cost))
-        if parser.has_option(section, "price"):
-            p = _parse_float(parser.get(section, "price"), f"[{section}] price", bad)
-            if p is not None and p < 0:
-                bad.append(f"[{section}] price: must be >= 0, got {p}")
-            elif p is not None:
-                prices[mid] = p
-    if not models:
-        bad.append("no [model.<id>] sections found; at least one model is required")
-    ids = [m.id for m in models]
-    if len(set(ids)) != len(ids):
-        bad.append(f"model ids must be distinct, got {ids}")
-    if len(models) == 2 and models[0].utility == models[1].utility:
-        bad.append("a two-model scenario needs distinct utilities")
+        utility = _read(parser, bad, section, "utility", "float", math.nan)
+        cost = _read(parser, bad, section, "cost", "float", 0.0)
+        built.append(_build(bad, f"[{section}]", GaiModel, mid, utility, cost))
+        price = _read(parser, bad, section, "price", "float", None)
+        if price is not None and _build(bad, f"[{section}] price", PriceSchedule, {mid: price}):
+            prices[mid] = price
+    models = _build(bad, "[model.<id>] sections", ModelSet, [m for m in built if m is not None])
 
     kind = parser.get("distribution", "kind", fallback="uniform").strip().lower()
-    lo, hi = 0.0, 1.0
-    knots: tuple[float, ...] = ()
-    values: tuple[float, ...] = ()
+    dist = None
     if kind == "uniform":
-        lo = _parse_float(parser.get("distribution", "lo", fallback="0.0"), "[distribution] lo", bad) or 0.0
-        hi_v = _parse_float(parser.get("distribution", "hi", fallback="1.0"), "[distribution] hi", bad)
-        hi = 1.0 if hi_v is None else hi_v
-        if not (0.0 <= lo < hi <= 1.0):
-            bad.append(f"[distribution] lo/hi: need 0 <= lo < hi <= 1, got [{lo}, {hi}]")
+        lo = _read(parser, bad, "distribution", "lo", "float", 0.0)
+        hi = _read(parser, bad, "distribution", "hi", "float", 1.0)
+        dist = _build(bad, "[distribution]", UniformAmbiguity, lo, hi)
     elif kind == "tabulated":
-        knots = _parse_float_list(parser.get("distribution", "knots", fallback=""), "[distribution] knots", bad)
-        values = _parse_float_list(parser.get("distribution", "values", fallback=""), "[distribution] values", bad)
-        if len(knots) < 2 or len(knots) != len(values):
-            bad.append("[distribution] knots/values: need >= 2 knots and one value per knot")
-        elif any(b <= a for a, b in zip(knots, knots[1:])):
-            bad.append("[distribution] knots: must be strictly ascending")
-        elif not (0.0 <= knots[0] and knots[-1] <= 1.0):
-            bad.append("[distribution] knots: support must lie inside [0, 1]")
-        elif any(v < 0 for v in values):
-            bad.append("[distribution] values: must be non-negative")
-        elif all(v == 0 for v in values):
-            bad.append("[distribution] values: must have positive mass")
+        knots = _read(parser, bad, "distribution", "knots", "floats", [])
+        values = _read(parser, bad, "distribution", "values", "floats", [])
+        dist = _build(bad, "[distribution]", TabulatedAmbiguity, knots, values)
     else:
         bad.append(f"[distribution] kind: must be 'uniform' or 'tabulated', got {kind!r}")
 
-    nodes_raw = parser.get("quadrature", "nodes", fallback="2001")
-    try:
-        quad_nodes = int(nodes_raw)
-    except ValueError:
-        bad.append(f"[quadrature] nodes: not an integer: {nodes_raw!r}")
-        quad_nodes = 2001
-    if quad_nodes < 3:
-        bad.append(f"[quadrature] nodes: must be >= 3, got {quad_nodes}")
-        quad_nodes = 2001
-
-    opp_alpha: float | None = None
-    if parser.has_option("opp", "alpha"):
-        opp_alpha = _parse_float(parser.get("opp", "alpha"), "[opp] alpha", bad)
-        if opp_alpha is not None and opp_alpha <= 0:
-            bad.append(f"[opp] alpha: must be > 0, got {opp_alpha}")
-            opp_alpha = None
-    try:
-        opp_refinement = parser.getboolean("opp", "refinement", fallback=True)
-    except ValueError:
-        bad.append(f"[opp] refinement: not a boolean: {parser.get('opp', 'refinement')!r}")
-        opp_refinement = True
+    nodes = _read(parser, bad, "quadrature", "nodes", "int", 2001)
+    quad = _build(bad, "[quadrature] nodes", QuadratureConfig, nodes)
+    alpha = _read(parser, bad, "opp", "alpha", "float", None)
+    refinement = _read(parser, bad, "opp", "refinement", "boolean", True)
+    # a bad node count must not keep the step from being checked
+    opp = _build(bad, "[opp] alpha", OppConfig, alpha, refinement, quad or QuadratureConfig())
 
     sweep: SweepSpec | None = None
     if parser.has_section("sweep"):
         variable = parser.get("sweep", "variable", fallback="").strip()
-        start = _parse_float(parser.get("sweep", "start", fallback="nan"), "[sweep] start", bad)
-        stop = _parse_float(parser.get("sweep", "stop", fallback="nan"), "[sweep] stop", bad)
-        points_raw = parser.get("sweep", "points", fallback="0")
-        try:
-            points = int(points_raw)
-        except ValueError:
-            bad.append(f"[sweep] points: not an integer: {points_raw!r}")
-            points = 0
+        start = _read(parser, bad, "sweep", "start", "float", math.nan)
+        stop = _read(parser, bad, "sweep", "stop", "float", math.nan)
+        points = _read(parser, bad, "sweep", "points", "int", 0)
+        hi = dist.support()[1] if dist is not None else 1.0
         if variable not in ("eps", "eps_min"):
             bad.append(f"[sweep] variable: must be 'eps' or 'eps_min', got {variable!r}")
         if points < 1:
-            bad.append(f"[sweep] points: must be >= 1, got {points_raw!r}")
-        if start is not None and stop is not None:
-            if points > 1 and not start < stop:
-                bad.append(f"[sweep] start/stop: need start < stop, got {start} >= {stop}")
-            if variable == "eps" and not (0.0 < start and stop < 1.0):
-                bad.append(f"[sweep] start/stop: eps sweep must stay inside (0, 1), got [{start}, {stop}]")
-            if variable == "eps_min" and not (0.0 <= start and stop < hi):
-                bad.append(
-                    f"[sweep] start/stop: eps_min sweep must stay inside [0, hi), got [{start}, {stop}] with hi={hi}")
-        if not bad:
-            sweep = SweepSpec(variable, float(start), float(stop), points)
+            bad.append(f"[sweep] points: must be >= 1, got {points}")
+        if points > 1 and not start < stop:
+            bad.append(f"[sweep] start/stop: need start < stop, got {start} >= {stop}")
+        if variable == "eps" and not (0.0 < start and stop < 1.0):
+            bad.append(f"[sweep] start/stop: eps sweep must stay inside (0, 1), got [{start}, {stop}]")
+        if variable == "eps_min" and not (0.0 <= start and stop < hi):
+            bad.append(
+                f"[sweep] start/stop: eps_min sweep must stay inside [0, hi), got [{start}, {stop}] with hi={hi}")
+        sweep = SweepSpec(variable, start, stop, points)
 
     if bad:
         raise ScenarioError(str(path), bad)
-    return Scenario(
-        name=name,
-        models=tuple(models),
-        prices=prices,
-        dist_kind=kind,
-        dist_lo=lo,
-        dist_hi=hi,
-        dist_knots=knots,
-        dist_values=values,
-        quad_nodes=quad_nodes,
-        opp_alpha=opp_alpha,
-        opp_refinement=opp_refinement,
-        sweep=sweep,
-    )
+    return Scenario(name, models, prices, dist, opp, sweep)

@@ -154,32 +154,33 @@ def _decision_for(model: GaiModel, price: float, eps: float) -> tuple[int | _Unb
     return n, user_payoff(model, price, eps, n)
 
 
+def _prefers(pay, util, best_pay, best_util):
+    """Whether an option paying ``pay`` at utility ``util`` beats the best so far.
+
+    The one tie-break of the stage-2 rules: higher payoff, and at equal
+    payoff higher utility.  Options are offered in model-set order
+    (ascending utility, then id), so among equal utilities the first,
+    smallest id keeps the lead.  Works elementwise on arrays.
+    """
+    return (pay > best_pay) | ((pay == best_pay) & (util > best_util))
+
+
 def select_model(models: ModelSet, prices: PriceSchedule, eps: float) -> UserDecision:
     """Pick the payoff-maximizing model, or opt out entirely.
 
     Payoff ties resolve toward the higher-utility model, then the
-    lexicographically smaller id.  A tie between buying and not buying
-    resolves toward buying, so indifferent users stay in the market.
-    A user whose best option is zero prompts everywhere opts out.
+    lexicographically smaller id (:func:`_prefers`).  A tie between
+    buying and not buying resolves toward buying, so indifferent users
+    stay in the market.  A user whose best option is zero prompts
+    everywhere opts out.
     """
     eps = check_ambiguity(eps)
     best: tuple[GaiModel, int | _UnboundedType, float] | None = None
     for model in models:
-        price = prices.price_for(model)
-        n, payoff = _decision_for(model, price, eps)
+        n, payoff = _decision_for(model, prices.price_for(model), eps)
         if n is not UNBOUNDED and n == 0:
             continue
-        if best is None:
-            best = (model, n, payoff)
-            continue
-        b_model, _, b_payoff = best
-        wins = payoff > b_payoff
-        if payoff == b_payoff:
-            if model.utility != b_model.utility:
-                wins = model.utility > b_model.utility
-            else:
-                wins = model.id < b_model.id
-        if wins:
+        if best is None or _prefers(payoff, model.utility, best[2], best[0].utility):
             best = (model, n, payoff)
     if best is None:
         return UserDecision(selected_model=None, prompt_count=0, payoff=0.0)

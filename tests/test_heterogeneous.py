@@ -198,6 +198,14 @@ class TestPriceUpperBound:
         with pytest.raises(InvalidPrice):
             price_upper_bound(self.HIGH, self.LOW, 0.0, 0.5)
 
+    def test_count_cap_raises_instead_of_empty_demand(self):
+        """Near eps = 1 a nearly free rival is beaten only after about 1.7e7
+        prompts, past the search cap; the true bound is about 3e-8, not 0."""
+        from prompt_pricing import PromptPricingError
+        high, low = GaiModel("h", 1.8), GaiModel("l", 1.0)
+        with pytest.raises(PromptPricingError, match="cap"):
+            price_upper_bound(high, low, 1e-9, 0.9999999)
+
 
 class TestGainDecomposition:
     def test_partition_matches_direct_payoff(self):

@@ -92,6 +92,38 @@ points = 5
         assert any("nodes" in m for m in messages)
         assert any("start" in m for m in messages)
 
+    def test_every_field_violation_reported(self, tmp_path):
+        """One broken value in each section: no violation hides another."""
+        path = write_scenario(tmp_path, """
+[model.a]
+utility = -3
+cost = -1
+[model.b]
+utility = lots
+price = -0.5
+[distribution]
+kind = tabulated
+knots = 0.9, 0.5, 0.1
+values = 1.0, many, 2.0
+[quadrature]
+nodes = 1
+[opp]
+alpha = -1
+refinement = maybe
+[sweep]
+variable = eps
+start = 0.9
+stop = 0.1
+points = 5
+""")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        messages = err.value.violations
+        for field in ("[model.a]", "[model.b]", "price", "[distribution]",
+                      "nodes", "alpha", "refinement", "start"):
+            assert any(field in m for m in messages), field
+        assert main(["opp", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+
     def test_fields_parse(self, tmp_path):
         scenario = load_scenario(write_scenario(tmp_path, TWO_MODEL))
         assert scenario.name == "test-pair"

@@ -212,6 +212,24 @@ class TestSelectModel:
         assert decision.prompt_count is UNBOUNDED
         assert decision.payoff == pytest.approx(1.0)
 
+    def test_equal_utility_payoff_tie_goes_to_smaller_id(self):
+        """Two models of equal utility, cost and price pay every user the
+        same; the smaller id wins in every route that applies the rule."""
+        from prompt_pricing import optimal_homogeneous_price
+        from prompt_pricing.heterogeneous import _family_volumes
+
+        models = ModelSet([GaiModel("b", 1.0, 0.1), GaiModel("a", 1.0, 0.1),
+                           GaiModel("c", 0.5, 0.1)])
+        assert [m.id for m in models] == ["c", "a", "b"]
+        sched = PriceSchedule({"a": 0.2, "b": 0.2, "c": 0.3})
+        for eps in (0.1, 0.4, 0.7):
+            assert select_model(models, sched, eps).selected_model == "a"
+            assert optimal_homogeneous_price(models, eps).best_model == "a"
+        nodes = np.linspace(0.05, 0.75, 15)
+        _, volumes = _family_volumes(models, np.array([[0.3, 0.2, 0.2]]), nodes, np.full(15, 1 / 15))
+        assert volumes[0, 1] > 0.0
+        assert volumes[0, 2] == 0.0
+
 
 class TestVectorKernels:
     def test_counts_match_scalar(self):
