@@ -199,8 +199,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
-        if args.nodes is not None and args.nodes < 3:
-            raise ConfigError(f"--nodes must be >= 3, got {args.nodes}")
         columns, rows = _COMMANDS[args.command](scenario, args)
         _write_outputs(args.out, columns, rows, args.json, args.command, scenario.name)
     except ScenarioError as exc:

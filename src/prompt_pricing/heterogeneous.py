@@ -13,8 +13,10 @@ the stage-2 rules.  This module provides:
 * the two-model optimizer that sweeps the low-tier price and, for each
   value, takes the best high-tier price from a separable price-pair
   lattice (:func:`opp`),
-* an exhaustive two-dimensional lattice oracle (:func:`grid_oracle`) and
-  the utility- and cost-proportional benchmark mechanisms.
+* an exhaustive two-dimensional lattice oracle (:func:`grid_oracle`),
+* the utility- and cost-proportional benchmark mechanisms, which score
+  every row of their one-parameter price family at full resolution from
+  the rows where each node's prompt counts step (:func:`_family_payoffs`).
 """
 
 from __future__ import annotations
@@ -121,15 +123,13 @@ def _family_volumes(
     nodes: np.ndarray,
     weights: np.ndarray,
     chunk: int = 512,
-    exact: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expected prompt volumes for many schedules at once.
 
     ``price_matrix`` has one row per schedule and one column per model in
     set order.  Returns ``(payoffs, volumes)`` with shapes (F,) and
     (F, M).  Selection per node is the stage-2 rule of
-    :func:`~prompt_pricing.user_strategy.select_model`: a user buys from
-    the eligible model that :func:`_prefers` picks, in set order.
+    :func:`~prompt_pricing.user_strategy.select_model` (:func:`_choose`).
 
     Rows are taken in chunks of ``chunk``.  A node is skipped for the
     whole chunk when even the chunk's cheapest price for every model is
@@ -158,19 +158,12 @@ def _family_volumes(
         if not keep.any():
             continue
         k_nodes, k_weights = nodes[keep], weights[keep]
-        counts = []
-        sel, best_pay, best_util = -1, -np.inf, -np.inf
+        counts, pays = [], []
         for j, u in enumerate(utils):
             p = prices[:, j][:, None]
-            n_j = _counts_vec(u, p, k_nodes, exact=exact)
-            pay_j = _payoffs_at_counts(u, p, k_nodes, n_j)
-            counts.append(n_j)
-            take = n_j >= 1.0
-            if j:  # the first model has no rival yet
-                take &= _prefers(pay_j, u, best_pay, best_util)
-            sel = np.where(take, j, sel)
-            best_pay = np.where(take, pay_j, best_pay)
-            best_util = np.where(take, u, best_util)
+            counts.append(_counts_vec(u, p, k_nodes))
+            pays.append(_payoffs_at_counts(u, p, k_nodes, counts[-1]))
+        sel = _choose(counts, pays, utils)
         chunk_pay = np.zeros(prices.shape[0])
         for j in range(n_models):
             vol = ((sel == j) * counts[j]) @ k_weights
@@ -178,6 +171,25 @@ def _family_volumes(
             chunk_pay += (prices[:, j] - costs[j]) * vol
         payoffs[rows] = chunk_pay
     return payoffs, volumes
+
+
+def _choose(counts, pays, utils) -> np.ndarray:
+    """Index of the model each user buys from, -1 for none.
+
+    The stage-2 rule of :func:`~prompt_pricing.user_strategy.select_model`
+    over per-model arrays of counts and user payoffs: among the models
+    that sell at least one prompt, the one :func:`_prefers` picks when
+    they are offered in set order.
+    """
+    sel, best_pay, best_util = -1, -np.inf, -np.inf
+    for j, (n, pay, u) in enumerate(zip(counts, pays, utils)):
+        take = n >= 1.0
+        if j:  # the first model has no rival yet
+            take &= _prefers(pay, u, best_pay, best_util)
+        sel = np.where(take, j, sel)
+        best_pay = np.where(take, pay, best_pay)
+        best_util = np.where(take, u, best_util)
+    return sel
 
 
 _LATTICE_BUDGET = 1 << 19  # elements per pairwise temporary (4 MB of float64)
@@ -636,13 +648,16 @@ def utility_based_pricing(
 ) -> PricingOutcome:
     """Best member of the utility-proportional family p_m = beta * U_m.
 
-    The shared factor beta is swept over (0, 1) in steps of 1e-3.
+    The shared factor beta is swept over (0, 1) in steps of 1e-3.  Every
+    row is scored at full resolution by :func:`_family_payoffs`, and the
+    rows within rounding of the best are re-scored one at a time
+    (:func:`_family_best_row`).
     """
     betas = np.arange(1, 1000) / 1000.0
     utils = np.array([m.utility for m in models])
     family = betas[:, None] * utils[None, :]
     nodes, weights = dist.quadrature(quad)
-    idx = _family_argmax(models, family, nodes, weights)
+    idx = _family_best_row(models, family, nodes, weights)
     return _outcome_for(models, list(family[idx]), nodes, weights, method="UtilityBased")
 
 
@@ -654,10 +669,13 @@ def cost_based_pricing(
     """Best member of the cost-proportional family p_m = (1 + mu) * C_m.
 
     The shared markup mu is swept over [0, max U / min C] in steps of
-    1e-3; zero cost anywhere makes the family degenerate.  Once the
-    markup prices every model above its utility no user buys, and the
-    schedule evaluator skips those rows' chunks outright; in the fig7
-    catalogues that is about half the family.
+    1e-3; zero cost anywhere makes the family degenerate.  Every row
+    (90,001 in the fig7a catalogue) is scored at full resolution in one
+    pass of :func:`_family_payoffs`, whose work grows with the count
+    steps per node, not with the rows; the rows that price every model
+    above its utility (about half of them there) sell to no one and
+    score exactly 0.  The best rows are then re-scored one at a time
+    (:func:`_family_best_row`).
     """
     costs = np.array([m.cost for m in models])
     if np.any(costs <= 0.0):
@@ -666,48 +684,163 @@ def cost_based_pricing(
     mus = np.arange(0, int(math.floor(mu_max / 1e-3)) + 1) * 1e-3
     family = (1.0 + mus)[:, None] * costs[None, :]
     nodes, weights = dist.quadrature(quad)
-    coarse = dist.quadrature(_reduced_quad(quad))
-    idx = _family_argmax(models, family, nodes, weights, coarse=coarse)
+    idx = _family_best_row(models, family, nodes, weights)
     return _outcome_for(models, list(family[idx]), nodes, weights, method="CostBased")
 
 
-def _family_argmax(
+def _live_rows(models: ModelSet, family: np.ndarray, nodes: np.ndarray) -> int:
+    """How many leading rows of an ascending family sell at some node.
+
+    A price sells only if it is at most the first prompt's gain
+    ``(1 - eps) * U`` (the count kernel's ``buy`` test), so from the
+    returned row on every price is above that gain at every node.
+    """
+    return max(int(np.searchsorted(family[:, j], ((1.0 - nodes) * m.utility).max(), side="right"))
+               for j, m in enumerate(models))
+
+
+def _family_payoffs(
     models: ModelSet,
     family: np.ndarray,
     nodes: np.ndarray,
     weights: np.ndarray,
-    coarse: tuple[np.ndarray, np.ndarray] | None = None,
-) -> int:
-    """Argmax row of a 1-D schedule family: cheap sweep, exact local climb.
+) -> np.ndarray:
+    """Full-resolution quadrature payoff of every row of a price family.
 
-    The sweep uses the uncorrected closed-form counts (optionally on a
-    coarser quadrature).  Like every schedule evaluation it skips the
-    nodes where no price of a row chunk can sell, which count 0 prompts
-    for every row there, so the skip changes no score.  The rows within
-    three grid steps of its winner are then re-scored exactly at full
-    resolution, and from the best of them the search steps one row at a
-    time toward the better neighbour while that neighbour pays more.
-    The payoff along a family is a sawtooth, so the window alone can end
-    on its edge; the returned row pays at least as much as both of its
-    neighbours.  Every exact score is a one-row evaluation, the same
-    route :func:`platform_payoff` takes, so the comparisons agree with
-    the payoff reported for the answer.
+    ``family`` has one row per schedule and one column per model in set
+    order.  Every row must be one ascending factor times fixed base
+    prices, as in both benchmark families, so each column ascends with
+    the row.  The work is per node, not per (row, node):
+
+    * Count steps.  At node ``eps`` model ``m`` keeps prompt ``k``
+      exactly on the rows whose price is at most its marginal gain
+      ``eps ** (k-1) * (1 - eps) * U``, the comparison of the count
+      kernel, so one ``searchsorted`` of that gain into the price column
+      gives the row where the count drops below ``k``.  Only the ``k``
+      between the counts at the dearest and the cheapest row are needed.
+    * Selection.  Between two steps of a node (a segment) every count is
+      fixed, so each user payoff is affine in the factor and the chosen
+      model is the top of an upper envelope of lines: each model wins on
+      at most one run of rows.  Where the choice at the segment's first
+      and last row differ, binary search on the selection rule of
+      :func:`_family_volumes` (:func:`_choose`, on the same float
+      payoffs) finds each change.
+    * Volumes.  Every run adds ``weight * count`` to its model's volume
+      from its first row to its last, through difference arrays
+      (``np.bincount``) and one ``cumsum`` per model.
+
+    The rows from :func:`_live_rows` on sell to no one and score exactly
+    0.  A row agrees with a :func:`_family_volumes` evaluation of it up
+    to summation order (within 1e-11 of the top utility in the tests).
+    The one exception is a pair of user payoffs within an ulp of each
+    other over a run of rows, where rounding, not the affine trend,
+    decides the float comparison; :func:`_family_best_row` re-scores the
+    rows it returns.
     """
-    sweep_nodes, sweep_weights = coarse if coarse is not None else (nodes, weights)
-    approx, _ = _family_volumes(models, family, sweep_nodes, sweep_weights, exact=False)
-    scores: dict[int, float] = {}
+    family = np.asarray(family, dtype=float)
+    n_rows, n_models = family.shape
+    if n_models != len(models):
+        raise ValueError("price matrix columns must match the model set")
+    payoffs = np.zeros(n_rows)
+    live = _live_rows(models, family, nodes)
+    if live == 0:
+        return payoffs
+    cols = family[:live].T
+    utils = [m.utility for m in models]
+    stride = live + 1  # a (node, row) key is node * stride + row
+    one_minus = 1.0 - nodes
+    top, steps = [], []
+    for u, col in zip(utils, cols):
+        first = _counts_vec(u, col[0], nodes)
+        reps = (first - _counts_vec(u, col[-1], nodes)).astype(np.int64)
+        at = np.repeat(np.arange(len(nodes)), reps)
+        # prompt k runs from the cheapest row's count down to one above the dearest's
+        k = first[at] - (np.arange(len(at)) - (np.cumsum(reps) - reps)[at])
+        gain = nodes[at] ** (k - 1.0) * one_minus[at] * u
+        steps.append(np.sort(at * stride + np.searchsorted(col, gain, side="right")))
+        top.append(first)
 
-    def score(i: int) -> float:
-        if i not in scores:
-            payoffs, _ = _family_volumes(models, family[i:i + 1], nodes, weights)
-            scores[i] = float(payoffs[0])
-        return scores[i]
+    # segments: per node, the runs of rows on which every count is fixed
+    keys = np.unique(np.concatenate([np.arange(len(nodes)) * stride] + steps))
+    seg_node = keys // stride
+    seg_start = keys - seg_node * stride
+    last = np.append(seg_node[1:] != seg_node[:-1], True)
+    seg_end = np.where(last, live, np.append(seg_start[1:], live))
+    counts = np.array([
+        t[seg_node] - (np.searchsorted(st, keys, side="right")
+                       - np.searchsorted(st, seg_node * stride, side="right"))
+        for t, st in zip(top, steps)])
+    eps = nodes[seg_node]
+    held = [(1.0 - eps ** n) * u for n, u in zip(counts, utils)]  # as _payoffs_at_counts
 
-    rough = int(np.argmax(approx))
-    best = max(range(max(0, rough - 3), min(len(family), rough + 4)), key=score)
-    while True:
-        step = max((i for i in (best - 1, best + 1) if 0 <= i < len(family)),
-                   key=score, default=best)
-        if score(step) <= score(best):
-            return best
-        best = step
+    def choice(seg: np.ndarray, row: np.ndarray) -> np.ndarray:
+        """The model chosen in each given segment at the given row."""
+        n = counts[:, seg]
+        return _choose(n, [h[seg] - n_j * col[row] for h, n_j, col in zip(held, n, cols)], utils)
+
+    every = np.arange(len(seg_node))
+    begins = choice(every, seg_start)
+    ends = choice(every, seg_end - 1)
+    # (segment, row, model chosen from the row on, model chosen before it)
+    changes = [(every, seg_start, begins, np.full(len(every), -1))]
+    seg = np.flatnonzero(begins != ends)
+    lo, sel_lo = seg_start[seg], begins[seg]
+    while seg.size:
+        # choice(lo) is sel_lo and choice(end - 1) is not: find the first row that differs
+        hi = seg_end[seg] - 1
+        while True:
+            open_ = np.flatnonzero(hi - lo > 1)
+            if not open_.size:
+                break
+            mid = (lo[open_] + hi[open_]) // 2
+            same = choice(seg[open_], mid) == sel_lo[open_]
+            lo[open_] = np.where(same, mid, lo[open_])
+            hi[open_] = np.where(same, hi[open_], mid)
+        sel_hi = choice(seg, hi)
+        changes.append((seg, hi, sel_hi, sel_lo))
+        more = sel_hi != ends[seg]
+        seg, lo, sel_lo = seg[more], hi[more], sel_hi[more]
+    changes.append((every, seg_end, np.full(len(every), -1), ends))
+
+    seg = np.concatenate([c[0] for c in changes])
+    row = np.concatenate([c[1] for c in changes])
+    after = np.concatenate([c[2] for c in changes])
+    before = np.concatenate([c[3] for c in changes])
+    w = weights[seg_node[seg]]
+    for j, m in enumerate(models):
+        gain = w * counts[j, seg]
+        delta = np.where(after == j, gain, 0.0) - np.where(before == j, gain, 0.0)
+        volume = np.cumsum(np.bincount(row, delta, minlength=stride))[:live]
+        payoffs[:live] += (cols[j] - m.cost) * volume
+    return payoffs
+
+
+_RESCORE_TOL = 1e-10  # times the top utility: re-scored rows' distance from the best score
+
+
+def _family_best_row(
+    models: ModelSet,
+    family: np.ndarray,
+    nodes: np.ndarray,
+    weights: np.ndarray,
+) -> int:
+    """Argmax row of a price family, by the same one-row evaluation as
+    :func:`platform_payoff`.
+
+    :func:`_family_payoffs` scores every row; the rows within
+    ``_RESCORE_TOL`` of the top utility of its best score are re-scored
+    one at a time through :func:`_family_volumes`, the route of
+    :func:`platform_payoff`, and the first best of them is returned.  A
+    row past :func:`_live_rows` sells to no one and pays exactly 0 on
+    both routes, so it is not re-scored.
+    """
+    scores = _family_payoffs(models, family, nodes, weights)
+    live = _live_rows(models, family, nodes)
+    tol = _RESCORE_TOL * max(m.utility for m in models)
+    best_row, best = -1, -np.inf
+    for i in np.flatnonzero(scores >= scores.max() - tol):
+        exact = float(_family_volumes(models, family[i:i + 1], nodes, weights)[0][0]) \
+            if i < live else 0.0
+        if exact > best:
+            best_row, best = int(i), exact
+    return best_row

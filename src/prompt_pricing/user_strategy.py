@@ -26,6 +26,7 @@ from .core import (
     InvalidPrice,
     ModelSet,
     PriceSchedule,
+    PromptPricingError,
     check_ambiguity,
 )
 
@@ -197,17 +198,20 @@ def optimal_user_payoff(models: ModelSet, prices: PriceSchedule, eps: float) -> 
 # Vectorized kernels over ambiguity arrays (shared by the pricing solvers)
 # --------------------------------------------------------------------------
 
-def _counts_vec(utility: float, price, eps: np.ndarray, exact: bool = True) -> np.ndarray:
+_COUNT_STEPS = 64  # correction steps each way allowed after the closed-form estimate
+
+
+def _counts_vec(utility: float, price, eps: np.ndarray) -> np.ndarray:
     """Optimal prompt counts over an ambiguity array; ``price`` may broadcast.
 
-    Requires every price to be strictly positive.  With ``exact`` the
-    closed-form logarithm is pinned down by marginal-gain comparisons,
-    matching the scalar routine except possibly within a few ulp of
-    indifference boundaries where library power functions may disagree
-    by one unit in the last place.  Without it the floored logarithm is
-    returned as-is: cheaper, and off by at most one count in a
-    vanishing neighbourhood of the boundaries, which is fine for coarse
-    family sweeps whose winner is re-scored exactly.
+    Requires every price to be strictly positive.  The closed-form
+    logarithm is pinned down by marginal-gain comparisons, matching the
+    scalar routine except possibly within a few ulp of indifference
+    boundaries where library power functions may disagree by one unit in
+    the last place.  The estimate is exact up to rounding, so the
+    comparisons move it by a step or two; needing more than
+    ``_COUNT_STEPS`` steps either way raises :class:`PromptPricingError`
+    instead of returning an uncorrected count.
     """
     eps = np.asarray(eps, dtype=float)
     price = np.asarray(price, dtype=float)
@@ -220,17 +224,22 @@ def _counts_vec(utility: float, price, eps: np.ndarray, exact: bool = True) -> n
         ratio = eps * price / ceiling
         k = np.floor(np.log(ratio) / np.log(eps))
     k = np.where(buy & np.isfinite(k), np.maximum(k, 1.0), 1.0)
-    if exact:
-        for _ in range(64):
-            advance = buy & (eps ** k * one_minus * utility - price >= 0.0)
-            if not advance.any():
-                break
-            k = np.where(advance, k + 1.0, k)
-        for _ in range(64):
-            back = buy & (k > 1.0) & (eps ** (k - 1.0) * one_minus * utility - price < 0.0)
-            if not back.any():
-                break
-            k = np.where(back, k - 1.0, k)
+    for step in range(_COUNT_STEPS + 1):
+        advance = buy & (eps ** k * one_minus * utility - price >= 0.0)
+        if not advance.any():
+            break
+        if step == _COUNT_STEPS:
+            raise PromptPricingError(
+                f"prompt counts still rising after {_COUNT_STEPS} correction steps")
+        k = np.where(advance, k + 1.0, k)
+    for step in range(_COUNT_STEPS + 1):
+        back = buy & (k > 1.0) & (eps ** (k - 1.0) * one_minus * utility - price < 0.0)
+        if not back.any():
+            break
+        if step == _COUNT_STEPS:
+            raise PromptPricingError(
+                f"prompt counts still falling after {_COUNT_STEPS} correction steps")
+        k = np.where(back, k - 1.0, k)
     return np.where(buy, k, 0.0)
 
 

@@ -1,5 +1,6 @@
 """Distribution-level pricing: quadrature payoffs, bounds, optimizers, benchmarks."""
 
+import functools
 import math
 
 import numpy as np
@@ -414,9 +415,9 @@ class TestBenchmarks:
 
     @pytest.mark.parametrize("lo", [0.0, 0.15])
     def test_cost_based_row_beats_both_neighbours(self, lo):
-        # re-scoring only three rows either side of the coarse winner once
-        # returned rows 21797 (lo = 0) and 8183 (lo = 0.15) here, while
-        # rows 21798 and 8182 paid more
+        # a search that re-scored only three rows either side of the best
+        # row of a cheaper sweep once returned rows 21797 (lo = 0) and
+        # 8183 (lo = 0.15) here, while rows 21798 and 8182 paid more
         dist = UniformAmbiguity(lo, 1.0)
         out = cost_based_pricing(PAIR, dist)
         costs = np.array([m.cost for m in PAIR])
@@ -460,3 +461,101 @@ class TestBenchmarks:
             for b in range(50, 1000, 50)
         ]
         assert out.platform_payoff >= max(sampled) - 1e-12
+
+
+FAMILY_SETS = {
+    "fig7a": PAIR,
+    "fig7b": ModelSet([GaiModel("ml", 1.0, 0.02), GaiModel("mh", 1.5, 0.06)]),
+    "one": ModelSet([GaiModel("m", 1.0, 0.2)]),
+    # b and c share a utility, so their payoff ties go to b, the smaller id
+    "three": ModelSet([GaiModel("a", 1.0, 0.02), GaiModel("b", 1.5, 0.03),
+                       GaiModel("c", 1.5, 0.05)]),
+}
+FAMILY_DISTS = {"uniform": U01, "tabulated": PRUNING_DISTS[1]}
+FAMILY_CASES = [(m, d, k) for m in FAMILY_SETS for d in FAMILY_DISTS
+                for k in ("utility", "cost")]
+FAMILY_IDS = ["-".join(case) for case in FAMILY_CASES]
+
+
+def _family(models, kind):
+    """The benchmark mechanisms' families, as their docstrings define them."""
+    if kind == "utility":
+        return (np.arange(1, 1000) / 1000.0)[:, None] * np.array([m.utility for m in models])
+    costs = np.array([m.cost for m in models])
+    top = int(math.floor(max(m.utility for m in models) / costs.min() / 1e-3))
+    return (1.0 + np.arange(top + 1) * 1e-3)[:, None] * costs
+
+
+@functools.lru_cache(maxsize=None)
+def _evaluated_family(set_name, dist_name, kind, nodes, stride=1):
+    """Every ``stride``-th row of a family by the schedule evaluator, and
+    every row by the family scorer."""
+    from prompt_pricing.heterogeneous import _family_payoffs, _family_volumes
+
+    models = FAMILY_SETS[set_name]
+    family = _family(models, kind)
+    nodes, weights = FAMILY_DISTS[dist_name].quadrature(QuadratureConfig(nodes))
+    want, _ = _family_volumes(models, family[::stride], nodes, weights)
+    return want, _family_payoffs(models, family, nodes, weights)
+
+
+class TestFamilyScorer:
+    """The benchmark mechanisms score whole families by count steps per node
+    (``_family_payoffs``); every row must pay what the schedule evaluator
+    says it pays."""
+
+    @pytest.mark.parametrize("set_name,dist_name,kind", FAMILY_CASES, ids=FAMILY_IDS)
+    def test_every_row_matches_schedule_evaluation(self, set_name, dist_name, kind):
+        want, got = _evaluated_family(set_name, dist_name, kind, 301)
+        assert np.all(np.abs(got - want) <= 1e-11 * FAMILY_SETS[set_name].high.utility)
+
+    @pytest.mark.parametrize("set_name,dist_name,kind", FAMILY_CASES, ids=FAMILY_IDS)
+    def test_rows_match_at_full_resolution(self, set_name, dist_name, kind):
+        # the schedule evaluator takes about 7 s for a 90,001-row family at
+        # 2001 nodes, so the larger cost families are checked on every 25th row
+        stride = 25 if kind == "cost" and set_name != "one" else 1
+        want, got = _evaluated_family(set_name, dist_name, kind, 2001, stride)
+        assert np.all(np.abs(got[::stride] - want)
+                      <= 1e-11 * FAMILY_SETS[set_name].high.utility)
+
+    @pytest.mark.parametrize("set_name,dist_name,kind", FAMILY_CASES, ids=FAMILY_IDS)
+    def test_mechanism_returns_the_top_row(self, set_name, dist_name, kind):
+        """The answer is the first row that one-row evaluations, the route of
+        platform_payoff, rank highest.  The rows that can rank first are
+        those the evaluator, run on the whole family at once, puts within
+        1e-9 of the top utility of its best: the two evaluations differ
+        only in summation order."""
+        from prompt_pricing.heterogeneous import _family_volumes
+
+        models = FAMILY_SETS[set_name]
+        family = _family(models, kind)
+        dist = FAMILY_DISTS[dist_name]
+        quad = QuadratureConfig(301)
+        nodes, weights = dist.quadrature(quad)
+        batch, _ = _evaluated_family(set_name, dist_name, kind, 301)
+        rows = np.flatnonzero(batch >= batch.max() - 1e-9 * models.high.utility)
+        one_row = [_family_volumes(models, family[i:i + 1], nodes, weights)[0][0] for i in rows]
+        top = rows[int(np.argmax(one_row))]
+        solver = utility_based_pricing if kind == "utility" else cost_based_pricing
+        out = solver(models, dist, quad)
+        assert [out.schedule.price_for(m) for m in models] == list(family[top])
+        assert out.platform_payoff == max(one_row)
+
+    def test_payoff_tie_goes_to_the_higher_utility(self):
+        """At eps = 1/2 and row 2, a user pays 0.5 either way: three prompts
+        of model a or two of model b (all values exact in binary).  The
+        stage-2 rule gives the user to b."""
+        from prompt_pricing.heterogeneous import _family_payoffs, _family_volumes
+
+        models = ModelSet([GaiModel("a", 1.0, 0.0625), GaiModel("b", 2.0, 0.25)])
+        family = (np.arange(6, 11) / 8.0)[:, None] * np.array([0.125, 0.5])
+        nodes, weights = UniformAmbiguity(0.125, 0.875).quadrature(QuadratureConfig(3))
+        assert nodes.tolist() == [0.25, 0.5, 0.75]
+        tied = PriceSchedule({"a": 0.125, "b": 0.5})
+        assert user_payoff(models["a"], 0.125, 0.5, 3) == user_payoff(models["b"], 0.5, 0.5, 2)
+        assert select_model(models, tied, 0.5).selected_model == "b"
+        got = _family_payoffs(models, family, nodes, weights)
+        for row, pay in zip(family, got):
+            want, _ = _scalar_route(models, row, nodes, weights)
+            assert abs(pay - want) <= 1e-12
+        assert np.all(np.abs(got - _family_volumes(models, family, nodes, weights)[0]) <= 1e-12)

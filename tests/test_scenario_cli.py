@@ -275,3 +275,18 @@ price = 0.3
         proc = run_cli("opp", "--scenario", str(scen), "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == 2
         assert "two models" in proc.stderr
+
+    def test_nodes_checked_only_by_the_verbs_that_read_it(self, tmp_path, capsys):
+        """``--nodes`` is checked by QuadratureConfig when a verb builds its
+        quadrature; user-strategy never does, so it ignores the flag."""
+        scen = write_scenario(tmp_path, TWO_MODEL)
+        out = str(tmp_path / "x.csv")
+        assert main(["user-strategy", "--scenario", str(scen), "--out", out,
+                     "--nodes", "1"]) == 0
+        assert main(["opp", "--scenario", str(scen), "--out", out, "--nodes", "1"]) == 4
+        assert "node_count must be >= 3, got 1" in capsys.readouterr().err
+        body = TWO_MODEL.replace("variable = eps\nstart = 0.05\nstop = 0.95\npoints = 7",
+                                 "variable = eps_min\nstart = 0.3\nstop = 0.3\npoints = 1")
+        scen = write_scenario(tmp_path, body, "sweep.ini")
+        assert main(["compare", "--scenario", str(scen), "--out", out, "--nodes", "1"]) == 4
+        assert "node_count must be >= 3, got 1" in capsys.readouterr().err

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from prompt_pricing import (
@@ -11,6 +11,7 @@ from prompt_pricing import (
     InvalidPrice,
     ModelSet,
     PriceSchedule,
+    PromptPricingError,
     PromptShape,
     SchedulePriceMissing,
     classify_prompt_shape,
@@ -20,7 +21,12 @@ from prompt_pricing import (
     select_model,
     user_payoff,
 )
-from prompt_pricing.user_strategy import _counts_vec, _payoffs_at_counts
+from prompt_pricing import user_strategy
+from prompt_pricing.user_strategy import (
+    _counts_vec,
+    _payoffs_at_counts,
+    marginal_expected_utility,
+)
 
 from _helpers import (
     boundary_tie_count,
@@ -31,6 +37,7 @@ from _helpers import (
 )
 
 UNIT = GaiModel("m", 1.0)
+TOP_NODE = 2000.5 / 2001  # the largest midpoint of a 2001-node rule on (0, 1)
 
 
 class TestOptimalPromptCount:
@@ -245,3 +252,48 @@ class TestVectorKernels:
         pays = _payoffs_at_counts(1.0, 0.17, eps, counts)
         for e, n, p in zip(eps, counts, pays):
             assert p == pytest.approx(user_payoff(UNIT, 0.17, float(e), int(n)), abs=1e-12)
+
+    def test_extreme_count_settles(self):
+        """Near eps = 1 at a tiny price the estimate is still within the
+        correction limit, and both routes give the same huge count."""
+        eps, price = 1.0 - 1e-15, 1e-18
+        vec = _counts_vec(1.0, price, np.array([eps]))
+        assert vec[0] == optimal_prompt_count(UNIT, price, eps) == 6_912_480_674_155_963
+
+    def test_correction_limit_raises(self, monkeypatch):
+        """Prices on the marginal gains of prompts 2-11: the floored
+        logarithm misses some of them by one count, and with no correction
+        step allowed the kernel must raise instead of returning its guess."""
+        eps = np.linspace(0.05, 0.95, 19)[:, None]
+        prices = eps ** (np.arange(2.0, 12.0) - 1.0) * (1.0 - eps)
+        counts = _counts_vec(1.0, prices, eps)
+        assert np.all(counts >= 1.0)
+        monkeypatch.setattr(user_strategy, "_COUNT_STEPS", 0)
+        with pytest.raises(PromptPricingError, match="correction steps"):
+            _counts_vec(1.0, prices, eps)
+
+    @given(utility=st.floats(0.05, 20.0), eps=st.floats(1e-6, TOP_NODE),
+           share=st.floats(1e-9, 1.5), edge=st.sampled_from([None, -1, 0, 1]))
+    @example(utility=1.0, eps=TOP_NODE, share=1.0, edge=0)
+    @example(utility=1.0, eps=TOP_NODE, share=1.0, edge=-1)
+    @example(utility=1.8, eps=TOP_NODE, share=1e-9, edge=None)
+    @example(utility=1.0, eps=1e-6, share=1.0, edge=1)
+    @settings(max_examples=400, deadline=None)
+    def test_counts_match_scalar_property(self, utility, eps, share, edge):
+        """The vector kernel equals optimal_prompt_count.  ``edge`` puts the
+        price on the first prompt's gain ``(1 - eps) * U`` (0) or one ulp
+        below (-1) or above (+1) it; otherwise it is ``share * U``.  Prices
+        on the gain of a later prompt are left out: there numpy's pow and
+        Python's ``**`` may differ by an ulp, which the kernel documents."""
+        model = GaiModel("m", utility)
+        ceiling = (1.0 - eps) * utility
+        if edge is None:
+            price = share * utility
+        else:
+            price = float(np.nextafter(ceiling, np.inf * edge)) if edge else ceiling
+        scalar = optimal_prompt_count(model, price, eps)
+        for k in (scalar, scalar + 1):
+            if k >= 2:
+                gain = marginal_expected_utility(utility, eps, k)
+                assume(abs(price - gain) > 4 * np.spacing(gain))
+        assert _counts_vec(utility, price, np.array([eps]))[0] == scalar
