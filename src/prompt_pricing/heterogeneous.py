@@ -13,6 +13,9 @@ the stage-2 rules.  This module provides:
 * the two-model optimizer that sweeps the low-tier price and, for each
   value, takes the best high-tier price from a separable price-pair
   lattice (:func:`opp`),
+* the price-pair lattice itself, scored per node by merging the two
+  tiers' user-payoff columns, each monotone in its own price, instead of
+  comparing every pair (:func:`_pair_lattice_payoffs`),
 * an exhaustive two-dimensional lattice oracle (:func:`grid_oracle`),
 * the utility- and cost-proportional benchmark mechanisms, which score
   every row of their one-parameter price family at full resolution from
@@ -192,7 +195,7 @@ def _choose(counts, pays, utils) -> np.ndarray:
     return sel
 
 
-_LATTICE_BUDGET = 1 << 19  # elements per pairwise temporary (4 MB of float64)
+_LATTICE_BUDGET = 1 << 17  # (rows + columns) x nodes per node chunk: 1 MB of float64
 
 
 def _pair_lattice_payoffs(
@@ -206,51 +209,75 @@ def _pair_lattice_payoffs(
     """Payoff of every (low price, high price) pair, exploiting separability.
 
     Counts and user payoffs depend on one price each, so they are
-    profiled per axis once; the pairwise work is pure selection and
-    reduction, no transcendentals.  Low-axis rows are taken in chunks
-    whose pairwise temporaries hold about ``_LATTICE_BUDGET`` elements.
-    Returns shape (len low, len high).
+    profiled per axis; the pairs need only the selection, which is
+    merged per node.  Returns shape (len low, len high), in the axes'
+    own order: each axis is sorted ascending (stably) for the merge and
+    the output is put back in place.  Nodes may come in any order; they
+    are taken in chunks whose temporaries hold about
+    ``_LATTICE_BUDGET`` elements.
 
-    The nodes are sorted ascending first.  A price sells at a node only
-    if it is at most ``(1 - eps) * U``, which falls as ``eps`` rises, so
-    each price's buyers are a prefix of the sorted nodes.  The pairwise
-    selection runs only on the prefix where both tiers can sell: the
-    low tier at the chunk's cheapest row, the high tier at the cheapest
-    column.  The other nodes need no selection, so skipping it there is
-    exact: past the low tier's last buyer every user who can buy the
-    high tier does, which adds each column's tail sum of high-tier gain,
-    and past the high tier's last buyer only the low tier sells, which
-    ``base_low`` already counts.
+    At one node a tier's score, its user payoff at the optimal count
+    (``-inf`` where it sells nothing), never rises as its price rises.
+    The high tier wins a pair when its score is at least the low
+    tier's (:func:`_prefers` with its strictly higher utility gives it
+    payoff ties).  So on the sorted axes the columns that win against a
+    row are a prefix of the columns, and the rows that win against a
+    column are a prefix of the rows.  One stable argsort per node of
+    both negated score columns, the high tier's first so that a column
+    sorts before every row it ties, gives both prefix lengths as ranks:
+    the columns sorted before a row win against it, and the rows sorted
+    before a column win against that.  Cell (i, j) then collects the
+    high tier's gain at column j from the nodes where at most i rows
+    win against j, and the low tier's gain at row i from the nodes
+    where at most j columns win against i; difference arrays
+    (``np.bincount``) and one ``cumsum`` per axis give every cell.  This
+    is the pairwise comparison made exactly, not approximated: the
+    prefixes are read off the same float scores.
+
+    The prefix argument needs the sorted scores non-increasing along
+    each axis.  Mathematically they are; in floats a score could rise
+    between two prices a few ulp apart at a count step, so a rise
+    raises :class:`PromptPricingError` instead of giving wrong cells.
     """
-    order = np.argsort(nodes, kind="stable")
-    nodes, weights = nodes[order], weights[order]
+    order_l = np.argsort(axis_low, kind="stable")
+    order_h = np.argsort(axis_high, kind="stable")
+    p_low, p_high = axis_low[order_l], axis_high[order_h]
+    n_low, n_high = len(p_low), len(p_high)
+    rows, cols = np.arange(n_low), np.arange(n_high)
 
-    def profile(model: GaiModel, axis: np.ndarray):
-        counts = _counts_vec(model.utility, axis[:, None], nodes)
-        pay = _payoffs_at_counts(model.utility, axis[:, None], nodes, counts)
-        buy = counts >= 1.0
-        score = np.where(buy, pay, -np.inf)
-        gain_w = (axis[:, None] - model.cost) * counts * weights
-        return score, gain_w, np.count_nonzero(buy, axis=1)
+    def profile(model: GaiModel, prices: np.ndarray, eps: np.ndarray, w: np.ndarray):
+        """Scores and weighted platform gains, shape (nodes, prices)."""
+        counts = _counts_vec(model.utility, prices[None, :], eps[:, None])
+        pay = _payoffs_at_counts(model.utility, prices[None, :], eps[:, None], counts)
+        score = np.where(counts >= 1.0, pay, -np.inf)
+        if np.any(score[:, 1:] > score[:, :-1]):
+            raise PromptPricingError(
+                f"pair lattice: the user payoff of {model.id!r} rises with its price at some "
+                f"node, so the winning prices are not a prefix of the axis")
+        return score, (prices[None, :] - model.cost) * counts * w[:, None]
 
-    score_l, gain_l, reach_l = profile(low, axis_low)
-    score_h, gain_h, reach_h = profile(high, axis_high)
-    base_low = gain_l.sum(axis=1)
-    # tail_h[:, k] is the high tier's gain summed over the nodes from k on
-    tail_h = np.zeros((len(axis_high), len(nodes) + 1))
-    tail_h[:, :-1] = np.cumsum(gain_h[:, ::-1], axis=1)[:, ::-1]
-    reach_high = int(reach_h.max(initial=0))
-    out = np.empty((len(axis_low), len(axis_high)))
-    chunk = max(1, _LATTICE_BUDGET // (len(axis_high) * len(nodes)))
-    for start in range(0, len(axis_low), chunk):
-        rows = slice(start, min(start + chunk, len(axis_low)))
-        reach_low = int(reach_l[rows].max())
-        both = min(reach_low, reach_high)
-        # _prefers with the high tier's strictly higher utility: it wins payoff ties
-        mask = (score_h[None, :, :both] >= score_l[rows, None, :both]).astype(float)
-        term_h = np.einsum("cbk,bk->cb", mask, gain_h[:, :both])
-        term_l = np.einsum("cbk,ck->cb", mask, gain_l[rows, :both])
-        out[rows] = base_low[rows][:, None] + term_h - term_l + tail_h[:, reach_low]
+    # high_from[b, j]: column j's high-tier gain from the nodes where b rows win against it
+    high_from = np.zeros((n_low + 1) * n_high)
+    # low_from[i, a]: row i's low-tier gain from the nodes where a columns win against it
+    low_from = np.zeros(n_low * (n_high + 1))
+    chunk = max(1, _LATTICE_BUDGET // (n_low + n_high))
+    for start in range(0, len(nodes), chunk):
+        eps, w = nodes[start:start + chunk], weights[start:start + chunk]
+        score_l, gain_l = profile(low, p_low, eps, w)
+        score_h, gain_h = profile(high, p_high, eps, w)
+        merged = np.argsort(-np.hstack([score_h, score_l]), axis=1, kind="stable")
+        rank = np.empty_like(merged)
+        np.put_along_axis(rank, merged, np.arange(n_high + n_low)[None, :], axis=1)
+        beaten = rank[:, :n_high] - cols  # rows sorted before each column
+        beating = rank[:, n_high:] - rows  # columns sorted before each row
+        high_from += np.bincount((beaten * n_high + cols).ravel(), gain_h.ravel(),
+                                 minlength=len(high_from))
+        low_from += np.bincount((rows * (n_high + 1) + beating).ravel(), gain_l.ravel(),
+                                minlength=len(low_from))
+    out = np.empty((n_low, n_high))
+    out[np.ix_(order_l, order_h)] = (
+        np.cumsum(high_from.reshape(n_low + 1, n_high), axis=0)[:n_low]
+        + np.cumsum(low_from.reshape(n_low, n_high + 1), axis=1)[:, :n_high])
     return out
 
 
@@ -519,8 +546,10 @@ def opp(
     The low-tier price sweeps the step grid from its cost to its utility.
     Counts and user payoffs depend on one price each, so every pair of a
     sweep step and one of ``_INNER_GRID`` high-tier prices is scored in
-    one lattice on a reduced quadrature, and each step keeps its best
-    high-tier price.  Those pairs are re-scored by full-resolution
+    one lattice on a reduced quadrature, and each step keeps the cheapest
+    high-tier price within ``_RESCORE_TOL`` of the top utility of its
+    best, so rounding does not choose between columns that pay the same
+    (:func:`_near_best`).  Those pairs are re-scored by full-resolution
     schedule evaluation, which is what the sweep argmax uses.  With
     ``cfg.refinement`` the strongest steps are then polished at full
     resolution: a few shrinking price-pair lattices around each (the
@@ -548,7 +577,9 @@ def opp(
 
     s_nodes, s_weights = dist.quadrature(_reduced_quad(cfg.quad))
     lattice = _pair_lattice_payoffs(low, high, low_prices, high_grid, s_nodes, s_weights)
-    sweep = np.column_stack([low_prices, high_grid[np.argmax(lattice, axis=1)]])
+    # each step takes its cheapest column near the best, not the one rounding ranks first
+    best_col = np.argmax(_near_best(models, lattice), axis=1)
+    sweep = np.column_stack([low_prices, high_grid[best_col]])
     # small row chunks keep the full-resolution temporaries to about 1 MB each
     payoffs, _ = _family_volumes(models, sweep, nodes, weights, chunk=64)
     if trace_sink is not None:
@@ -619,7 +650,12 @@ def grid_oracle(
     """Exhaustive lattice maximization over (cost, utility] per model.
 
     Independent verifier for the two-model optimizer: no search
-    structure, just ``grid_n`` prices per axis evaluated in full.
+    structure, just ``grid_n`` prices per axis, every pair scored at
+    full resolution by :func:`_pair_lattice_payoffs`.  The cells within
+    rounding of the best are re-scored one at a time and the first best
+    of them (lowest low-tier price, then lowest high-tier price) is
+    returned (:func:`_first_best`), so summation order does not choose
+    between cells that pay the same.
     """
     if grid_n < 50:
         raise ConfigError(f"grid_n must be >= 50, got {grid_n}")
@@ -632,9 +668,9 @@ def grid_oracle(
             axes.append(m.cost + (m.utility - m.cost) * (np.arange(1, grid_n + 1) / grid_n))
     nodes, weights = dist.quadrature(quad)
     payoffs = _pair_lattice_payoffs(low, high, axes[0], axes[1], nodes, weights)
-    i, j = np.unravel_index(int(np.argmax(payoffs)), payoffs.shape)
-    return _outcome_for(
-        models, [float(axes[0][i]), float(axes[1][j])], nodes, weights, method="GridOracle")
+    cells = np.column_stack([np.repeat(axes[0], len(axes[1])), np.tile(axes[1], len(axes[0]))])
+    best = _first_best(models, cells, payoffs.ravel(), nodes, weights)
+    return _outcome_for(models, list(cells[best]), nodes, weights, method="GridOracle")
 
 
 # --------------------------------------------------------------------------
@@ -818,29 +854,48 @@ def _family_payoffs(
 _RESCORE_TOL = 1e-10  # times the top utility: re-scored rows' distance from the best score
 
 
+def _near_best(models: ModelSet, scores: np.ndarray) -> np.ndarray:
+    """Where ``scores`` lie within ``_RESCORE_TOL`` of the top utility of
+    the best score along their last axis: the candidates that summation
+    order alone may have ranked below the best."""
+    tol = _RESCORE_TOL * max(m.utility for m in models)
+    return scores >= scores.max(axis=-1, keepdims=True) - tol
+
+
+def _first_best(
+    models: ModelSet,
+    schedules: np.ndarray,
+    scores: np.ndarray,
+    nodes: np.ndarray,
+    weights: np.ndarray,
+) -> int:
+    """Index of the schedule to return, given a batch score for each.
+
+    The schedules :func:`_near_best` keeps are re-scored one at a time
+    through :func:`_family_volumes`, the route of
+    :func:`platform_payoff`, and the first best of them is returned, so
+    rounding in the batch scores does not pick the answer.  A schedule
+    that prices every model above its first prompt's gain at every node
+    (the test of :func:`_live_rows`) sells to no one and pays exactly 0
+    on both routes, so it is not re-scored.
+    """
+    ceilings = np.array([((1.0 - nodes) * m.utility).max() for m in models])
+    best_i, best = -1, -np.inf
+    for i in np.flatnonzero(_near_best(models, scores)):
+        pay = float(_family_volumes(models, schedules[i:i + 1], nodes, weights)[0][0]) \
+            if np.any(schedules[i] <= ceilings) else 0.0
+        if pay > best:
+            best_i, best = int(i), pay
+    return best_i
+
+
 def _family_best_row(
     models: ModelSet,
     family: np.ndarray,
     nodes: np.ndarray,
     weights: np.ndarray,
 ) -> int:
-    """Argmax row of a price family, by the same one-row evaluation as
-    :func:`platform_payoff`.
-
-    :func:`_family_payoffs` scores every row; the rows within
-    ``_RESCORE_TOL`` of the top utility of its best score are re-scored
-    one at a time through :func:`_family_volumes`, the route of
-    :func:`platform_payoff`, and the first best of them is returned.  A
-    row past :func:`_live_rows` sells to no one and pays exactly 0 on
-    both routes, so it is not re-scored.
-    """
-    scores = _family_payoffs(models, family, nodes, weights)
-    live = _live_rows(models, family, nodes)
-    tol = _RESCORE_TOL * max(m.utility for m in models)
-    best_row, best = -1, -np.inf
-    for i in np.flatnonzero(scores >= scores.max() - tol):
-        exact = float(_family_volumes(models, family[i:i + 1], nodes, weights)[0][0]) \
-            if i < live else 0.0
-        if exact > best:
-            best_row, best = int(i), exact
-    return best_row
+    """Argmax row of a price family: :func:`_family_payoffs` scores every
+    row and :func:`_first_best` re-scores the near-best ones."""
+    return _first_best(models, family, _family_payoffs(models, family, nodes, weights),
+                       nodes, weights)

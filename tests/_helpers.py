@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from prompt_pricing import GaiModel, ModelSet, PriceSchedule, user_payoff
+from prompt_pricing.user_strategy import _counts_vec, _payoffs_at_counts
 
 
 def brute_force_count(model: GaiModel, price: float, eps: float, cap: int = 200) -> int:
@@ -68,3 +71,17 @@ def is_unimodal(seq) -> bool:
         elif b > a and decreased:
             return False
     return True
+
+
+def dense_pair_lattice(low: GaiModel, high: GaiModel, axis_low, axis_high, nodes, weights):
+    """Every (low price, high price) cell by comparing the two tiers' user
+    payoffs at every node: the high tier takes a node when its payoff is at
+    least the low tier's.  No sorting, merging or node pruning."""
+    def profile(model, axis):
+        counts = _counts_vec(model.utility, axis[:, None], nodes)
+        pay = _payoffs_at_counts(model.utility, axis[:, None], nodes, counts)
+        return np.where(counts >= 1.0, pay, -np.inf), (axis[:, None] - model.cost) * counts * weights
+
+    (score_l, gain_l), (score_h, gain_h) = profile(low, axis_low), profile(high, axis_high)
+    return np.array([np.where(score_h >= s_l, gain_h, g_l).sum(axis=1)
+                     for s_l, g_l in zip(score_l, gain_l)])

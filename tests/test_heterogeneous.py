@@ -12,6 +12,7 @@ from prompt_pricing import (
     ModelSet,
     OppConfig,
     PriceSchedule,
+    PromptPricingError,
     QuadratureConfig,
     TabulatedAmbiguity,
     UnboundedDemand,
@@ -29,6 +30,8 @@ from prompt_pricing import (
     user_payoff,
     utility_based_pricing,
 )
+
+from _helpers import dense_pair_lattice
 
 PAIR = ModelSet([GaiModel("ml", 1.0, 0.02), GaiModel("mh", 1.8, 0.04)])
 U01 = UniformAmbiguity(0.0, 1.0)
@@ -335,10 +338,11 @@ PRUNING_DISTS = [
 
 
 class TestNodePruning:
-    """The schedule evaluator and the pair lattice skip the nodes where no
-    price can sell.  Their answers are checked against the scalar route at
-    prices on either side of one node's cut-off ``(1 - eps) * U`` and at
-    prices no user pays."""
+    """The schedule evaluator skips the nodes where no price in a row chunk
+    can sell, and the pair lattice must treat a price that sells nothing at
+    a node as losing it.  Their answers are checked against the scalar
+    route at prices on either side of one node's cut-off
+    ``(1 - eps) * U`` and at prices no user pays."""
 
     NODE = 100  # the node whose cut-offs the straddling prices sit on
 
@@ -387,6 +391,111 @@ class TestNodePruning:
             for j, p_high in enumerate(axis_high):
                 want, _ = _scalar_route(PAIR, [p_low, p_high], nodes, weights)
                 assert abs(lattice[i, j] - want) <= 1e-12 * high.utility
+
+
+class TestLatticeMerge:
+    """The pair lattice merges the two tiers' score columns per node.  Its
+    cells are checked against the dense pairwise comparison, and the
+    choices made from it must not depend on summation order."""
+
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["sorted", "shuffled"])
+    @pytest.mark.parametrize("dist", PRUNING_DISTS, ids=["uniform", "tabulated"])
+    def test_cells_match_dense_reference(self, dist, shuffle):
+        """Axes out of order, each with a duplicate price and a price above
+        the tier's utility."""
+        from prompt_pricing.heterogeneous import _pair_lattice_payoffs
+
+        nodes, weights = dist.quadrature(QuadratureConfig(301))
+        rng = np.random.default_rng(20240811)
+        if shuffle:
+            order = rng.permutation(len(nodes))
+            nodes, weights = nodes[order], weights[order]
+        low, high = PAIR.require_pair()
+        axis_low, axis_high = [
+            rng.permutation(np.concatenate([np.linspace(m.cost, m.utility, 60)[1:],
+                                            [0.5 * m.utility, 0.5 * m.utility, 1.3 * m.utility]]))
+            for m in (low, high)]
+        got = _pair_lattice_payoffs(low, high, axis_low, axis_high, nodes, weights)
+        want = dense_pair_lattice(low, high, axis_low, axis_high, nodes, weights)
+        assert np.all(np.abs(got - want) <= 1e-12 * high.utility)
+
+    def test_payoff_tie_goes_to_the_high_tier(self):
+        """At eps = 1/2 the user pays 0.5 either way: three prompts of the
+        low tier at 0.125 or two of the high tier at 0.5 (all values exact
+        in binary).  The high tier, with the higher utility, takes the node."""
+        from prompt_pricing.heterogeneous import _pair_lattice_payoffs
+
+        models = ModelSet([GaiModel("a", 1.0, 0.0625), GaiModel("b", 2.0, 0.25)])
+        low, high = models.require_pair()
+        assert user_payoff(low, 0.125, 0.5, 3) == user_payoff(high, 0.5, 0.5, 2) == 0.5
+        axis_low, axis_high = np.array([0.25, 0.125, 0.0625]), np.array([1.0, 0.5, 0.25])
+        nodes, weights = np.array([0.25, 0.5, 0.75]), np.array([0.25, 0.5, 0.25])
+        got = _pair_lattice_payoffs(low, high, axis_low, axis_high, nodes, weights)
+        single = _pair_lattice_payoffs(low, high, axis_low, axis_high, nodes[1:2], weights[1:2])
+        assert single[1, 1] == (0.5 - high.cost) * 2 * 0.5
+        for i, p_low in enumerate(axis_low):
+            for j, p_high in enumerate(axis_high):
+                want, _ = _scalar_route(models, [p_low, p_high], nodes, weights)
+                assert abs(got[i, j] - want) <= 1e-15
+
+    def test_rising_score_raises(self, monkeypatch):
+        """The prefix merge needs each tier's user payoff non-increasing in
+        its price at every node; a rise is an error, not wrong cells."""
+        from prompt_pricing import heterogeneous
+        from prompt_pricing.user_strategy import _payoffs_at_counts
+
+        monkeypatch.setattr(heterogeneous, "_payoffs_at_counts",
+                            lambda u, p, e, n: _payoffs_at_counts(u, p, e, n) + 2.0 * n * p)
+        low, high = PAIR.require_pair()
+        nodes, weights = U01.quadrature(QuadratureConfig(101))
+        axes = [np.linspace(m.cost, m.utility, 50)[1:] for m in (low, high)]
+        with pytest.raises(PromptPricingError):
+            heterogeneous._pair_lattice_payoffs(low, high, axes[0], axes[1], nodes, weights)
+
+    def test_sweep_column_choice_agrees_with_dense_reference(self):
+        """``opp``'s sweep lattice for fig7a under Uniform(0, 1) at 501 nodes
+        and ``step_alpha`` 0.002.  In many rows two columns pay the same to
+        within rounding, so a plain argmax follows summation order: it
+        picks a different column under the two lattices in about half the
+        rows.  Each row's first column within ``_RESCORE_TOL`` of its best
+        is the same under both."""
+        from prompt_pricing.heterogeneous import _INNER_GRID, _near_best, _pair_lattice_payoffs
+
+        low, high = PAIR.require_pair()
+        alpha = 0.002
+        steps = int(math.floor((low.utility - low.cost) / alpha)) + 1
+        low_prices = low.cost + np.arange(steps) * alpha
+        if low_prices[-1] < low.utility:
+            low_prices = np.append(low_prices, low.utility)
+        high_grid = np.linspace(high.cost, high.utility, _INNER_GRID)
+        nodes, weights = U01.quadrature(FAST)
+        merged = _pair_lattice_payoffs(low, high, low_prices, high_grid, nodes, weights)
+        dense = dense_pair_lattice(low, high, low_prices, high_grid, nodes, weights)
+        assert np.all(np.abs(merged - dense) <= 1e-12 * high.utility)
+        assert np.array_equal(np.argmax(_near_best(PAIR, merged), axis=1),
+                              np.argmax(_near_best(PAIR, dense), axis=1))
+
+    def test_grid_oracle_cell_ignores_rounding(self, monkeypatch):
+        """For fig7a under Uniform(0.6, 1) at 2001 nodes the lattice's best
+        payoff is an exact tie of 370 cells (one high-tier price; the low
+        tier loses every node).  Noise at the 1e-13 level on the lattice
+        must not move the answer: the oracle re-scores the near-best cells
+        and returns the first best one."""
+        from prompt_pricing import heterogeneous
+
+        dist, quad = UniformAmbiguity(0.6, 1.0), QuadratureConfig()
+        want = grid_oracle(PAIR, dist, quad=quad)
+        kernel = heterogeneous._pair_lattice_payoffs
+        rng = np.random.default_rng(20240811)
+
+        def noisy(*args):
+            out = kernel(*args)
+            return out + 1e-13 * PAIR.high.utility * rng.uniform(-1.0, 1.0, out.shape)
+
+        monkeypatch.setattr(heterogeneous, "_pair_lattice_payoffs", noisy)
+        got = grid_oracle(PAIR, dist, quad=quad)
+        assert got.schedule == want.schedule
+        assert got.platform_payoff == want.platform_payoff
 
 
 class TestBenchmarks:

@@ -297,3 +297,39 @@ class TestVectorKernels:
                 gain = marginal_expected_utility(utility, eps, k)
                 assume(abs(price - gain) > 4 * np.spacing(gain))
         assert _counts_vec(utility, price, np.array([eps]))[0] == scalar
+
+    @given(utility=st.floats(0.3, 5.0), ratio=st.floats(1.01, 3.0),
+           eps=st.one_of(st.floats(1e-9, 1e-3), st.just(TOP_NODE), st.floats(1e-3, TOP_NODE)),
+           share=st.floats(1e-4, 1.2), gap=st.floats(1e-9, 1e-2), side=st.sampled_from([-1, 1]))
+    @example(utility=1.0, ratio=1.8, eps=TOP_NODE, share=0.0002, gap=1e-9, side=-1)
+    @example(utility=1.0, ratio=1.8, eps=TOP_NODE, share=0.0002, gap=1e-9, side=1)
+    @example(utility=1.0, ratio=1.8, eps=1e-9, share=0.3, gap=1e-9, side=1)
+    @settings(max_examples=400, deadline=None)
+    def test_selection_matches_scalar_property(self, utility, ratio, eps, share, gap, side):
+        """The schedule evaluator's selection equals select_model on a
+        one-row schedule at one node.  The high tier's price sits a relative
+        ``gap`` below (-1) or above (+1) its indifference price against the
+        low tier (``price_upper_bound``), or at ``share`` of its utility
+        where it can never win.  Prices on the gain of a prompt k >= 2 are
+        left out, as in the count property."""
+        from prompt_pricing import price_upper_bound
+        from prompt_pricing.heterogeneous import _family_volumes
+
+        models = ModelSet([GaiModel("lo", utility), GaiModel("hi", ratio * utility)])
+        low, high = models.require_pair()
+        p_low = share * low.utility
+        bound = price_upper_bound(high, low, p_low, eps)
+        p_high = bound * (1.0 + side * gap) if bound > 0.0 else share * high.utility
+        for model, price in ((low, p_low), (high, p_high)):
+            n = optimal_prompt_count(model, price, eps)
+            for k in (n, n + 1):
+                if k >= 2:
+                    gain = marginal_expected_utility(model.utility, eps, k)
+                    assume(abs(price - gain) > 4 * np.spacing(gain))
+        decision = select_model(models, PriceSchedule({"lo": p_low, "hi": p_high}), eps)
+        _, volumes = _family_volumes(models, np.array([[p_low, p_high]]),
+                                     np.array([eps]), np.array([1.0]))
+        want = [0.0, 0.0]
+        if decision.selected_model is not None:
+            want[[m.id for m in models].index(decision.selected_model)] = decision.prompt_count
+        assert volumes[0].tolist() == want
