@@ -220,13 +220,13 @@ class UniformAmbiguity:
         inside = (eps >= self.lo) & (eps <= self.hi)
         return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
 
-    def mass(self, a: float, b: float) -> float:
-        """Exact probability mass on [a, b]."""
-        if b <= a:
-            return 0.0
-        lo = max(a, self.lo)
-        hi = min(b, self.hi)
-        return max(0.0, hi - lo) / (self.hi - self.lo)
+    def mass(self, a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
+        """Exact probability mass on [a, b], elementwise over arrays.
+
+        The clip at 0 gives 0 where b <= a or [a, b] misses the support."""
+        lo = np.maximum(a, self.lo)
+        hi = np.minimum(b, self.hi)
+        return (np.maximum(0.0, hi - lo) / (self.hi - self.lo))[()]
 
     def quadrature(self, quad: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
         """Midpoint nodes and weights; weights already include the density."""
@@ -276,21 +276,19 @@ class TabulatedAmbiguity:
         out = np.interp(eps, self.knots, self.values, left=0.0, right=0.0)
         return out
 
-    def mass(self, a: float, b: float) -> float:
-        """Exact integral of the (piecewise-linear) density over [a, b]."""
-        if b <= a:
-            return 0.0
-        total = 0.0
+    def mass(self, a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
+        """Exact integral of the (piecewise-linear) density over [a, b],
+        elementwise over arrays.  Pieces are added in knot order; a piece
+        that [a, b] does not overlap (every piece where b <= a) adds 0."""
+        total = np.zeros(np.broadcast(a, b).shape)
         for x0, x1, y0, y1 in zip(self.knots, self.knots[1:], self.values, self.values[1:]):
-            lo = max(a, x0)
-            hi = min(b, x1)
-            if hi <= lo:
-                continue
+            lo = np.maximum(a, x0)
+            hi = np.minimum(b, x1)
             slope = (y1 - y0) / (x1 - x0)
             d_lo = y0 + slope * (lo - x0)
             d_hi = y0 + slope * (hi - x0)
-            total += (d_lo + d_hi) * (hi - lo) / 2.0
-        return total
+            total += np.where(hi > lo, (d_lo + d_hi) * (hi - lo) / 2.0, 0.0)
+        return total[()]
 
     def quadrature(self, quad: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
         """Knot-aligned midpoint nodes; weights include the local density."""

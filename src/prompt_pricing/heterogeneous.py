@@ -7,7 +7,11 @@ the stage-2 rules.  This module provides:
 * direct evaluation of any price schedule by quadrature over the
   ambiguity density (:func:`platform_payoff`),
 * the single-model piecewise optimizer built on the per-count root
-  structure of the demand curve (:func:`single_model_price`),
+  structure of the demand curve (:func:`single_model_price`): every
+  (price, count) root of a batch of prices in one bisection
+  (:func:`_segment_bounds`), exact interval masses summed per price
+  (:func:`_volume_from_segments`), and every smooth piece's
+  golden-section search in lockstep (:func:`_golden_max`),
 * the preference price bound that separates the two tiers of a
   two-model set (:func:`price_upper_bound`),
 * the two-model optimizer that sweeps the low-tier price and, for each
@@ -46,10 +50,10 @@ from .core import (
 from .user_strategy import (
     UNBOUNDED,
     _counts_vec,
+    _curve_top,
     _payoffs_at_counts,
     _prefers,
     optimal_prompt_count,
-    prompt_upper_bound,
     user_payoff,
 )
 
@@ -339,57 +343,103 @@ def segment_roots(model: GaiModel, price: float, k: int) -> SegmentRoots | None:
 
     Returns None when the price exceeds the curve's maximum
     ``(k-1)**(k-1) / k**k * U``, i.e. no ambiguity level supports k
-    prompts at this price.
+    prompts at this price.  One pair of :func:`_segment_bounds`.
     """
     if k < 2:
         raise ValueError(f"segment index must be >= 2, got {k}")
     if price <= 0.0 or not math.isfinite(price):
         raise InvalidPrice(f"price must be finite and > 0, got {price}")
     ratio = price / model.utility
-    peak_x = (k - 1) / k
-    peak = (k - 1) ** (k - 1) / k ** k if k <= 64 else math.exp(
-        (k - 1) * math.log(k - 1) - k * math.log(k))
-    if ratio > peak:
+    if ratio > _curve_top(k - 1):
         return None
-
-    def g(eps: float) -> float:
-        return eps ** (k - 1) * (1.0 - eps) - ratio
-
-    tiny = 1e-300
-    lower = _bisect_monotone(g, tiny, peak_x) if g(tiny) < 0.0 else tiny
-    upper = _bisect_monotone(g, 1.0 - 1e-16, peak_x) if g(1.0 - 1e-16) < 0.0 else 1.0 - 1e-16
-    return SegmentRoots(k=k, lower=lower, upper=upper)
+    lower, upper = _segment_bounds(np.array([ratio]), np.array([k]))
+    return SegmentRoots(k=k, lower=float(lower[0]), upper=float(upper[0]))
 
 
-def _bisect_monotone(g, outside: float, peak_x: float) -> float:
-    """Bisection between an endpoint with g < 0 and the peak with g >= 0."""
-    lo, hi = outside, peak_x
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if abs(hi - lo) < 1e-14:
+_ROOT_STEPS = 100  # bisection steps allowed per root
+_ROOT_TOL = 1e-14  # bracket width at which a root is taken
+
+
+def _segment_bounds(ratio: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both roots of ``eps**(k-1) * (1-eps) = ratio`` for every (ratio, k) pair.
+
+    ``ratio`` and ``k`` are equal-length arrays (k >= 2), each pair with
+    ``ratio`` at most the curve's top ``_curve_top(k - 1)``.  All roots,
+    both sides of the peak ``(k-1)/k``, are bisected at once: each side
+    starts from the peak and from its outer end (1e-300 or 1 - 1e-16; an
+    end where the curve already reaches ``ratio`` is the root), and a
+    bracket is frozen once narrower than ``_ROOT_TOL``, which takes about
+    47 steps.  Returns ``(lower, upper)``, the bracket ends on the peak's
+    side.  A bracket still open after ``_ROOT_STEPS`` steps, or roots that
+    break the :class:`SegmentRoots` property ``0 < lower <= (k-1)/k <=
+    upper < 1``, raise :class:`PromptPricingError`.
+    """
+    ratio = np.concatenate([ratio, ratio]).astype(float)
+    power = np.concatenate([k, k]).astype(float) - 1.0
+    peak = power / (power + 1.0)
+    half = len(peak) // 2
+    outside = np.where(np.arange(len(peak)) < half, 1e-300, 1.0 - 1e-16)
+
+    def g(eps: np.ndarray) -> np.ndarray:
+        return eps ** power * (1.0 - eps) - ratio
+
+    lo, hi = outside, np.where(g(outside) < 0.0, peak, outside)
+    for step in range(_ROOT_STEPS + 1):
+        live = np.abs(hi - lo) >= _ROOT_TOL
+        if not live.any():
             break
-    return hi
-
-
-def _volume_from_segments(model: GaiModel, price: float, dist: AmbiguityDistribution) -> float:
-    """Expected prompt volume via the per-count interval decomposition."""
-    u = model.utility
-    if price >= u:
-        return 0.0
-    total = dist.mass(0.0, 1.0 - price / u)
-    k_bar = prompt_upper_bound(model, price)
-    for k in range(2, k_bar + 1):
-        roots = segment_roots(model, price, k)
-        if roots is not None:
-            total += dist.mass(roots.lower, roots.upper)
-    return total
+        if step == _ROOT_STEPS:
+            raise PromptPricingError(
+                f"segment roots: {int(live.sum())} brackets still open after "
+                f"{_ROOT_STEPS} bisection steps")
+        mid = 0.5 * (lo + hi)
+        below = g(mid) < 0.0
+        lo = np.where(live & below, mid, lo)
+        hi = np.where(live & ~below, mid, hi)
+    lower, upper = hi[:half], hi[half:]
+    if not np.all((0.0 < lower) & (lower <= peak[:half]) & (peak[:half] <= upper) & (upper < 1.0)):
+        raise PromptPricingError("segment roots do not bracket the peak (k-1)/k inside (0, 1)")
+    return lower, upper
 
 
 _MAX_SEGMENTS = 512
+# _TOPS[k] = k**k / (k+1)**(k+1): a price above U * _TOPS[k] sells at most k prompts
+_TOPS = np.array([_curve_top(k) for k in range(_MAX_SEGMENTS + 1)])
+
+
+def _volume_from_segments(
+    model: GaiModel, prices: np.ndarray, dist: AmbiguityDistribution
+) -> np.ndarray:
+    """Expected prompt volume at each price by the per-count decomposition.
+
+    At price ``p`` a user buys prompt k exactly where its gain
+    ``eps**(k-1) * (1-eps) * U`` covers ``p``: below ``1 - p/U`` for k =
+    1, between the two roots of :func:`_segment_bounds` for k >= 2, up to
+    the price's top count, the first k with ``U * _TOPS[k] < p``.  The
+    volume is the sum of the exact masses ``dist.mass`` of those
+    intervals.  Every (price, k) pair is solved in one
+    :func:`_segment_bounds` call; the pairs are laid out k-major, so
+    ``np.add.at`` adds each price's masses in ascending k.  A price below
+    ``U * _TOPS[-1]``, whose top count is past the table, raises
+    :class:`PromptPricingError` instead of dropping segments.
+    """
+    ratio = np.asarray(prices, dtype=float) / model.utility
+    sells = ratio < 1.0
+    if np.any(sells & (ratio < _TOPS[-1])):
+        raise PromptPricingError(
+            f"prices below {_TOPS[-1]:.6g} * U support more than {_MAX_SEGMENTS} prompts")
+    total = np.where(sells, dist.mass(0.0, 1.0 - ratio), 0.0)
+    # top count: how many table entries (from k = 0) are at least the ratio
+    top = np.where(sells, len(_TOPS) - np.searchsorted(_TOPS[::-1], ratio, side="left"), 1)
+    ks = np.arange(2, top.max() + 1)
+    at_k, at_price = np.nonzero(ks[:, None] <= top[None, :])
+    lower, upper = _segment_bounds(ratio[at_price], ks[at_k])
+    np.add.at(total, at_price, dist.mass(lower, upper))
+    return total
+
+
+_GOLDEN_STEPS = 200  # golden-section steps allowed per bracket
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def single_model_price(
@@ -400,48 +450,45 @@ def single_model_price(
     """Payoff-maximizing price for a catalogue of one model.
 
     The objective ``(p - C) * volume(p)`` is piecewise-smooth in the
-    price, with kinks exactly where the attainable prompt count steps;
-    each smooth piece is searched by golden section after a coarse
-    presample (the pieces are strictly concave under a uniform density,
-    and the presample guards tabulated densities).  The search domain is
-    (C, U], floored at U/MAX_SEGMENTS when the cost is tiny so the
-    per-count decomposition stays bounded.
+    price, with kinks exactly where the attainable prompt count steps
+    (at ``U * _TOPS[k]``); each smooth piece is searched by golden
+    section after a coarse presample (the pieces are strictly concave
+    under a uniform density, and the presample guards tabulated
+    densities).  The search domain is (C, U], floored at U/MAX_SEGMENTS
+    when the cost is tiny so the per-count decomposition stays bounded.
+    The objective is evaluated on arrays of prices
+    (:func:`_volume_from_segments`): one call scores every piece's
+    9-point presample, and the pieces' golden-section searches run in
+    lockstep (:func:`_golden_max`), about 50 batched evaluations per
+    solve.  Pieces are then compared in ascending price order.
     """
     u, c = model.utility, model.cost
     nodes, weights = dist.quadrature(quad)
     if c >= u:
         return _outcome_for(ModelSet([model]), [u], nodes, weights, method="SingleModel")
 
-    def objective(p: float) -> float:
+    def objective(p: np.ndarray) -> np.ndarray:
         return (p - c) * _volume_from_segments(model, p, dist)
 
     floor = max(c, u / _MAX_SEGMENTS)
-    cuts = [u]
-    k = 1
-    while k <= _MAX_SEGMENTS:
-        level = (u * k ** k / (k + 1) ** (k + 1) if k <= 64
-                 else u * math.exp(k * math.log(k) - (k + 1) * math.log(k + 1)))
-        if level <= floor:
-            break
-        cuts.append(level)
-        k += 1
-    cuts.append(floor)
-    cuts = sorted(set(cuts))
+    levels = u * _TOPS[1:]
+    cuts = np.unique(np.concatenate([[u], levels[levels > floor], [floor]]))
 
-    best_p, best_val = u, objective(u)
-    for lo, hi in zip(cuts, cuts[1:]):
-        a = np.nextafter(lo, hi)
-        probes = np.linspace(a, hi, 9)
-        vals = [objective(float(p)) for p in probes]
-        i = int(np.argmax(vals))
-        g_lo = float(probes[max(0, i - 1)])
-        g_hi = float(probes[min(len(probes) - 1, i + 1)])
-        x, fx = _golden_max(objective, g_lo, g_hi, tol=1e-10 * u)
-        for p_cand, v_cand in [(x, fx), (float(probes[i]), vals[i])]:
-            if v_cand > best_val:
-                best_p, best_val = p_cand, v_cand
+    lo, hi = cuts[:-1], cuts[1:]
+    probes = np.linspace(np.nextafter(lo, hi), hi, 9, axis=1)
+    vals = objective(probes.ravel()).reshape(probes.shape)
+    i = np.argmax(vals, axis=1)
+    rows = np.arange(len(i))
+    x, fx = _golden_max(objective, probes[rows, np.maximum(0, i - 1)],
+                        probes[rows, np.minimum(probes.shape[1] - 1, i + 1)], tol=1e-10 * u)
 
-    volume = _volume_from_segments(model, best_p, dist)
+    # per piece, ascending: its golden-section result, then its best probe
+    cand_p = np.column_stack([x, probes[rows, i]]).ravel()
+    cand_v = np.column_stack([fx, vals[rows, i]]).ravel()
+    j = int(np.argmax(cand_v))
+    best_p = float(cand_p[j]) if cand_v[j] > 0.0 else u  # the price U sells nothing
+
+    volume = float(_volume_from_segments(model, np.array([best_p]), dist)[0])
     return PricingOutcome(
         schedule=PriceSchedule({model.id: best_p}),
         platform_payoff=(best_p - c) * volume,
@@ -450,29 +497,44 @@ def single_model_price(
     )
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-9) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; returns the best point seen."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best_x, best_f = (x1, f1) if f1 >= f2 else (x2, f2)
-    for _ in range(200):
-        if (b - a) <= tol:
+def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximization on every bracket [lo, hi] in lockstep.
+
+    ``f`` maps an array of points to their values.  Each step shrinks
+    every open bracket and evaluates its one new point, all in one call
+    of ``f``; a bracket narrower than ``tol`` is frozen, so each returns
+    what a search of it alone returns.  Returns the best point seen per
+    bracket and its value.  A bracket still wider than ``tol`` after
+    ``_GOLDEN_STEPS`` steps raises :class:`PromptPricingError`.
+    """
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    x1 = b - _INV_PHI * (b - a)
+    x2 = a + _INV_PHI * (b - a)
+    f1, f2 = np.split(f(np.concatenate([x1, x2])), 2)
+    left = f1 >= f2
+    best_x, best_f = np.where(left, x1, x2), np.where(left, f1, f2)
+    for step in range(_GOLDEN_STEPS + 1):
+        live = np.flatnonzero(b - a > tol)
+        if not live.size:
             break
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
-        if f1 > best_f:
-            best_x, best_f = x1, f1
-        if f2 > best_f:
-            best_x, best_f = x2, f2
+        if step == _GOLDEN_STEPS:
+            raise PromptPricingError(
+                f"golden section: {live.size} brackets still wider than {tol:g} after "
+                f"{_GOLDEN_STEPS} steps")
+        # the left of a live bracket's two points is better or equal: drop the right part
+        left = f1[live] >= f2[live]
+        move = np.where(left, x2[live], x1[live])  # the bracket end that moves
+        b[live] = np.where(left, move, b[live])
+        a[live] = np.where(left, a[live], move)
+        x_new = np.where(left, b[live] - _INV_PHI * (b[live] - a[live]),
+                         a[live] + _INV_PHI * (b[live] - a[live]))
+        f_new = f(x_new)
+        # the kept point becomes the far one; the new point takes its place
+        x1[live], x2[live] = np.where(left, x_new, x2[live]), np.where(left, x1[live], x_new)
+        f1[live], f2[live] = np.where(left, f_new, f2[live]), np.where(left, f1[live], f_new)
+        for xs, fs in ((x1, f1), (x2, f2)):
+            up = live[fs[live] > best_f[live]]
+            best_x[up], best_f[up] = xs[up], fs[up]
     return best_x, best_f
 
 
@@ -603,23 +665,25 @@ def opp(
             if window[a, b] > best[2]:
                 best = (float(centre[0]), float(centre[1]), float(window[a, b]))
 
-    def payoff_at(p_low: float, p_high: float) -> float:
-        payoffs, _ = _family_volumes(models, np.array([[p_low, p_high]]), nodes, weights)
-        return float(payoffs[0])
+    def payoffs_at(p_low, p_high) -> np.ndarray:
+        """Each price pair on a line scored alone, as :func:`platform_payoff` scores it."""
+        pairs = np.column_stack(np.broadcast_arrays(p_low, p_high))
+        return np.array([_family_volumes(models, pair[None, :], nodes, weights)[0][0]
+                         for pair in pairs])
 
-    # final coordinate polish at full resolution, one pass per price
-    x, fx = _golden_max(lambda p: payoff_at(best[0], p),
-                        max(best[1] - 2 * span, 1e-12),
-                        min(best[1] + 2 * span, high.utility),
+    # final coordinate polish at full resolution, one golden bracket per price
+    x, fx = _golden_max(lambda p: payoffs_at(best[0], p),
+                        np.array([max(best[1] - 2 * span, 1e-12)]),
+                        np.array([min(best[1] + 2 * span, high.utility)]),
                         tol=1e-8 * high.utility)
-    if fx > best[2]:
-        best = (best[0], x, fx)
-    x, fx = _golden_max(lambda p: payoff_at(p, best[1]),
-                        max(best[0] - alpha, np.nextafter(0.0, 1.0)),
-                        min(best[0] + alpha, low.utility),
+    if fx[0] > best[2]:
+        best = (best[0], float(x[0]), float(fx[0]))
+    x, fx = _golden_max(lambda p: payoffs_at(p, best[1]),
+                        np.array([max(best[0] - alpha, np.nextafter(0.0, 1.0))]),
+                        np.array([min(best[0] + alpha, low.utility)]),
                         tol=1e-8 * low.utility)
-    if fx > best[2]:
-        best = (x, best[1], fx)
+    if fx[0] > best[2]:
+        best = (float(x[0]), best[1], float(fx[0]))
 
     return _outcome_for(models, best[:2], nodes, weights, method="OPP")
 

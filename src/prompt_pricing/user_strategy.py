@@ -122,14 +122,19 @@ def prompt_upper_bound(model: GaiModel, price: float) -> int:
         raise InvalidPrice(f"price must be finite and > 0, got {price}")
     ratio = price / model.utility
     k = 1
-    while True:
-        if k <= 64:
-            level = k ** k / (k + 1) ** (k + 1)  # exact integers, correctly rounded
-        else:
-            level = math.exp(k * math.log(k) - (k + 1) * math.log(k + 1))
-        if level < ratio:
-            return k
+    while _curve_top(k) >= ratio:
         k += 1
+    return k
+
+
+def _curve_top(k: int) -> float:
+    """``k**k / (k+1)**(k+1)``: the largest gain of prompt ``k + 1`` per unit
+    of utility, ``max over eps of eps**k * (1 - eps)``, reached at ``eps =
+    k / (k+1)``.  Exact integers, correctly rounded, up to k = 64; the
+    logarithmic form above that."""
+    if k <= 64:
+        return k ** k / (k + 1) ** (k + 1)
+    return math.exp(k * math.log(k) - (k + 1) * math.log(k + 1))
 
 
 def classify_prompt_shape(model: GaiModel, price: float) -> PromptShape:

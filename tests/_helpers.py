@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from prompt_pricing import GaiModel, ModelSet, PriceSchedule, user_payoff
+from prompt_pricing import (
+    GaiModel,
+    ModelSet,
+    PriceSchedule,
+    UniformAmbiguity,
+    prompt_upper_bound,
+    user_payoff,
+)
 from prompt_pricing.user_strategy import _counts_vec, _payoffs_at_counts
 
 
@@ -85,3 +94,74 @@ def dense_pair_lattice(low: GaiModel, high: GaiModel, axis_low, axis_high, nodes
     (score_l, gain_l), (score_h, gain_h) = profile(low, axis_low), profile(high, axis_high)
     return np.array([np.where(score_h >= s_l, gain_h, g_l).sum(axis=1)
                      for s_l, g_l in zip(score_l, gain_l)])
+
+
+def scalar_mass(dist, a: float, b: float) -> float:
+    """Exact mass of a uniform or piecewise-linear density on [a, b], one
+    interval at a time (the per-interval formulas, piece by piece)."""
+    if b <= a:
+        return 0.0
+    if isinstance(dist, UniformAmbiguity):
+        lo = max(a, dist.lo)
+        hi = min(b, dist.hi)
+        return max(0.0, hi - lo) / (dist.hi - dist.lo)
+    total = 0.0
+    for x0, x1, y0, y1 in zip(dist.knots, dist.knots[1:], dist.values, dist.values[1:]):
+        lo = max(a, x0)
+        hi = min(b, x1)
+        if hi <= lo:
+            continue
+        slope = (y1 - y0) / (x1 - x0)
+        d_lo = y0 + slope * (lo - x0)
+        d_hi = y0 + slope * (hi - x0)
+        total += (d_lo + d_hi) * (hi - lo) / 2.0
+    return total
+
+
+def scalar_segment_roots(model: GaiModel, price: float, k: int) -> tuple[float, float] | None:
+    """Roots of ``eps**(k-1) * (1-eps) * U = price`` by scalar bisection, one
+    (price, k) pair at a time; None above the curve's maximum."""
+    ratio = price / model.utility
+    peak_x = (k - 1) / k
+    peak = (k - 1) ** (k - 1) / k ** k if k <= 64 else math.exp(
+        (k - 1) * math.log(k - 1) - k * math.log(k))
+    if ratio > peak:
+        return None
+
+    def g(eps: float) -> float:
+        return eps ** (k - 1) * (1.0 - eps) - ratio
+
+    tiny = 1e-300
+    lower = _bisect_monotone(g, tiny, peak_x) if g(tiny) < 0.0 else tiny
+    upper = _bisect_monotone(g, 1.0 - 1e-16, peak_x) if g(1.0 - 1e-16) < 0.0 else 1.0 - 1e-16
+    return lower, upper
+
+
+def _bisect_monotone(g, outside: float, peak_x: float) -> float:
+    """Bisection between an endpoint with g < 0 and the peak with g >= 0."""
+    lo, hi = outside, peak_x
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if abs(hi - lo) < 1e-14:
+            break
+    return hi
+
+
+def scalar_volume_from_segments(model: GaiModel, price: float, dist) -> float:
+    """Expected prompt volume at one price via the per-count interval
+    decomposition: scalar roots and scalar masses, k = 2 up to
+    ``prompt_upper_bound``."""
+    u = model.utility
+    if price >= u:
+        return 0.0
+    total = scalar_mass(dist, 0.0, 1.0 - price / u)
+    k_bar = prompt_upper_bound(model, price)
+    for k in range(2, k_bar + 1):
+        roots = scalar_segment_roots(model, price, k)
+        if roots is not None:
+            total += scalar_mass(dist, *roots)
+    return total

@@ -24,6 +24,7 @@ from prompt_pricing import (
     optimal_prompt_count,
     platform_payoff,
     price_upper_bound,
+    prompt_upper_bound,
     segment_roots,
     select_model,
     single_model_price,
@@ -31,7 +32,7 @@ from prompt_pricing import (
     utility_based_pricing,
 )
 
-from _helpers import dense_pair_lattice
+from _helpers import dense_pair_lattice, scalar_mass, scalar_volume_from_segments
 
 PAIR = ModelSet([GaiModel("ml", 1.0, 0.02), GaiModel("mh", 1.8, 0.04)])
 U01 = UniformAmbiguity(0.0, 1.0)
@@ -157,6 +158,132 @@ class TestSingleModelPrice:
         out = single_model_price(GaiModel("m", 1.0, 1.4), U01)
         assert out.platform_payoff == 0.0
         assert out.schedule.price_for("m") == 1.0
+
+
+SEGMENT_DISTS = {
+    "u01": U01,
+    "u45": UniformAmbiguity(0.45, 1.0),
+    "u59": UniformAmbiguity(0.5, 0.9),
+    "tab": TabulatedAmbiguity((0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
+                              (1.355, 0.706, 1.466, 0.542, 0.976, 0.549)),
+}
+
+
+class TestBatchedSegments:
+    """The batched single-model objective against the scalar route of
+    ``tests/_helpers.py`` (one bisection per root, one mass per interval)
+    and against fine quadrature."""
+
+    MODEL = GaiModel("m", 1.8)
+
+    @pytest.mark.parametrize("dist_name", sorted(SEGMENT_DISTS))
+    def test_volume_matches_scalar_reference(self, dist_name):
+        """Within 1e-13 of the volume (or of 1, if larger) at every price but
+        the tangencies ``U * _TOPS[k]``.  A ``pow`` result one ulp off can
+        flip a bisection step inside the 1e-14 root tolerance, and a price
+        near the floor sums about 190 segments.  At a tangency the curve of
+        prompt k + 1 touches the price at its peak: a double root, which
+        either route places only to about the square root of machine
+        epsilon, so there the volumes agree within 1e-7."""
+        from prompt_pricing.heterogeneous import _MAX_SEGMENTS, _TOPS, _volume_from_segments
+
+        dist = SEGMENT_DISTS[dist_name]
+        u = self.MODEL.utility
+        rng = np.random.default_rng(8)
+        tangent = u * _TOPS[[*range(1, 41), 100, 150, 186]]  # where prompt k + 1 just sells
+        floor = u / _MAX_SEGMENTS
+        prices = np.concatenate([
+            tangent * (1.0 - 1e-9), tangent * (1.0 + 1e-9), [floor, u, 1.2 * u],
+            rng.uniform(floor, u, 300), np.exp(rng.uniform(math.log(floor), math.log(u), 50))])
+        for batch, rtol, atol in ((prices, 1e-13, 1e-13), (tangent, 0.0, 1e-7)):
+            got = _volume_from_segments(self.MODEL, batch, dist)
+            want = np.array([scalar_volume_from_segments(self.MODEL, float(p), dist) for p in batch])
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
+        assert len(prices) + len(tangent) > 430
+
+    @pytest.mark.parametrize("dist_name", sorted(SEGMENT_DISTS))
+    def test_volume_matches_fine_quadrature(self, dist_name):
+        from prompt_pricing.heterogeneous import _volume_from_segments
+
+        dist = SEGMENT_DISTS[dist_name]
+        u = self.MODEL.utility
+        prices = u * np.array([0.004, 0.02, 0.07, 0.2, 0.25, 0.5, 0.9])
+        got = _volume_from_segments(self.MODEL, prices, dist)
+        fine = QuadratureConfig(200_001)
+        for p, v in zip(prices, got):
+            ref = platform_payoff(ModelSet([self.MODEL]), PriceSchedule({"m": float(p)}), dist, fine)
+            assert abs(v - ref.prompt_volume["m"]) <= 1e-4
+
+    @pytest.mark.parametrize("dist_name", sorted(SEGMENT_DISTS))
+    def test_mass_is_the_scalar_formula_elementwise(self, dist_name):
+        dist = SEGMENT_DISTS[dist_name]
+        rng = np.random.default_rng(3)
+        a = np.concatenate([rng.uniform(-0.2, 1.2, 300), [0.1, 0.3, 0.7, -0.5, 1.1, 0.05, 0.0]])
+        b = np.concatenate([rng.uniform(-0.2, 1.2, 300), [0.1, 0.1, 0.95, -0.1, 1.5, 0.99, 1.0]])
+        assert np.any(b < a) and np.any(b == a)  # empty and reversed intervals
+        got = dist.mass(a, b)
+        want = np.array([scalar_mass(dist, float(x), float(y)) for x, y in zip(a, b)])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+        assert np.all(got[b <= a] == 0.0)
+
+    def test_tops_bound_the_counts(self):
+        """The top count of a price between U * _TOPS[k] and U * _TOPS[k-1] is k;
+        a price below the table's last entry raises."""
+        from prompt_pricing.heterogeneous import _TOPS, _volume_from_segments
+
+        for k in (1, 2, 5, 64, 65, 120):
+            price = self.MODEL.utility * 0.5 * (_TOPS[k] + _TOPS[k - 1])
+            assert prompt_upper_bound(self.MODEL, price) == k
+        with pytest.raises(PromptPricingError):
+            _volume_from_segments(self.MODEL, np.array([0.5, 0.5 * _TOPS[-1] * 1.8]), U01)
+
+    def test_root_step_cap_raises(self, monkeypatch):
+        from prompt_pricing import heterogeneous
+
+        monkeypatch.setattr(heterogeneous, "_ROOT_STEPS", 20)
+        with pytest.raises(PromptPricingError, match="bisection"):
+            segment_roots(self.MODEL, 0.1, 3)
+        with pytest.raises(PromptPricingError, match="bisection"):
+            single_model_price(GaiModel("m", 1.0, 0.1), U01)
+
+    def test_roots_that_miss_the_peak_raise(self):
+        """k = 1 has its peak at eps = 0, outside the lower bracket's (0, 0]."""
+        from prompt_pricing.heterogeneous import _segment_bounds
+
+        with pytest.raises(PromptPricingError, match="bracket"):
+            _segment_bounds(np.array([0.1, 0.1]), np.array([3, 1]))
+
+    def test_golden_lockstep_equals_one_bracket_calls(self):
+        from prompt_pricing.heterogeneous import _golden_max
+
+        def f(x):
+            return np.sin(7.0 * x) + 0.3 * np.cos(23.0 * x) - 0.1 * x
+
+        lo = np.array([0.0, 0.3, 1.0, -2.0, 0.5])
+        hi = np.array([1.0, 0.31, 4.0, 2.0, 0.5 + 1e-9])  # converge at different steps
+        x, fx = _golden_max(f, lo, hi, tol=1e-10)
+        for j in range(len(lo)):
+            x1, f1 = _golden_max(f, lo[j:j + 1], hi[j:j + 1], tol=1e-10)
+            assert (x[j], fx[j]) == (x1[0], f1[0])
+        assert lo[2] == 1.0 and hi[2] == 4.0  # the brackets passed in are not modified
+
+    def test_golden_step_cap_raises(self, monkeypatch):
+        from prompt_pricing import heterogeneous
+
+        monkeypatch.setattr(heterogeneous, "_GOLDEN_STEPS", 5)
+        with pytest.raises(PromptPricingError, match="golden"):
+            heterogeneous._golden_max(np.sin, np.array([0.0]), np.array([3.0]), tol=1e-10)
+        with pytest.raises(PromptPricingError, match="golden"):
+            single_model_price(GaiModel("m", 1.0, 0.1), U01)
+
+    @pytest.mark.parametrize("cost", [0.0, 1e-4])
+    def test_near_zero_cost_beats_a_reference_grid(self, cost):
+        """At (almost) no cost the U/512 floor leaves about 190 pieces to search."""
+        model = GaiModel("m", 1.0, cost)
+        out = single_model_price(model, U01)
+        grid = cost + (1.0 - cost) * np.arange(1, 2001) / 2000
+        best = max((p - cost) * scalar_volume_from_segments(model, float(p), U01) for p in grid)
+        assert out.platform_payoff >= best - 1e-3 * model.utility
 
 
 class TestPriceUpperBound:
