@@ -30,13 +30,11 @@ from .core import (
 from .heterogeneous import (
     OppConfig,
     PricingOutcome,
-    SegmentRoots,
     cost_based_pricing,
     grid_oracle,
     opp,
     platform_payoff,
     price_upper_bound,
-    segment_roots,
     single_model_price,
     utility_based_pricing,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "PromptShape",
     "QuadratureConfig",
     "SchedulePriceMissing",
-    "SegmentRoots",
     "TabulatedAmbiguity",
     "UNBOUNDED",
     "UnboundedDemand",
@@ -101,7 +98,6 @@ __all__ = [
     "platform_payoff",
     "price_upper_bound",
     "prompt_upper_bound",
-    "segment_roots",
     "select_model",
     "single_model_price",
     "user_payoff",

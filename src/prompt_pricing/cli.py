@@ -92,7 +92,7 @@ def _count_cell(n) -> object:
 
 def cmd_user_strategy(scenario: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list]]:
     _require_sweep(scenario, "eps", "user-strategy")
-    models = scenario.model_set()
+    models = scenario.models
     missing = [m.id for m in models if m.id not in scenario.prices]
     if missing:
         raise ScenarioError(
@@ -112,7 +112,7 @@ def cmd_user_strategy(scenario: Scenario, args: argparse.Namespace) -> tuple[lis
 
 def cmd_homog_price(scenario: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list]]:
     _require_sweep(scenario, "eps", "homog-price")
-    models = scenario.model_set()
+    models = scenario.models
     grid = [float(e) for e in scenario.sweep.values()]
     columns = ["eps", "price", "induced_count", "served_model", "prompt_count", "platform_payoff"]
     rows = [[eps, point.price, point.induced_count, point.served_model or "none",
@@ -122,7 +122,7 @@ def cmd_homog_price(scenario: Scenario, args: argparse.Namespace) -> tuple[list[
 
 
 def cmd_opp(scenario: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list]]:
-    models = scenario.model_set()
+    models = scenario.models
     models.require_pair()
     dist = scenario.dist
     cfg = scenario.opp_config(nodes_override=args.nodes, alpha_override=args.alpha)
@@ -150,7 +150,7 @@ def cmd_compare(scenario: Scenario, args: argparse.Namespace) -> tuple[list[str]
     if not isinstance(scenario.dist, UniformAmbiguity):
         raise ScenarioError(
             scenario.name, ["[distribution] kind: compare sweeps eps_min of a uniform distribution"])
-    models = scenario.model_set()
+    models = scenario.models
     models.require_pair()
     cfg = scenario.opp_config(nodes_override=args.nodes, alpha_override=args.alpha)
     columns = ["eps_min", "payoff_opp", "payoff_utility", "payoff_cost"]

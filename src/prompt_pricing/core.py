@@ -154,9 +154,6 @@ class PriceSchedule:
         except KeyError:
             raise SchedulePriceMissing(f"schedule has no price for model {mid!r}") from None
 
-    def covers(self, models: ModelSet) -> bool:
-        return all(m.id in self.prices for m in models)
-
 
 class Ambiguity(float):
     """A user's prompt ambiguity: a float validated to lie strictly in (0, 1).
@@ -214,11 +211,6 @@ class UniformAmbiguity:
 
     def support(self) -> tuple[float, float]:
         return (self.lo, self.hi)
-
-    def density(self, eps):
-        eps = np.asarray(eps, dtype=float)
-        inside = (eps >= self.lo) & (eps <= self.hi)
-        return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
 
     def mass(self, a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
         """Exact probability mass on [a, b], elementwise over arrays.

@@ -29,7 +29,7 @@ the stage-2 rules.  This module provides:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -59,25 +59,6 @@ from .user_strategy import (
 
 
 @dataclass(frozen=True)
-class SegmentRoots:
-    """Ambiguity interval on which a given price supports exactly >= k prompts.
-
-    ``lower`` and ``upper`` solve ``eps**(k-1) * (1-eps) * U = price`` and
-    bracket the maximizer (k-1)/k of the left-hand side.
-    """
-
-    k: int
-    lower: float
-    upper: float
-
-    def __post_init__(self) -> None:
-        peak = (self.k - 1) / self.k
-        if not (0.0 < self.lower <= peak <= self.upper < 1.0):
-            raise ValueError(
-                f"roots {self.lower}, {self.upper} must bracket {peak} inside (0, 1)")
-
-
-@dataclass(frozen=True)
 class PricingOutcome:
     """A price schedule with its expected payoff and per-model prompt volumes."""
 
@@ -98,14 +79,10 @@ class OppConfig:
     """Tuning knobs for the two-model price search.
 
     ``step_alpha`` is the low-tier sweep step (defaults to 1e-3 times the
-    low-tier utility).  ``refinement`` polishes the strongest sweep steps
-    at full resolution with shrinking price-pair lattices and a closing
-    golden-section pass per price; without it the best sweep pair is
-    returned as is.
+    low-tier utility); ``quad`` is the full-resolution quadrature.
     """
 
     step_alpha: float | None = None
-    refinement: bool = True
     quad: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self) -> None:
@@ -124,12 +101,14 @@ class OppConfig:
 # Schedule evaluation by quadrature
 # --------------------------------------------------------------------------
 
+_ROW_CHUNK = 64  # schedules per chunk: keeps full-resolution temporaries to about 1 MB each
+
+
 def _family_volumes(
     models: ModelSet,
     price_matrix: np.ndarray,
     nodes: np.ndarray,
     weights: np.ndarray,
-    chunk: int = 512,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expected prompt volumes for many schedules at once.
 
@@ -138,7 +117,7 @@ def _family_volumes(
     (F, M).  Selection per node is the stage-2 rule of
     :func:`~prompt_pricing.user_strategy.select_model` (:func:`_choose`).
 
-    Rows are taken in chunks of ``chunk``.  A node is skipped for the
+    Rows are taken in chunks of ``_ROW_CHUNK``.  A node is skipped for the
     whole chunk when even the chunk's cheapest price for every model is
     above the first prompt's gain ``(1 - eps) * U`` there.  That is the
     count kernel's own ``buy`` test, so every row of the chunk would get
@@ -155,8 +134,8 @@ def _family_volumes(
     utils = [m.utility for m in models]
     costs = [m.cost for m in models]
     ceilings = [(1.0 - nodes) * u for u in utils]  # as in _counts_vec's buy test
-    for start in range(0, n_rows, chunk):
-        rows = slice(start, min(start + chunk, n_rows))
+    for start in range(0, n_rows, _ROW_CHUNK):
+        rows = slice(start, start + _ROW_CHUNK)
         prices = price_matrix[rows]
         cheapest = prices.min(axis=0)
         keep = np.zeros(len(nodes), dtype=bool)
@@ -285,17 +264,6 @@ def _pair_lattice_payoffs(
     return out
 
 
-def _require_positive_prices(models: ModelSet, schedule: PriceSchedule) -> list[float]:
-    prices = []
-    for m in models:
-        p = schedule.price_for(m)
-        if p <= 0.0:
-            raise UnboundedDemand(
-                f"price for model {m.id!r} is {p}; zero prices make demand unbounded")
-        prices.append(p)
-    return prices
-
-
 def platform_payoff(
     models: ModelSet,
     schedule: PriceSchedule,
@@ -305,17 +273,19 @@ def platform_payoff(
     """Expected platform payoff of a schedule: quadrature over user decisions.
 
     Every price must be strictly positive; at a zero price the expected
-    prompt volume diverges.
+    prompt volume diverges.  The outcome carries ``schedule`` itself,
+    prices of models outside the set included.
     """
-    prices = _require_positive_prices(models, schedule)
+    prices = []
+    for m in models:
+        p = schedule.price_for(m)
+        if p <= 0.0:
+            raise UnboundedDemand(
+                f"price for model {m.id!r} is {p}; zero prices make demand unbounded")
+        prices.append(p)
     nodes, weights = dist.quadrature(quad)
-    payoffs, volumes = _family_volumes(models, np.array([prices]), nodes, weights)
-    return PricingOutcome(
-        schedule=schedule,
-        platform_payoff=float(payoffs[0]),
-        prompt_volume={m.id: float(volumes[0, j]) for j, m in enumerate(models)},
-        method="Direct",
-    )
+    return replace(_outcome_for(models, prices, nodes, weights, method="Direct"),
+                   schedule=schedule)
 
 
 def _outcome_for(
@@ -325,6 +295,7 @@ def _outcome_for(
     weights: np.ndarray,
     method: str,
 ) -> PricingOutcome:
+    """The outcome of one schedule, given as its prices in set order."""
     payoffs, volumes = _family_volumes(models, np.array([list(prices)]), nodes, weights)
     return PricingOutcome(
         schedule=PriceSchedule({m.id: float(p) for m, p in zip(models, prices)}),
@@ -337,24 +308,6 @@ def _outcome_for(
 # --------------------------------------------------------------------------
 # Single-model piecewise optimization
 # --------------------------------------------------------------------------
-
-def segment_roots(model: GaiModel, price: float, k: int) -> SegmentRoots | None:
-    """Roots of ``eps**(k-1) * (1-eps) * U = price`` for k >= 2, if any.
-
-    Returns None when the price exceeds the curve's maximum
-    ``(k-1)**(k-1) / k**k * U``, i.e. no ambiguity level supports k
-    prompts at this price.  One pair of :func:`_segment_bounds`.
-    """
-    if k < 2:
-        raise ValueError(f"segment index must be >= 2, got {k}")
-    if price <= 0.0 or not math.isfinite(price):
-        raise InvalidPrice(f"price must be finite and > 0, got {price}")
-    ratio = price / model.utility
-    if ratio > _curve_top(k - 1):
-        return None
-    lower, upper = _segment_bounds(np.array([ratio]), np.array([k]))
-    return SegmentRoots(k=k, lower=float(lower[0]), upper=float(upper[0]))
-
 
 _ROOT_STEPS = 100  # bisection steps allowed per root
 _ROOT_TOL = 1e-14  # bracket width at which a root is taken
@@ -371,8 +324,8 @@ def _segment_bounds(ratio: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.nd
     bracket is frozen once narrower than ``_ROOT_TOL``, which takes about
     47 steps.  Returns ``(lower, upper)``, the bracket ends on the peak's
     side.  A bracket still open after ``_ROOT_STEPS`` steps, or roots that
-    break the :class:`SegmentRoots` property ``0 < lower <= (k-1)/k <=
-    upper < 1``, raise :class:`PromptPricingError`.
+    do not bracket the peak inside the unit interval (``0 < lower <=
+    (k-1)/k <= upper < 1``), raise :class:`PromptPricingError`.
     """
     ratio = np.concatenate([ratio, ratio]).astype(float)
     power = np.concatenate([k, k]).astype(float) - 1.0
@@ -415,7 +368,9 @@ def _volume_from_segments(
     At price ``p`` a user buys prompt k exactly where its gain
     ``eps**(k-1) * (1-eps) * U`` covers ``p``: below ``1 - p/U`` for k =
     1, between the two roots of :func:`_segment_bounds` for k >= 2, up to
-    the price's top count, the first k with ``U * _TOPS[k] < p``.  The
+    the price's top count, the first k with ``U * _TOPS[k] <= p``.  At a
+    tangency ``p = U * _TOPS[k]`` prompt k + 1 pays only at the single
+    point ``k/(k+1)``, which has no mass, so it adds no interval.  The
     volume is the sum of the exact masses ``dist.mass`` of those
     intervals.  Every (price, k) pair is solved in one
     :func:`_segment_bounds` call; the pairs are laid out k-major, so
@@ -429,8 +384,8 @@ def _volume_from_segments(
         raise PromptPricingError(
             f"prices below {_TOPS[-1]:.6g} * U support more than {_MAX_SEGMENTS} prompts")
     total = np.where(sells, dist.mass(0.0, 1.0 - ratio), 0.0)
-    # top count: how many table entries (from k = 0) are at least the ratio
-    top = np.where(sells, len(_TOPS) - np.searchsorted(_TOPS[::-1], ratio, side="left"), 1)
+    # top count: how many table entries (from k = 0) lie above the ratio
+    top = np.where(sells, len(_TOPS) - np.searchsorted(_TOPS[::-1], ratio, side="right"), 1)
     ks = np.arange(2, top.max() + 1)
     at_k, at_price = np.nonzero(ks[:, None] <= top[None, :])
     lower, upper = _segment_bounds(ratio[at_price], ks[at_k])
@@ -592,8 +547,8 @@ def _reduced_quad(quad: QuadratureConfig) -> QuadratureConfig:
 
 
 _INNER_GRID = 250     # high-tier prices, cost to utility, scored against every sweep step
-_POLISH_ROWS = 8      # strongest sweep steps the refinement polishes
-_WINDOW_POINTS = 33   # prices per axis of one refinement window
+_POLISH_ROWS = 8      # strongest sweep steps the polish refines
+_WINDOW_POINTS = 33   # prices per axis of one polish window
 _WINDOW_ROUNDS = 4    # windows per polished step, each a quarter the size of the last
 
 
@@ -612,12 +567,12 @@ def opp(
     high-tier price within ``_RESCORE_TOL`` of the top utility of its
     best, so rounding does not choose between columns that pay the same
     (:func:`_near_best`).  Those pairs are re-scored by full-resolution
-    schedule evaluation, which is what the sweep argmax uses.  With
-    ``cfg.refinement`` the strongest steps are then polished at full
-    resolution: a few shrinking price-pair lattices around each (the
-    first spans one sweep step and two high-tier grid steps either way),
-    then one golden-section pass per price.  If ``trace_sink`` is given,
-    one (p_L, p_H, payoff) tuple per sweep step is appended.
+    schedule evaluation, which is what the sweep argmax uses.  The
+    strongest steps are then polished at full resolution: a few shrinking
+    price-pair lattices around each (the first spans one sweep step and
+    two high-tier grid steps either way), then one golden-section pass
+    per price.  If ``trace_sink`` is given, one (p_L, p_H, payoff) tuple
+    per sweep step is appended.
     """
     low, high = models.require_pair()
     nodes, weights = dist.quadrature(cfg.quad)
@@ -642,15 +597,12 @@ def opp(
     # each step takes its cheapest column near the best, not the one rounding ranks first
     best_col = np.argmax(_near_best(models, lattice), axis=1)
     sweep = np.column_stack([low_prices, high_grid[best_col]])
-    # small row chunks keep the full-resolution temporaries to about 1 MB each
-    payoffs, _ = _family_volumes(models, sweep, nodes, weights, chunk=64)
+    payoffs, _ = _family_volumes(models, sweep, nodes, weights)
     if trace_sink is not None:
         trace_sink.extend(
             (float(p_low), float(p_high), float(v)) for (p_low, p_high), v in zip(sweep, payoffs))
     i = int(np.argmax(payoffs))
     best = (float(sweep[i, 0]), float(sweep[i, 1]), float(payoffs[i]))
-    if not cfg.refinement:
-        return _outcome_for(models, best[:2], nodes, weights, method="OPP")
 
     span = (high.utility - high.cost) / _INNER_GRID
     limits = [(low_prices[0], low.utility), (high_grid[0], high.utility)]
@@ -938,16 +890,11 @@ def _first_best(
     The schedules :func:`_near_best` keeps are re-scored one at a time
     through :func:`_family_volumes`, the route of
     :func:`platform_payoff`, and the first best of them is returned, so
-    rounding in the batch scores does not pick the answer.  A schedule
-    that prices every model above its first prompt's gain at every node
-    (the test of :func:`_live_rows`) sells to no one and pays exactly 0
-    on both routes, so it is not re-scored.
+    rounding in the batch scores does not pick the answer.
     """
-    ceilings = np.array([((1.0 - nodes) * m.utility).max() for m in models])
     best_i, best = -1, -np.inf
     for i in np.flatnonzero(_near_best(models, scores)):
-        pay = float(_family_volumes(models, schedules[i:i + 1], nodes, weights)[0][0]) \
-            if np.any(schedules[i] <= ceilings) else 0.0
+        pay = float(_family_volumes(models, schedules[i:i + 1], nodes, weights)[0][0])
         if pay > best:
             best_i, best = int(i), pay
     return best_i

@@ -17,6 +17,8 @@ from typing import Sequence
 from .core import GaiModel, InvalidAmbiguity, ModelSet, PriceSchedule, check_ambiguity
 from .user_strategy import UNBOUNDED, _prefers, marginal_expected_utility, optimal_prompt_count
 
+_INDUCED_CAP = 10_000  # induced counts scanned per model
+
 
 class CostShape(enum.Enum):
     """How the served prompt count under optimal pricing moves with ambiguity."""
@@ -64,24 +66,24 @@ class CurvePoint:
     served_model: str | None
 
 
-def induced_prompt_count(model: GaiModel, eps: float, cap: int = 10_000) -> int:
+def induced_prompt_count(model: GaiModel, eps: float) -> int:
     """Profit-maximizing prompt count for one model at ambiguity ``eps``.
 
     Ascending scan for the first ``k`` where the marginal induced profit
     drops below zero, i.e. ``(k+1)*eps**k - k*eps**(k-1) < C/((1-eps)*U)``.
     The left side decreases and eventually turns negative, so the scan
-    terminates even at zero cost; ``cap`` guards ambiguity values within
-    about 1e-4 of one, where the count grows like ``1/(1-eps)``.
+    terminates even at zero cost; ``_INDUCED_CAP`` guards ambiguity values
+    within about 1e-4 of one, where the count grows like ``1/(1-eps)``.
     """
     eps = check_ambiguity(eps)
     threshold = model.cost / ((1.0 - eps) * model.utility)
     k = 0
-    while k < cap:
+    while k < _INDUCED_CAP:
         lhs = (k + 1) * eps ** k - k * eps ** (k - 1) if k >= 1 else 1.0
         if lhs < threshold:
             return k
         k += 1
-    return cap
+    return _INDUCED_CAP
 
 
 def classify_cost_shape(model: GaiModel) -> CostShape:
@@ -96,9 +98,7 @@ def classify_cost_shape(model: GaiModel) -> CostShape:
     return CostShape.ALWAYS_ZERO
 
 
-def optimal_homogeneous_price(
-    models: ModelSet, eps: float, cap: int = 10_000
-) -> HomogeneousSolution:
+def optimal_homogeneous_price(models: ModelSet, eps: float) -> HomogeneousSolution:
     """Optimal per-model prices and platform payoff for one ambiguity level.
 
     Each model's candidate payoff is ``(price_k - cost) * k`` at its own
@@ -112,7 +112,7 @@ def optimal_homogeneous_price(
     best: tuple[GaiModel, int, float, float] | None = None
     prices: dict[str, float] = {}
     for model in models:
-        k = induced_prompt_count(model, eps, cap=cap)
+        k = induced_prompt_count(model, eps)
         price = marginal_expected_utility(model.utility, eps, k)
         payoff = (price - model.cost) * k
         if best is None or _prefers(payoff, model.utility, best[3], best[0].utility):
@@ -127,7 +127,7 @@ def optimal_homogeneous_price(
         served_model=winner.id if k >= 1 else None,
         induced_count=k,
         platform_payoff=payoff if k >= 1 else 0.0,
-        cost_free_unbounded=(winner.cost == 0.0 or k >= cap),
+        cost_free_unbounded=(winner.cost == 0.0 or k >= _INDUCED_CAP),
     )
 
 

@@ -24,7 +24,6 @@ A scenario is an INI file with nested dotted sections::
 
     [opp]
     alpha = 0.001
-    refinement = true
 
     [sweep]
     variable = eps      ; or eps_min
@@ -37,7 +36,9 @@ Loading builds the domain objects directly: the constructors of
 ambiguity distributions, :class:`QuadratureConfig` and :class:`OppConfig`
 hold the input rules, and each of their messages is filed under the
 field it came from.  Only the sweep, which has no domain type, is
-checked here.  Every violation is reported at once.
+checked here.  Each section or key the loader does not read is reported
+too, so a misspelt key is not silently ignored.  Every violation is
+reported at once.
 """
 
 from __future__ import annotations
@@ -94,17 +95,6 @@ class Scenario:
     opp: OppConfig
     sweep: SweepSpec | None = None
 
-    @property
-    def quad_nodes(self) -> int:
-        return self.opp.quad.node_count
-
-    @property
-    def opp_alpha(self) -> float | None:
-        return self.opp.step_alpha
-
-    def model_set(self) -> ModelSet:
-        return self.models
-
     def opp_config(
         self, nodes_override: int | None = None, alpha_override: float | None = None
     ) -> OppConfig:
@@ -116,27 +106,11 @@ class Scenario:
         return cfg
 
 
-_KINDS = {"float": "a decimal number", "int": "an integer", "boolean": "a boolean",
-          "floats": "a list of decimal numbers"}
+_KINDS = {"float": "a decimal number", "int": "an integer", "floats": "a list of decimal numbers"}
 
 
 def _floats(raw: str) -> list[float]:
     return [float(piece) for piece in raw.replace(",", " ").split()]
-
-
-def _read(parser: configparser.ConfigParser, bad: list[str], section: str, key: str, kind: str,
-          default):
-    """``[section] key`` parsed as ``kind`` (a key of ``_KINDS``), or ``default`` when absent.
-
-    A value that does not parse is filed in ``bad`` and ``default`` is
-    returned, so the constructors still check the other fields; the
-    scenario is rejected either way.
-    """
-    try:
-        return getattr(parser, f"get{kind}")(section, key, fallback=default)
-    except ValueError:
-        bad.append(f"[{section}] {key}: not {_KINDS[kind]}: {parser.get(section, key)!r}")
-        return default
 
 
 def _build(bad: list[str], where: str, make, *args):
@@ -166,7 +140,21 @@ def load_scenario(path: str | Path) -> Scenario:
     except configparser.Error as exc:
         raise ScenarioError(str(path), [f"malformed INI: {exc}"]) from exc
 
-    name = parser.get("scenario", "name", fallback=path.stem)
+    seen: set[tuple[str, str]] = set()
+
+    def read(section: str, key: str, kind: str = "", default=None):
+        """``[section] key`` parsed as ``kind`` (a key of ``_KINDS``, or "" for
+        the text), or ``default`` when absent; the key is recorded in ``seen``.
+        A value that does not parse is filed in ``bad`` and gives ``default``,
+        so the constructors still check the other fields."""
+        seen.add((section, key))
+        try:
+            return getattr(parser, f"get{kind}")(section, key, fallback=default)
+        except ValueError:
+            bad.append(f"[{section}] {key}: not {_KINDS[kind]}: {parser.get(section, key)!r}")
+            return default
+
+    name = read("scenario", "name", default=path.stem)
 
     built: list[GaiModel | None] = []
     prices: dict[str, float] = {}
@@ -174,40 +162,39 @@ def load_scenario(path: str | Path) -> Scenario:
         if not section.startswith("model."):
             continue
         mid = section[len("model."):]
-        utility = _read(parser, bad, section, "utility", "float", math.nan)
-        cost = _read(parser, bad, section, "cost", "float", 0.0)
+        utility = read(section, "utility", "float", math.nan)
+        cost = read(section, "cost", "float", 0.0)
         built.append(_build(bad, f"[{section}]", GaiModel, mid, utility, cost))
-        price = _read(parser, bad, section, "price", "float", None)
+        price = read(section, "price", "float", None)
         if price is not None and _build(bad, f"[{section}] price", PriceSchedule, {mid: price}):
             prices[mid] = price
     models = _build(bad, "[model.<id>] sections", ModelSet, [m for m in built if m is not None])
 
-    kind = parser.get("distribution", "kind", fallback="uniform").strip().lower()
+    kind = read("distribution", "kind", default="uniform").lower()
     dist = None
     if kind == "uniform":
-        lo = _read(parser, bad, "distribution", "lo", "float", 0.0)
-        hi = _read(parser, bad, "distribution", "hi", "float", 1.0)
+        lo = read("distribution", "lo", "float", 0.0)
+        hi = read("distribution", "hi", "float", 1.0)
         dist = _build(bad, "[distribution]", UniformAmbiguity, lo, hi)
     elif kind == "tabulated":
-        knots = _read(parser, bad, "distribution", "knots", "floats", [])
-        values = _read(parser, bad, "distribution", "values", "floats", [])
+        knots = read("distribution", "knots", "floats", [])
+        values = read("distribution", "values", "floats", [])
         dist = _build(bad, "[distribution]", TabulatedAmbiguity, knots, values)
     else:
         bad.append(f"[distribution] kind: must be 'uniform' or 'tabulated', got {kind!r}")
 
-    nodes = _read(parser, bad, "quadrature", "nodes", "int", 2001)
+    nodes = read("quadrature", "nodes", "int", 2001)
     quad = _build(bad, "[quadrature] nodes", QuadratureConfig, nodes)
-    alpha = _read(parser, bad, "opp", "alpha", "float", None)
-    refinement = _read(parser, bad, "opp", "refinement", "boolean", True)
+    alpha = read("opp", "alpha", "float", None)
     # a bad node count must not keep the step from being checked
-    opp = _build(bad, "[opp] alpha", OppConfig, alpha, refinement, quad or QuadratureConfig())
+    opp = _build(bad, "[opp] alpha", OppConfig, alpha, quad or QuadratureConfig())
 
     sweep: SweepSpec | None = None
     if parser.has_section("sweep"):
-        variable = parser.get("sweep", "variable", fallback="").strip()
-        start = _read(parser, bad, "sweep", "start", "float", math.nan)
-        stop = _read(parser, bad, "sweep", "stop", "float", math.nan)
-        points = _read(parser, bad, "sweep", "points", "int", 0)
+        variable = read("sweep", "variable", default="")
+        start = read("sweep", "start", "float", math.nan)
+        stop = read("sweep", "stop", "float", math.nan)
+        points = read("sweep", "points", "int", 0)
         hi = dist.support()[1] if dist is not None else 1.0
         if variable not in ("eps", "eps_min"):
             bad.append(f"[sweep] variable: must be 'eps' or 'eps_min', got {variable!r}")
@@ -221,6 +208,14 @@ def load_scenario(path: str | Path) -> Scenario:
             bad.append(
                 f"[sweep] start/stop: eps_min sweep must stay inside [0, hi), got [{start}, {stop}] with hi={hi}")
         sweep = SweepSpec(variable, start, stop, points)
+
+    read_sections = {section for section, _ in seen}
+    for section in parser.sections():
+        if section not in read_sections:
+            bad.append(f"[{section}]: unknown section")
+            continue
+        bad.extend(f"[{section}] {key}: unknown key"
+                   for key in parser[section] if (section, key) not in seen)
 
     if bad:
         raise ScenarioError(str(path), bad)

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
+import prompt_pricing
 from prompt_pricing import (
     GaiModel,
     ModelSet,
@@ -15,6 +18,15 @@ from prompt_pricing import (
     user_payoff,
 )
 from prompt_pricing.user_strategy import _counts_vec, _payoffs_at_counts
+
+
+def package_env() -> dict[str, str]:
+    """This environment with the imported package's directory first on
+    ``PYTHONPATH``, so a child ``python -m prompt_pricing.cli`` runs the
+    code under test, with or without an installed copy or ``PYTHONPATH``."""
+    root = str(Path(prompt_pricing.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([root, inherited]) if inherited else root)
 
 
 def brute_force_count(model: GaiModel, price: float, eps: float, cap: int = 200) -> int:

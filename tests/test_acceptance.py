@@ -57,6 +57,7 @@ from _helpers import (
     is_non_decreasing,
     is_non_increasing,
     is_unimodal,
+    package_env,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -368,7 +369,7 @@ class TestCriterion11:
                     [sys.executable, "-m", "prompt_pricing.cli", verb,
                      "--scenario", str(SCENARIOS / f"{name}.ini"),
                      "--out", str(out), *extra],
-                    capture_output=True, text=True)
+                    capture_output=True, text=True, env=package_env())
                 assert proc.returncode == 0, proc.stderr
                 outputs.append(out.read_bytes())
             if outputs[0] != outputs[1]:

@@ -25,7 +25,6 @@ from prompt_pricing import (
     platform_payoff,
     price_upper_bound,
     prompt_upper_bound,
-    segment_roots,
     select_model,
     single_model_price,
     user_payoff,
@@ -103,6 +102,17 @@ class TestPlatformPayoff:
         assert out.prompt_volume["m"] == pytest.approx(mc_volume, abs=1e-3)
         assert out.platform_payoff == pytest.approx(0.4 * mc_volume, abs=1e-3)
 
+    def test_returns_the_given_schedule(self):
+        """The schedule comes back as given, a price for a model outside the
+        set included; that price changes neither payoff nor volumes."""
+        sched = PriceSchedule({"ml": 0.3, "mh": 0.6})
+        extra = PriceSchedule({"ml": 0.3, "mh": 0.6, "other": 0.1})
+        want = platform_payoff(PAIR, sched, U01, FAST)
+        out = platform_payoff(PAIR, extra, U01, FAST)
+        assert out.schedule is extra
+        assert out.platform_payoff == want.platform_payoff
+        assert out.prompt_volume == want.prompt_volume
+
     def test_matches_per_node_model_selection(self):
         nodes, weights = U01.quadrature(QuadratureConfig(301))
         sched = PriceSchedule({"ml": 0.22, "mh": 0.71})
@@ -113,26 +123,50 @@ class TestPlatformPayoff:
 
 
 class TestSegmentRoots:
+    """The roots of ``eps**(k-1) * (1-eps) = ratio`` (:func:`_segment_bounds`)
+    and the curve tops ``_TOPS`` that decide which counts have roots."""
+
     def test_no_roots_above_curve_maximum(self):
-        assert segment_roots(GaiModel("m", 1.0), 0.3, 2) is None
+        """Above the top of prompt 2's curve only the first prompt sells."""
+        from prompt_pricing.heterogeneous import _TOPS, _volume_from_segments
+
+        assert _TOPS[1] < 0.3
+        got = _volume_from_segments(GaiModel("m", 1.0), np.array([0.3]), U01)
+        assert got[0] == U01.mass(0.0, 0.7)
 
     def test_quadratic_case(self):
-        roots = segment_roots(GaiModel("m", 1.0), 0.1, 2)
-        assert roots.lower == pytest.approx((1 - math.sqrt(0.6)) / 2, abs=1e-9)
-        assert roots.upper == pytest.approx((1 + math.sqrt(0.6)) / 2, abs=1e-9)
+        from prompt_pricing.heterogeneous import _segment_bounds
+
+        lower, upper = _segment_bounds(np.array([0.1]), np.array([2]))
+        assert lower[0] == pytest.approx((1 - math.sqrt(0.6)) / 2, abs=1e-9)
+        assert upper[0] == pytest.approx((1 + math.sqrt(0.6)) / 2, abs=1e-9)
 
     def test_tangency_collapses_to_peak(self):
-        price = 2 ** 2 / 3 ** 3  # curve maximum for three prompts
-        roots = segment_roots(GaiModel("m", 1.0), price, 3)
-        assert roots.lower == pytest.approx(2 / 3, abs=1e-6)
-        assert roots.upper == pytest.approx(2 / 3, abs=1e-6)
+        from prompt_pricing.heterogeneous import _TOPS, _segment_bounds
+
+        assert _TOPS[2] == 2 ** 2 / 3 ** 3  # curve maximum for three prompts
+        lower, upper = _segment_bounds(np.array([_TOPS[2]]), np.array([3]))
+        assert lower[0] == pytest.approx(2 / 3, abs=1e-6)
+        assert upper[0] == pytest.approx(2 / 3, abs=1e-6)
 
     def test_roots_satisfy_equation(self):
-        for price, k in [(0.05, 2), (0.1, 3), (0.02, 5)]:
-            roots = segment_roots(GaiModel("m", 1.0), price, k)
-            for x in (roots.lower, roots.upper):
-                assert abs(x ** (k - 1) * (1 - x) * 1.0 - price) < 1e-10
-            assert roots.lower <= (k - 1) / k <= roots.upper
+        from prompt_pricing.heterogeneous import _segment_bounds
+
+        ratio, k = np.array([0.05, 0.1, 0.02]), np.array([2, 3, 5])
+        lower, upper = _segment_bounds(ratio, k)
+        for x in (lower, upper):
+            assert np.all(np.abs(x ** (k - 1) * (1 - x) - ratio) < 1e-10)
+        assert np.all((lower <= (k - 1) / k) & ((k - 1) / k <= upper))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 20])
+    def test_tangency_adds_no_interval(self, k):
+        """At ``_TOPS[k]`` prompt k + 1 pays only at the single point
+        k/(k+1): the volume there is the volume one ulp above."""
+        from prompt_pricing.heterogeneous import _TOPS, _volume_from_segments
+
+        prices = np.array([_TOPS[k], np.nextafter(_TOPS[k], np.inf)])
+        at, above = _volume_from_segments(GaiModel("m", 1.0), prices, U01)
+        assert abs(at - above) <= 1e-12
 
 
 class TestSingleModelPrice:
@@ -182,9 +216,11 @@ class TestBatchedSegments:
         the tangencies ``U * _TOPS[k]``.  A ``pow`` result one ulp off can
         flip a bisection step inside the 1e-14 root tolerance, and a price
         near the floor sums about 190 segments.  At a tangency the curve of
-        prompt k + 1 touches the price at its peak: a double root, which
-        either route places only to about the square root of machine
-        epsilon, so there the volumes agree within 1e-7."""
+        prompt k + 1 touches the price at its peak, a single point: the
+        batched route adds no interval for it, while the scalar route
+        places the double root only to about the square root of machine
+        epsilon and adds an interval about that wide, so there the volumes
+        agree within 1e-7."""
         from prompt_pricing.heterogeneous import _MAX_SEGMENTS, _TOPS, _volume_from_segments
 
         dist = SEGMENT_DISTS[dist_name]
@@ -242,7 +278,7 @@ class TestBatchedSegments:
 
         monkeypatch.setattr(heterogeneous, "_ROOT_STEPS", 20)
         with pytest.raises(PromptPricingError, match="bisection"):
-            segment_roots(self.MODEL, 0.1, 3)
+            heterogeneous._segment_bounds(np.array([0.1]), np.array([3]))
         with pytest.raises(PromptPricingError, match="bisection"):
             single_model_price(GaiModel("m", 1.0, 0.1), U01)
 
@@ -484,8 +520,8 @@ class TestNodePruning:
                 + [0.05 * m.utility, m.utility, 2.0 * m.utility] for m in PAIR]
 
     @pytest.mark.parametrize("dist", PRUNING_DISTS, ids=["uniform", "tabulated"])
-    def test_family_rows_match_scalar_route(self, dist):
-        from prompt_pricing.heterogeneous import _family_volumes
+    def test_family_rows_match_scalar_route(self, dist, monkeypatch):
+        from prompt_pricing import heterogeneous
 
         nodes, weights = dist.quadrature(QuadratureConfig(301))
         axis_low, axis_high = self.axes(nodes)
@@ -496,7 +532,8 @@ class TestNodePruning:
                 + [[p, q] for p, q in zip(axis_low, axis_high)])
         want = [_scalar_route(PAIR, r, nodes, weights) for r in rows]
         for chunk in (1, 3, 512):
-            payoffs, volumes = _family_volumes(PAIR, np.array(rows), nodes, weights, chunk=chunk)
+            monkeypatch.setattr(heterogeneous, "_ROW_CHUNK", chunk)
+            payoffs, volumes = heterogeneous._family_volumes(PAIR, np.array(rows), nodes, weights)
             for (pay, vol), got_pay, got_vol in zip(want, payoffs, volumes):
                 assert abs(got_pay - pay) <= 1e-12 * PAIR.high.utility
                 assert np.all(np.abs(got_vol - vol) <= 1e-12 * PAIR.high.utility)

@@ -11,6 +11,8 @@ import pytest
 from prompt_pricing.cli import main
 from prompt_pricing.scenario import ScenarioError, load_scenario
 
+from _helpers import package_env
+
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
 
@@ -18,7 +20,7 @@ SCENARIOS = REPO / "scenarios"
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "prompt_pricing.cli", *args],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=package_env())
 
 
 def write_scenario(tmp_path: Path, body: str, name: str = "case.ini") -> Path:
@@ -64,7 +66,7 @@ class TestScenarioLoading:
     def test_shipped_scenarios_load(self):
         for name in ("fig4b", "fig5", "fig6", "fig7a", "fig7b"):
             scenario = load_scenario(SCENARIOS / f"{name}.ini")
-            assert scenario.model_set()
+            assert scenario.models
             assert scenario.sweep is not None
 
     def test_all_violations_reported_at_once(self, tmp_path):
@@ -124,12 +126,23 @@ points = 5
             assert any(field in m for m in messages), field
         assert main(["opp", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_unread_sections_and_keys_reported(self, tmp_path):
+        """A misspelt key, a key no longer read and a stray section each get
+        one message, filed under where they are; none is ignored."""
+        body = TWO_MODEL.replace("alpha = 0.05", "alhpa = 0.05\nrefinement = true")
+        path = write_scenario(tmp_path, body + "\n[extra]\nnote = 1\n")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert err.value.violations == [
+            "[opp] alhpa: unknown key", "[opp] refinement: unknown key", "[extra]: unknown section"]
+        assert main(["opp", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+
     def test_fields_parse(self, tmp_path):
         scenario = load_scenario(write_scenario(tmp_path, TWO_MODEL))
         assert scenario.name == "test-pair"
         assert scenario.prices == {"ml": 0.1, "mh": 0.3}
-        assert scenario.quad_nodes == 301
-        assert scenario.opp_alpha == 0.05
+        assert scenario.opp.quad.node_count == 301
+        assert scenario.opp.step_alpha == 0.05
         assert scenario.sweep.points == 7
         assert len(scenario.sweep.values()) == 7
 
@@ -195,7 +208,7 @@ class TestCliCommands:
         assert rows[0] == ["eps_min", "payoff_opp", "payoff_utility", "payoff_cost"]
         from prompt_pricing import UniformAmbiguity, cost_based_pricing, opp, utility_based_pricing
         scenario = load_scenario(scen)
-        models = scenario.model_set()
+        models = scenario.models
         dist = UniformAmbiguity(0.3, 1.0)
         cfg = scenario.opp_config()
         # CSV cells carry 12 significant digits, so compare at that precision
