@@ -12,8 +12,9 @@ Verbs:
   benchmarks over an eps_min sweep.
 
 Exit codes: 0 success, 2 scenario validation failure, 3 numerical
-failure, 4 usage error.  Output is deterministic: the same scenario and
-flags produce byte-identical files.
+failure, 4 usage error (an output file that cannot be written included).
+Output is deterministic: the same scenario and flags produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -137,11 +138,8 @@ def cmd_opp(scenario: Scenario, args: argparse.Namespace) -> tuple[list[str], li
         columns.append("oracle_payoff")
         row.append(oracle.platform_payoff)
     if args.trace:
-        with open(args.trace, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["step", "price_low", "price_high", "platform_payoff"])
-            for i, (p_low, p_high, payoff) in enumerate(trace):
-                writer.writerow([i, _fmt(p_low), _fmt(p_high), _fmt(payoff)])
+        _write_outputs(args.trace, ["step", "price_low", "price_high", "platform_payoff"],
+                       [[i, *step] for i, step in enumerate(trace)], False, "opp", scenario.name)
     return columns, [row]
 
 
@@ -213,6 +211,9 @@ def main(argv: list[str] | None = None) -> int:
     except PromptPricingError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # the scenario loader reports its own read errors
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

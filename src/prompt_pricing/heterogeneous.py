@@ -117,13 +117,13 @@ def _family_volumes(
     (F, M).  Selection per node is the stage-2 rule of
     :func:`~prompt_pricing.user_strategy.select_model` (:func:`_choose`).
 
-    Rows are taken in chunks of ``_ROW_CHUNK``.  A node is skipped for the
-    whole chunk when even the chunk's cheapest price for every model is
-    above the first prompt's gain ``(1 - eps) * U`` there.  That is the
-    count kernel's own ``buy`` test, so every row of the chunk would get
-    0 prompts at that node from every model, and the node adds nothing
-    to any volume.  A chunk that keeps no node sells to no one: its rows
-    are written as zeros without running the kernel.
+    Every row is scored at every node and reduced by its own sum, so a
+    row's payoff and volumes are bit-identical to a one-row call, the
+    route of :func:`platform_payoff`, whatever else is in the batch.
+    Rows are taken in chunks of ``_ROW_CHUNK``; a chunk in which no price
+    passes the count kernel's ``buy`` test ``p <= (1 - eps) * U`` at any
+    node sells to no one, and its rows are left at exact zeros without
+    running the kernel.
     """
     price_matrix = np.asarray(price_matrix, dtype=float)
     n_rows, n_models = price_matrix.shape
@@ -133,29 +133,21 @@ def _family_volumes(
     payoffs = np.zeros(n_rows)
     utils = [m.utility for m in models]
     costs = [m.cost for m in models]
-    ceilings = [(1.0 - nodes) * u for u in utils]  # as in _counts_vec's buy test
+    ceilings = [((1.0 - nodes) * u).max() for u in utils]  # as in _counts_vec's buy test
     for start in range(0, n_rows, _ROW_CHUNK):
         rows = slice(start, start + _ROW_CHUNK)
         prices = price_matrix[rows]
-        cheapest = prices.min(axis=0)
-        keep = np.zeros(len(nodes), dtype=bool)
-        for j in range(n_models):
-            keep |= cheapest[j] <= ceilings[j]
-        if not keep.any():
+        if not np.any(prices.min(axis=0) <= ceilings):
             continue
-        k_nodes, k_weights = nodes[keep], weights[keep]
         counts, pays = [], []
         for j, u in enumerate(utils):
             p = prices[:, j][:, None]
-            counts.append(_counts_vec(u, p, k_nodes))
-            pays.append(_payoffs_at_counts(u, p, k_nodes, counts[-1]))
+            counts.append(_counts_vec(u, p, nodes))
+            pays.append(_payoffs_at_counts(u, p, nodes, counts[-1]))
         sel = _choose(counts, pays, utils)
-        chunk_pay = np.zeros(prices.shape[0])
         for j in range(n_models):
-            vol = ((sel == j) * counts[j]) @ k_weights
-            volumes[rows, j] = vol
-            chunk_pay += (prices[:, j] - costs[j]) * vol
-        payoffs[rows] = chunk_pay
+            volumes[rows, j] = (((sel == j) * counts[j]) * weights).sum(axis=1)
+            payoffs[rows] += (prices[:, j] - costs[j]) * volumes[rows, j]
     return payoffs, volumes
 
 
@@ -571,8 +563,10 @@ def opp(
     strongest steps are then polished at full resolution: a few shrinking
     price-pair lattices around each (the first spans one sweep step and
     two high-tier grid steps either way), then one golden-section pass
-    per price.  If ``trace_sink`` is given, one (p_L, p_H, payoff) tuple
-    per sweep step is appended.
+    per price, whose points are scored in one :func:`_family_volumes`
+    call per step, each as :func:`platform_payoff` scores it alone.  If
+    ``trace_sink`` is given, one (p_L, p_H, payoff) tuple per sweep step
+    is appended.
     """
     low, high = models.require_pair()
     nodes, weights = dist.quadrature(cfg.quad)
@@ -618,10 +612,9 @@ def opp(
                 best = (float(centre[0]), float(centre[1]), float(window[a, b]))
 
     def payoffs_at(p_low, p_high) -> np.ndarray:
-        """Each price pair on a line scored alone, as :func:`platform_payoff` scores it."""
+        """Each price pair on a line, scored as :func:`platform_payoff` scores it."""
         pairs = np.column_stack(np.broadcast_arrays(p_low, p_high))
-        return np.array([_family_volumes(models, pair[None, :], nodes, weights)[0][0]
-                         for pair in pairs])
+        return _family_volumes(models, pairs, nodes, weights)[0]
 
     # final coordinate polish at full resolution, one golden bracket per price
     x, fx = _golden_max(lambda p: payoffs_at(best[0], p),
@@ -668,7 +661,7 @@ def grid_oracle(
     Independent verifier for the two-model optimizer: no search
     structure, just ``grid_n`` prices per axis, every pair scored at
     full resolution by :func:`_pair_lattice_payoffs`.  The cells within
-    rounding of the best are re-scored one at a time and the first best
+    rounding of the best are re-scored in one batch and the first best
     of them (lowest low-tier price, then lowest high-tier price) is
     returned (:func:`_first_best`), so summation order does not choose
     between cells that pay the same.
@@ -702,14 +695,14 @@ def utility_based_pricing(
 
     The shared factor beta is swept over (0, 1) in steps of 1e-3.  Every
     row is scored at full resolution by :func:`_family_payoffs`, and the
-    rows within rounding of the best are re-scored one at a time
-    (:func:`_family_best_row`).
+    rows within rounding of the best are re-scored (:func:`_first_best`).
     """
     betas = np.arange(1, 1000) / 1000.0
     utils = np.array([m.utility for m in models])
     family = betas[:, None] * utils[None, :]
     nodes, weights = dist.quadrature(quad)
-    idx = _family_best_row(models, family, nodes, weights)
+    idx = _first_best(models, family, _family_payoffs(models, family, nodes, weights),
+                      nodes, weights)
     return _outcome_for(models, list(family[idx]), nodes, weights, method="UtilityBased")
 
 
@@ -726,8 +719,8 @@ def cost_based_pricing(
     pass of :func:`_family_payoffs`, whose work grows with the count
     steps per node, not with the rows; the rows that price every model
     above its utility (about half of them there) sell to no one and
-    score exactly 0.  The best rows are then re-scored one at a time
-    (:func:`_family_best_row`).
+    score exactly 0.  The best rows are then re-scored
+    (:func:`_first_best`).
     """
     costs = np.array([m.cost for m in models])
     if np.any(costs <= 0.0):
@@ -736,7 +729,8 @@ def cost_based_pricing(
     mus = np.arange(0, int(math.floor(mu_max / 1e-3)) + 1) * 1e-3
     family = (1.0 + mus)[:, None] * costs[None, :]
     nodes, weights = dist.quadrature(quad)
-    idx = _family_best_row(models, family, nodes, weights)
+    idx = _first_best(models, family, _family_payoffs(models, family, nodes, weights),
+                      nodes, weights)
     return _outcome_for(models, list(family[idx]), nodes, weights, method="CostBased")
 
 
@@ -786,8 +780,8 @@ def _family_payoffs(
     to summation order (within 1e-11 of the top utility in the tests).
     The one exception is a pair of user payoffs within an ulp of each
     other over a run of rows, where rounding, not the affine trend,
-    decides the float comparison; :func:`_family_best_row` re-scores the
-    rows it returns.
+    decides the float comparison; :func:`_first_best` re-scores the
+    rows it chooses between.
     """
     family = np.asarray(family, dtype=float)
     n_rows, n_models = family.shape
@@ -887,26 +881,11 @@ def _first_best(
 ) -> int:
     """Index of the schedule to return, given a batch score for each.
 
-    The schedules :func:`_near_best` keeps are re-scored one at a time
-    through :func:`_family_volumes`, the route of
-    :func:`platform_payoff`, and the first best of them is returned, so
-    rounding in the batch scores does not pick the answer.
+    The schedules :func:`_near_best` keeps are re-scored in one
+    :func:`_family_volumes` call, each exactly as :func:`platform_payoff`
+    scores it alone, and the first best of them is returned, so rounding
+    in the batch scores does not pick the answer.
     """
-    best_i, best = -1, -np.inf
-    for i in np.flatnonzero(_near_best(models, scores)):
-        pay = float(_family_volumes(models, schedules[i:i + 1], nodes, weights)[0][0])
-        if pay > best:
-            best_i, best = int(i), pay
-    return best_i
-
-
-def _family_best_row(
-    models: ModelSet,
-    family: np.ndarray,
-    nodes: np.ndarray,
-    weights: np.ndarray,
-) -> int:
-    """Argmax row of a price family: :func:`_family_payoffs` scores every
-    row and :func:`_first_best` re-scores the near-best ones."""
-    return _first_best(models, family, _family_payoffs(models, family, nodes, weights),
-                       nodes, weights)
+    near = np.flatnonzero(_near_best(models, scores))
+    pays, _ = _family_volumes(models, schedules[near], nodes, weights)
+    return int(near[np.argmax(pays)])

@@ -501,9 +501,9 @@ PRUNING_DISTS = [
 
 
 class TestNodePruning:
-    """The schedule evaluator skips the nodes where no price in a row chunk
-    can sell, and the pair lattice must treat a price that sells nothing at
-    a node as losing it.  Their answers are checked against the scalar
+    """The schedule evaluator skips the row chunks in which no price sells
+    at any node, and the pair lattice must treat a price that sells nothing
+    at a node as losing it.  Their answers are checked against the scalar
     route at prices on either side of one node's cut-off
     ``(1 - eps) * U`` and at prices no user pays."""
 
@@ -794,10 +794,10 @@ class TestFamilyScorer:
     @pytest.mark.parametrize("set_name,dist_name,kind", FAMILY_CASES, ids=FAMILY_IDS)
     def test_mechanism_returns_the_top_row(self, set_name, dist_name, kind):
         """The answer is the first row that one-row evaluations, the route of
-        platform_payoff, rank highest.  The rows that can rank first are
-        those the evaluator, run on the whole family at once, puts within
-        1e-9 of the top utility of its best: the two evaluations differ
-        only in summation order."""
+        platform_payoff, rank highest.  The evaluator, run on the whole
+        family at once, scores every row exactly as a one-row call does, so
+        the rows that can rank first are among those it puts within 1e-9 of
+        the top utility of its best."""
         from prompt_pricing.heterogeneous import _family_volumes
 
         models = FAMILY_SETS[set_name]
@@ -832,3 +832,76 @@ class TestFamilyScorer:
             want, _ = _scalar_route(models, row, nodes, weights)
             assert abs(pay - want) <= 1e-12
         assert np.all(np.abs(got - _family_volumes(models, family, nodes, weights)[0]) <= 1e-12)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestRowIndependence:
+    """A schedule pays the same alone or in a batch: every row of a
+    ``_family_volumes`` call equals a one-row call of it, bit for bit."""
+
+    @pytest.mark.parametrize("dist_name", FAMILY_DISTS)
+    @pytest.mark.parametrize("set_name", ["fig7a", "three"])
+    def test_batch_rows_equal_one_row_calls(self, set_name, dist_name):
+        from prompt_pricing.heterogeneous import _ROW_CHUNK, _family_volumes
+
+        models = FAMILY_SETS[set_name]
+        nodes, weights = FAMILY_DISTS[dist_name].quadrature(QuadratureConfig())
+        utils = np.array([m.utility for m in models])
+        rng = np.random.default_rng(20240811)
+        rows = rng.uniform(0.02, 1.3, (3 * _ROW_CHUNK + 8, len(models))) * utils
+        rows[::4] = 1.5 * utils  # above every utility: sells nowhere
+        rows[2 * _ROW_CHUNK:3 * _ROW_CHUNK] = 1.5 * utils  # a whole chunk that sells nowhere
+        payoffs, volumes = _family_volumes(models, rows, nodes, weights)
+        assert len(rows) // 3 < np.count_nonzero(payoffs) < len(rows) - _ROW_CHUNK
+        for row, pay, vol in zip(rows, payoffs, volumes):
+            one_pay, one_vol = _family_volumes(models, row[None, :], nodes, weights)
+            assert pay == one_pay[0]
+            assert np.array_equal(vol, one_vol[0])
+
+    def test_grid_oracle_tie_is_scored_in_one_batch(self, monkeypatch):
+        """fig7a under Uniform(0.6, 1) at 2001 nodes: 370 lattice cells tie
+        the best.  The oracle re-scores them in one call and returns what
+        scoring each alone and keeping the first strictly better gives."""
+        from prompt_pricing import heterogeneous
+        from prompt_pricing.heterogeneous import (
+            _family_volumes, _near_best, _pair_lattice_payoffs)
+
+        dist, grid_n = UniformAmbiguity(0.6, 1.0), 400
+        nodes, weights = dist.quadrature(QuadratureConfig())
+        low, high = PAIR.require_pair()
+        axes = [m.cost + (m.utility - m.cost) * (np.arange(1, grid_n + 1) / grid_n)
+                for m in (low, high)]
+        lattice = _pair_lattice_payoffs(low, high, axes[0], axes[1], nodes, weights).ravel()
+        cells = np.column_stack([np.repeat(axes[0], grid_n), np.tile(axes[1], grid_n)])
+        best, best_pay = None, -np.inf
+        for i in np.flatnonzero(_near_best(PAIR, lattice)):
+            pay = _family_volumes(PAIR, cells[i:i + 1], nodes, weights)[0][0]
+            if pay > best_pay:
+                best, best_pay = cells[i], pay
+
+        calls = _count_calls(monkeypatch, heterogeneous, "_family_volumes")
+        out = grid_oracle(PAIR, dist, grid_n)
+        assert len(calls) <= 2
+        assert [out.schedule.price_for(m) for m in PAIR] == list(best)
+        assert out.platform_payoff == best_pay
+
+    def test_no_sale_family_is_scored_in_one_batch(self, monkeypatch):
+        from prompt_pricing import heterogeneous
+
+        models = ModelSet([GaiModel("ml", 1.0, 1.5), GaiModel("mh", 1.8, 2.2)])
+        calls = _count_calls(monkeypatch, heterogeneous, "_family_volumes")
+        out = cost_based_pricing(models, U01)
+        assert len(calls) <= 2
+        assert out.platform_payoff == 0.0

@@ -289,6 +289,17 @@ price = 0.3
         assert proc.returncode == 2
         assert "two models" in proc.stderr
 
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys, flag):
+        scen = write_scenario(tmp_path, TWO_MODEL)
+        paths = {"--out": str(tmp_path / "x.csv"), "--trace": str(tmp_path / "t.csv")}
+        paths[flag] = str(tmp_path / "missing" / "x.csv")
+        code = main(["opp", "--scenario", str(scen), "--out", paths["--out"],
+                     "--trace", paths["--trace"]])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {paths[flag]}: No such file or directory\n"
+
     def test_nodes_checked_only_by_the_verbs_that_read_it(self, tmp_path, capsys):
         """``--nodes`` is checked by QuadratureConfig when a verb builds its
         quadrature; user-strategy never does, so it ignores the flag."""
