@@ -6,6 +6,11 @@ the stage-2 rules.  This module provides:
 
 * direct evaluation of any price schedule by quadrature over the
   ambiguity density (:func:`platform_payoff`),
+* the count profile under every price evaluation: at one node a model's
+  prompt count only steps down as its price rises, so along a sorted
+  price axis the count kernel runs at the two ends and every other
+  count is read off the steps between them (:func:`_count_steps`,
+  :func:`_count_profile`),
 * the single-model piecewise optimizer built on the per-count root
   structure of the demand curve (:func:`single_model_price`): every
   (price, count) root of a batch of prices in one bisection
@@ -51,7 +56,6 @@ from .user_strategy import (
     UNBOUNDED,
     _counts_vec,
     _curve_top,
-    _payoffs_at_counts,
     _prefers,
     optimal_prompt_count,
     user_payoff,
@@ -101,6 +105,78 @@ class OppConfig:
 # Schedule evaluation by quadrature
 # --------------------------------------------------------------------------
 
+def _count_steps(
+    utility: float, prices: np.ndarray, nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where each node's prompt count steps down along an ascending price axis.
+
+    At node ``eps`` the count keeps prompt ``k`` exactly at the prices up
+    to its marginal gain ``eps ** (k-1) * (1 - eps) * U``, the comparison
+    of the count kernel, so the count only steps down as the price
+    rises.  The kernel (:func:`_counts_vec`) runs only at the cheapest
+    and the dearest price, ``top`` and ``bottom`` per node.  Each prompt
+    ``k`` in ``(bottom, top]`` of node ``at`` is a step; ``pos`` is the
+    index of the first price above its gain (``searchsorted``, side
+    right), where the count drops below ``k``.  Steps are listed node by
+    node, ``k`` descending.  Returns ``(top, bottom, at, pos)``.
+
+    A step must fall strictly inside the axis, ``1 <= pos <= P - 1``, or
+    the steps disagree with the kernel's own counts at the axis ends;
+    that raises :class:`PromptPricingError` instead of miscounting.
+    """
+    top = _counts_vec(utility, prices[0], nodes)
+    if prices[-1] == prices[0]:  # one price: no steps
+        none = np.zeros(0, dtype=np.int64)
+        return top, top, none, none
+    bottom = _counts_vec(utility, prices[-1], nodes)
+    reps = (top - bottom).astype(np.int64)
+    at = np.repeat(np.arange(len(nodes)), reps)
+    # prompt k runs from the cheapest price's count down to one above the dearest's
+    k = top[at] - (np.arange(len(at)) - (np.cumsum(reps) - reps)[at])
+    gain = nodes[at] ** (k - 1.0) * (1.0 - nodes[at]) * utility  # the kernel's operand order
+    pos = np.searchsorted(prices, gain, side="right")
+    if np.any((pos < 1) | (pos >= len(prices))):
+        raise PromptPricingError(
+            "count steps disagree with the count kernel at the ends of the price axis")
+    return top, bottom, at, pos
+
+
+def _count_profile(
+    utility: float, prices: np.ndarray, nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Prompt counts and user payoffs at every (node, price), shape (nodes, prices).
+
+    ``prices`` must ascend.  The counts come from :func:`_count_steps`:
+    each node starts at the cheapest price's count and drops by one at
+    each step, through ``np.bincount`` and one ``cumsum``.  The held
+    utility ``(1 - eps ** n) * U`` is computed once per (node, count)
+    and gathered, so a user payoff is ``held - n * p``.  Every element
+    is bit-identical to the count kernel and the payoff
+    ``(1 - eps ** n) * U - n * p`` evaluated at that cell.
+    """
+    top, bottom, at, pos = _count_steps(utility, prices, nodes)
+    n_nodes, n_prices = len(nodes), len(prices)
+    if not len(at):  # every price sells the cheapest price's counts
+        counts = np.tile(top[:, None], (1, n_prices))
+        return counts, ((1.0 - nodes ** top) * utility)[:, None] - counts * prices
+    # held utility per node for the counts top, top - 1, ..., bottom
+    width = (top - bottom).astype(np.int64) + 1
+    first = np.cumsum(width) - width
+    node = np.repeat(np.arange(n_nodes), width)
+    n = top[node] - (np.arange(len(node)) - first[node])
+    held = (1.0 - nodes[node] ** n) * utility
+    # steps before each price, counted across all nodes; a node's row starts at 0 (pos >= 1)
+    drops = np.cumsum(np.bincount(at * n_prices + pos, minlength=n_nodes * n_prices))
+    drops = drops.reshape(n_nodes, n_prices)
+    drops -= drops[:, 0].copy()[:, None]
+    counts = top[:, None] - drops
+    drops += first[:, None]  # now each cell's place in the held table
+    pays = held[drops]
+    del drops  # freed before the product's temporary: at most three (nodes, prices) arrays live
+    pays -= counts * prices
+    return counts, pays
+
+
 _ROW_CHUNK = 64  # schedules per chunk: keeps full-resolution temporaries to about 1 MB each
 
 
@@ -117,13 +193,18 @@ def _family_volumes(
     (F, M).  Selection per node is the stage-2 rule of
     :func:`~prompt_pricing.user_strategy.select_model` (:func:`_choose`).
 
-    Every row is scored at every node and reduced by its own sum, so a
-    row's payoff and volumes are bit-identical to a one-row call, the
-    route of :func:`platform_payoff`, whatever else is in the batch.
-    Rows are taken in chunks of ``_ROW_CHUNK``; a chunk in which no price
-    passes the count kernel's ``buy`` test ``p <= (1 - eps) * U`` at any
-    node sells to no one, and its rows are left at exact zeros without
-    running the kernel.
+    Rows are taken in chunks of ``_ROW_CHUNK``.  In each chunk a model's
+    prices are sorted and profiled by :func:`_count_profile`, which runs
+    the count kernel at the cheapest and the dearest of them only (once
+    for a one-row call); its counts and user payoffs, bit-identical to
+    the kernel's at every cell, are scattered back to row order as
+    C-contiguous (rows, nodes) arrays.  Every row is scored at every
+    node and reduced by its own sum, so a row's payoff and volumes are
+    bit-identical to a one-row call, the route of
+    :func:`platform_payoff`, whatever else is in the batch.  A chunk in
+    which no price passes the count kernel's ``buy`` test ``p <= (1 -
+    eps) * U`` at any node sells to no one, and its rows are left at
+    exact zeros without profiling.
     """
     price_matrix = np.asarray(price_matrix, dtype=float)
     n_rows, n_models = price_matrix.shape
@@ -133,17 +214,22 @@ def _family_volumes(
     payoffs = np.zeros(n_rows)
     utils = [m.utility for m in models]
     costs = [m.cost for m in models]
-    ceilings = [((1.0 - nodes) * u).max() for u in utils]  # as in _counts_vec's buy test
+    # the largest (1 - eps) * U of _counts_vec's buy test: rounding keeps the order of eps
+    ceilings = (1.0 - nodes.min()) * np.array(utils)
+    counts_buf = np.empty((n_models, min(n_rows, _ROW_CHUNK), len(nodes)))
+    pays_buf = np.empty_like(counts_buf)
     for start in range(0, n_rows, _ROW_CHUNK):
         rows = slice(start, start + _ROW_CHUNK)
         prices = price_matrix[rows]
         if not np.any(prices.min(axis=0) <= ceilings):
             continue
-        counts, pays = [], []
+        # each model's profile along its sorted prices, scattered back to (rows, nodes)
+        order = np.argsort(prices, axis=0, kind="stable")
+        ascending = prices[order, np.arange(n_models)]
+        counts, pays = counts_buf[:, :len(prices)], pays_buf[:, :len(prices)]
         for j, u in enumerate(utils):
-            p = prices[:, j][:, None]
-            counts.append(_counts_vec(u, p, nodes))
-            pays.append(_payoffs_at_counts(u, p, nodes, counts[-1]))
+            counts[j, order[:, j]], pays[j, order[:, j]] = (
+                a.T for a in _count_profile(u, ascending[:, j], nodes))
         sel = _choose(counts, pays, utils)
         for j in range(n_models):
             volumes[rows, j] = (((sel == j) * counts[j]) * weights).sum(axis=1)
@@ -184,12 +270,17 @@ def _pair_lattice_payoffs(
     """Payoff of every (low price, high price) pair, exploiting separability.
 
     Counts and user payoffs depend on one price each, so they are
-    profiled per axis; the pairs need only the selection, which is
-    merged per node.  Returns shape (len low, len high), in the axes'
-    own order: each axis is sorted ascending (stably) for the merge and
-    the output is put back in place.  Nodes may come in any order; they
-    are taken in chunks whose temporaries hold about
-    ``_LATTICE_BUDGET`` elements.
+    profiled per axis (:func:`_count_profile`: the count kernel at each
+    axis's two ends, the count steps between them); the pairs need only
+    the selection, which is merged per node.  Returns shape (len low,
+    len high), in the axes' own order: each axis is sorted ascending
+    (stably) for the profile and the merge, and the output is put back
+    in place.  Nodes may come in any order; they are taken in chunks
+    whose temporaries hold about ``_LATTICE_BUDGET`` elements.  In each
+    chunk the nodes where neither tier's cheapest price passes the
+    kernel's ``buy`` test are dropped: no price sells there, so they
+    would add only zeros to the sequential ``np.bincount`` sums, and
+    every cell is bit-identical to keeping them.
 
     At one node a tier's score, its user payoff at the optimal count
     (``-inf`` where it sells nothing), never rises as its price rises.
@@ -222,8 +313,7 @@ def _pair_lattice_payoffs(
 
     def profile(model: GaiModel, prices: np.ndarray, eps: np.ndarray, w: np.ndarray):
         """Scores and weighted platform gains, shape (nodes, prices)."""
-        counts = _counts_vec(model.utility, prices[None, :], eps[:, None])
-        pay = _payoffs_at_counts(model.utility, prices[None, :], eps[:, None], counts)
+        counts, pay = _count_profile(model.utility, prices, eps)
         score = np.where(counts >= 1.0, pay, -np.inf)
         if np.any(score[:, 1:] > score[:, :-1]):
             raise PromptPricingError(
@@ -235,9 +325,9 @@ def _pair_lattice_payoffs(
     high_from = np.zeros((n_low + 1) * n_high)
     # low_from[i, a]: row i's low-tier gain from the nodes where a columns win against it
     low_from = np.zeros(n_low * (n_high + 1))
-    chunk = max(1, _LATTICE_BUDGET // (n_low + n_high))
-    for start in range(0, len(nodes), chunk):
-        eps, w = nodes[start:start + chunk], weights[start:start + chunk]
+
+    def merge(eps: np.ndarray, w: np.ndarray) -> None:
+        """Add one node chunk's gains to ``high_from`` and ``low_from``."""
         score_l, gain_l = profile(low, p_low, eps, w)
         score_h, gain_h = profile(high, p_high, eps, w)
         merged = np.argsort(-np.hstack([score_h, score_l]), axis=1, kind="stable")
@@ -245,10 +335,18 @@ def _pair_lattice_payoffs(
         np.put_along_axis(rank, merged, np.arange(n_high + n_low)[None, :], axis=1)
         beaten = rank[:, :n_high] - cols  # rows sorted before each column
         beating = rank[:, n_high:] - rows  # columns sorted before each row
-        high_from += np.bincount((beaten * n_high + cols).ravel(), gain_h.ravel(),
-                                 minlength=len(high_from))
-        low_from += np.bincount((rows * (n_high + 1) + beating).ravel(), gain_l.ravel(),
-                                minlength=len(low_from))
+        np.add(high_from, np.bincount((beaten * n_high + cols).ravel(), gain_h.ravel(),
+                                      minlength=len(high_from)), out=high_from)
+        np.add(low_from, np.bincount((rows * (n_high + 1) + beating).ravel(), gain_l.ravel(),
+                                     minlength=len(low_from)), out=low_from)
+
+    chunk = max(1, _LATTICE_BUDGET // (n_low + n_high))
+    for start in range(0, len(nodes), chunk):
+        eps, w = nodes[start:start + chunk], weights[start:start + chunk]
+        # a node where neither cheapest price passes the kernel's buy test adds only zeros
+        sells = (p_low[0] <= (1.0 - eps) * low.utility) | (p_high[0] <= (1.0 - eps) * high.utility)
+        if sells.any():
+            merge(eps[sells], w[sells])
     out = np.empty((n_low, n_high))
     out[np.ix_(order_l, order_h)] = (
         np.cumsum(high_from.reshape(n_low + 1, n_high), axis=0)[:n_low]
@@ -763,7 +861,8 @@ def _family_payoffs(
       ``eps ** (k-1) * (1 - eps) * U``, the comparison of the count
       kernel, so one ``searchsorted`` of that gain into the price column
       gives the row where the count drops below ``k``.  Only the ``k``
-      between the counts at the dearest and the cheapest row are needed.
+      between the counts at the dearest and the cheapest row are needed
+      (:func:`_count_steps`, the step list of :func:`_count_profile`).
     * Selection.  Between two steps of a node (a segment) every count is
       fixed, so each user payoff is affine in the factor and the chosen
       model is the top of an upper envelope of lines: each model wins on
@@ -794,16 +893,10 @@ def _family_payoffs(
     cols = family[:live].T
     utils = [m.utility for m in models]
     stride = live + 1  # a (node, row) key is node * stride + row
-    one_minus = 1.0 - nodes
     top, steps = [], []
     for u, col in zip(utils, cols):
-        first = _counts_vec(u, col[0], nodes)
-        reps = (first - _counts_vec(u, col[-1], nodes)).astype(np.int64)
-        at = np.repeat(np.arange(len(nodes)), reps)
-        # prompt k runs from the cheapest row's count down to one above the dearest's
-        k = first[at] - (np.arange(len(at)) - (np.cumsum(reps) - reps)[at])
-        gain = nodes[at] ** (k - 1.0) * one_minus[at] * u
-        steps.append(np.sort(at * stride + np.searchsorted(col, gain, side="right")))
+        first, _, at, pos = _count_steps(u, col, nodes)
+        steps.append(np.sort(at * stride + pos))
         top.append(first)
 
     # segments: per node, the runs of rows on which every count is fixed
@@ -817,7 +910,7 @@ def _family_payoffs(
                        - np.searchsorted(st, seg_node * stride, side="right"))
         for t, st in zip(top, steps)])
     eps = nodes[seg_node]
-    held = [(1.0 - eps ** n) * u for n, u in zip(counts, utils)]  # as _payoffs_at_counts
+    held = [(1.0 - eps ** n) * u for n, u in zip(counts, utils)]  # as in _count_profile
 
     def choice(seg: np.ndarray, row: np.ndarray) -> np.ndarray:
         """The model chosen in each given segment at the given row."""

@@ -200,7 +200,7 @@ def optimal_user_payoff(models: ModelSet, prices: PriceSchedule, eps: float) -> 
 
 
 # --------------------------------------------------------------------------
-# Vectorized kernels over ambiguity arrays (shared by the pricing solvers)
+# Vectorized count kernel over ambiguity arrays (shared by the pricing solvers)
 # --------------------------------------------------------------------------
 
 _COUNT_STEPS = 64  # correction steps each way allowed after the closed-form estimate
@@ -246,9 +246,3 @@ def _counts_vec(utility: float, price, eps: np.ndarray) -> np.ndarray:
                 f"prompt counts still falling after {_COUNT_STEPS} correction steps")
         k = np.where(back, k - 1.0, k)
     return np.where(buy, k, 0.0)
-
-
-def _payoffs_at_counts(utility: float, price, eps: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """User payoffs at the given (already optimal) prompt counts."""
-    eps = np.asarray(eps, dtype=float)
-    return (1.0 - eps ** counts) * utility - counts * np.asarray(price, dtype=float)

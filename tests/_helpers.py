@@ -17,7 +17,7 @@ from prompt_pricing import (
     prompt_upper_bound,
     user_payoff,
 )
-from prompt_pricing.user_strategy import _counts_vec, _payoffs_at_counts
+from prompt_pricing.user_strategy import _counts_vec
 
 
 def package_env() -> dict[str, str]:
@@ -94,13 +94,29 @@ def is_unimodal(seq) -> bool:
     return True
 
 
+def payoffs_at_counts(utility: float, price, eps, counts):
+    """User payoffs ``(1 - eps**n) * U - n * p`` at the given prompt counts;
+    the arguments broadcast."""
+    eps = np.asarray(eps, dtype=float)
+    return (1.0 - eps ** counts) * utility - counts * np.asarray(price, dtype=float)
+
+
+def per_cell_profile(utility: float, prices, nodes):
+    """Prompt counts and user payoffs at every (node, price), shape (nodes,
+    prices): the count kernel and the payoff formula run at every cell, in
+    any price order."""
+    row, column = np.asarray(prices, dtype=float)[None, :], np.asarray(nodes, dtype=float)[:, None]
+    counts = _counts_vec(utility, row, column)
+    return counts, payoffs_at_counts(utility, row, column, counts)
+
+
 def dense_pair_lattice(low: GaiModel, high: GaiModel, axis_low, axis_high, nodes, weights):
     """Every (low price, high price) cell by comparing the two tiers' user
     payoffs at every node: the high tier takes a node when its payoff is at
-    least the low tier's.  No sorting, merging or node pruning."""
+    least the low tier's.  No sorting, merging, count steps or node pruning."""
     def profile(model, axis):
-        counts = _counts_vec(model.utility, axis[:, None], nodes)
-        pay = _payoffs_at_counts(model.utility, axis[:, None], nodes, counts)
+        counts, pay = (np.ascontiguousarray(a.T)
+                       for a in per_cell_profile(model.utility, axis, nodes))
         return np.where(counts >= 1.0, pay, -np.inf), (axis[:, None] - model.cost) * counts * weights
 
     (score_l, gain_l), (score_h, gain_h) = profile(low, axis_low), profile(high, axis_high)

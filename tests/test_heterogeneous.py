@@ -31,7 +31,12 @@ from prompt_pricing import (
     utility_based_pricing,
 )
 
-from _helpers import dense_pair_lattice, scalar_mass, scalar_volume_from_segments
+from _helpers import (
+    dense_pair_lattice,
+    per_cell_profile,
+    scalar_mass,
+    scalar_volume_from_segments,
+)
 
 PAIR = ModelSet([GaiModel("ml", 1.0, 0.02), GaiModel("mh", 1.8, 0.04)])
 U01 = UniformAmbiguity(0.0, 1.0)
@@ -606,10 +611,14 @@ class TestLatticeMerge:
         """The prefix merge needs each tier's user payoff non-increasing in
         its price at every node; a rise is an error, not wrong cells."""
         from prompt_pricing import heterogeneous
-        from prompt_pricing.user_strategy import _payoffs_at_counts
 
-        monkeypatch.setattr(heterogeneous, "_payoffs_at_counts",
-                            lambda u, p, e, n: _payoffs_at_counts(u, p, e, n) + 2.0 * n * p)
+        profile = heterogeneous._count_profile
+
+        def rising(utility, prices, nodes):
+            counts, pays = profile(utility, prices, nodes)
+            return counts, pays + 2.0 * counts * prices
+
+        monkeypatch.setattr(heterogeneous, "_count_profile", rising)
         low, high = PAIR.require_pair()
         nodes, weights = U01.quadrature(QuadratureConfig(101))
         axes = [np.linspace(m.cost, m.utility, 50)[1:] for m in (low, high)]
@@ -660,6 +669,94 @@ class TestLatticeMerge:
         got = grid_oracle(PAIR, dist, quad=quad)
         assert got.schedule == want.schedule
         assert got.platform_payoff == want.platform_payoff
+
+
+PROFILE_DISTS = {"uniform": U01, "uniform-0.3": PRUNING_DISTS[0], "tabulated": PRUNING_DISTS[1]}
+# the fig7 tiers' utilities (ml; fig7a's and fig7b's mh) and two drawn at random
+PROFILE_UTILITIES = [1.0, 1.8, 1.5] + np.random.default_rng(7).uniform(0.05, 20.0, 2).tolist()
+
+
+class TestCountProfile:
+    """``_count_profile`` runs the count kernel only at the two ends of an
+    ascending price axis and reads every other count off the steps
+    between them.  Every count and user payoff must equal, bit for bit,
+    the kernel and the payoff formula run at that cell."""
+
+    SIZES = (1, 33, 250, 400, 491)
+
+    @staticmethod
+    def axis(utility, nodes, size, rng):
+        """``size`` ascending prices.  Past one price: the gains of prompts
+        1-6 at eight nodes, each a price the kernel's comparison meets
+        exactly; the tangency prices ``U * _TOPS[k]``; U and a price above
+        it; three duplicates; then random prices up to 1.2 U."""
+        from prompt_pricing.heterogeneous import _TOPS
+
+        tangency = utility * _TOPS[[1, 2, 5, 20]]
+        if size == 1:
+            return tangency[:1]
+        at = rng.choice(len(nodes), 8, replace=False)
+        k = rng.integers(1, 7, 8).astype(float)
+        gains = nodes[at] ** (k - 1.0) * (1.0 - nodes[at]) * utility  # the kernel's operand order
+        special = np.concatenate([gains, tangency, [utility, 1.3 * utility]])
+        fill = utility * rng.uniform(0.002, 1.2, size)
+        return np.sort(np.concatenate([special, special[:3], fill])[:size])
+
+    @pytest.mark.parametrize("utility", PROFILE_UTILITIES)
+    @pytest.mark.parametrize("dist", PROFILE_DISTS.values(), ids=PROFILE_DISTS)
+    def test_equals_per_cell_kernel(self, dist, utility):
+        from prompt_pricing.heterogeneous import _count_profile
+
+        rng = np.random.default_rng(20240811)
+        nodes, _ = dist.quadrature(QuadratureConfig(1001))
+        nodes = nodes[rng.permutation(len(nodes))]
+        for size in self.SIZES:
+            prices = self.axis(utility, nodes, size, rng)
+            assert size == 1 or len(np.unique(prices)) < size
+            counts, pays = _count_profile(utility, prices, nodes)
+            want_counts, want_pays = per_cell_profile(utility, prices, nodes)
+            assert counts.shape == pays.shape == (len(nodes), size)
+            assert np.array_equal(counts, want_counts)
+            assert np.array_equal(pays, want_pays)
+        # axes with no count step: one price three times, and prices nobody pays
+        for prices in (np.full(3, 0.3 * utility), np.linspace(1.0, 2.0, 5) * utility):
+            got = _count_profile(utility, prices, nodes)
+            for a, b in zip(got, per_cell_profile(utility, prices, nodes)):
+                assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_lattice_skips_only_nodes_where_nothing_sells(self):
+        """Above eps = 0.7 neither tier's cheapest price, 0.3 U, sells.  Those
+        nodes change no lattice cell, bit for bit, and the cells match the
+        dense comparison.  Both axes reach past the tier's utility, so their
+        dearest prices sell at no node."""
+        from prompt_pricing.heterogeneous import _pair_lattice_payoffs
+
+        low, high = PAIR.require_pair()
+        nodes, weights = UniformAmbiguity(0.3, 1.0).quadrature(QuadratureConfig(301))
+        order = np.random.default_rng(20240811).permutation(len(nodes))
+        nodes, weights = nodes[order], weights[order]
+        axis_low, axis_high = (np.linspace(0.3, 1.2, 40) * m.utility for m in (low, high))
+        got = _pair_lattice_payoffs(low, high, axis_low, axis_high, nodes, weights)
+        sells = (1.0 - nodes) * low.utility >= axis_low[0]
+        assert 0 < sells.sum() < len(nodes)
+        assert np.array_equal(got, _pair_lattice_payoffs(
+            low, high, axis_low, axis_high, nodes[sells], weights[sells]))
+        want = dense_pair_lattice(low, high, axis_low, axis_high, nodes, weights)
+        assert np.all(np.abs(got - want) <= 1e-12 * high.utility)
+
+    @pytest.mark.parametrize("shift", [1.0, -1.0], ids=["one-above", "one-below"])
+    def test_steps_that_disagree_with_the_kernel_raise(self, shift, monkeypatch):
+        """Kernel counts one too high (or one too low) at both axis ends put
+        a step before the first price (or past the last); the profile
+        raises instead of miscounting."""
+        from prompt_pricing import heterogeneous
+
+        kernel = heterogeneous._counts_vec
+        monkeypatch.setattr(heterogeneous, "_counts_vec",
+                            lambda u, p, e: np.maximum(kernel(u, p, e) + shift, 0.0))
+        nodes, _ = U01.quadrature(QuadratureConfig(101))
+        with pytest.raises(PromptPricingError, match="count steps"):
+            heterogeneous._count_profile(1.0, np.linspace(0.05, 0.5, 10), nodes)
 
 
 class TestBenchmarks:

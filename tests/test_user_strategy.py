@@ -22,11 +22,7 @@ from prompt_pricing import (
     user_payoff,
 )
 from prompt_pricing import user_strategy
-from prompt_pricing.user_strategy import (
-    _counts_vec,
-    _payoffs_at_counts,
-    marginal_expected_utility,
-)
+from prompt_pricing.user_strategy import _counts_vec, marginal_expected_utility
 
 from _helpers import (
     boundary_tie_count,
@@ -34,6 +30,7 @@ from _helpers import (
     brute_force_decision,
     is_non_increasing,
     is_unimodal,
+    payoffs_at_counts,
 )
 
 UNIT = GaiModel("m", 1.0)
@@ -249,7 +246,7 @@ class TestVectorKernels:
     def test_payoffs_match_scalar(self):
         eps = np.linspace(0.05, 0.95, 91)
         counts = _counts_vec(1.0, 0.17, eps)
-        pays = _payoffs_at_counts(1.0, 0.17, eps, counts)
+        pays = payoffs_at_counts(1.0, 0.17, eps, counts)
         for e, n, p in zip(eps, counts, pays):
             assert p == pytest.approx(user_payoff(UNIT, 0.17, float(e), int(n)), abs=1e-12)
 
