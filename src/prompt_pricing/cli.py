@@ -32,11 +32,12 @@ from .core import (
     PriceSchedule,
     PromptPricingError,
     UniformAmbiguity,
+    check_ambiguity,
 )
 from .heterogeneous import cost_based_pricing, grid_oracle, opp, utility_based_pricing
 from .homogeneous import homogeneous_payoff_curve
 from .scenario import Scenario, ScenarioError, load_scenario
-from .user_strategy import UNBOUNDED, optimal_prompt_count, select_model
+from .user_strategy import UNBOUNDED, _best, _options
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
@@ -102,10 +103,10 @@ def cmd_user_strategy(scenario: Scenario, args: argparse.Namespace) -> tuple[lis
     columns = ["eps"] + [f"n_star_{m.id}" for m in models] + ["selected_model", "user_payoff"]
     rows = []
     for eps in scenario.sweep.values():
-        eps = float(eps)
-        counts = [_count_cell(optimal_prompt_count(m, schedule.price_for(m), eps)) for m in models]
-        decision = select_model(models, schedule, eps)
-        rows.append([eps, *counts,
+        eps = check_ambiguity(eps)
+        options = _options(models, schedule, eps)
+        decision = _best(options)
+        rows.append([eps, *(_count_cell(n) for _, n, _ in options),
                      decision.selected_model if decision.selected_model else "none",
                      decision.payoff])
     return columns, rows

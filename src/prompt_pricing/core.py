@@ -164,15 +164,18 @@ class Ambiguity(float):
     """
 
     def __new__(cls, value: float) -> "Ambiguity":
-        v = float(value)
-        if not math.isfinite(v) or not 0.0 < v < 1.0:
-            raise InvalidAmbiguity(f"ambiguity must lie strictly in (0, 1), got {value}")
-        return super().__new__(cls, v)
+        return super().__new__(cls, check_ambiguity(value))
 
 
 def check_ambiguity(value: float) -> float:
-    """Validate a raw float as an ambiguity level and return it."""
-    return float(Ambiguity(value))
+    """Validate a raw float as an ambiguity level and return it as a plain float.
+
+    The one comparison ``0 < v < 1`` also rejects nan and both infinities.
+    """
+    v = float(value)
+    if not 0.0 < v < 1.0:
+        raise InvalidAmbiguity(f"ambiguity must lie strictly in (0, 1), got {value}")
+    return v
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import GaiModel, InvalidAmbiguity, ModelSet, PriceSchedule, check_ambiguity
-from .user_strategy import UNBOUNDED, _prefers, marginal_expected_utility, optimal_prompt_count
+from .user_strategy import UNBOUNDED, _prefers, _prompt_count, marginal_expected_utility
 
 _INDUCED_CAP = 10_000  # induced counts scanned per model
 
@@ -52,9 +52,10 @@ class HomogeneousSolution:
 class CurvePoint:
     """One ambiguity grid point of the optimal-pricing sweep.
 
-    ``induced_count`` and ``served_model`` are the closed form's
-    (:class:`HomogeneousSolution`); ``prompt_count`` is what a user
-    buys at the quoted price, worked out independently by
+    ``induced_count`` and ``served_model`` are the closed form's, from
+    :func:`_winner` as in :func:`optimal_homogeneous_price`;
+    ``prompt_count`` is what a user buys at the quoted price, worked out
+    independently by ``user_strategy._prompt_count``, the core of
     :func:`optimal_prompt_count`.
     """
 
@@ -75,7 +76,12 @@ def induced_prompt_count(model: GaiModel, eps: float) -> int:
     terminates even at zero cost; ``_INDUCED_CAP`` guards ambiguity values
     within about 1e-4 of one, where the count grows like ``1/(1-eps)``.
     """
-    eps = check_ambiguity(eps)
+    return _induced(model, check_ambiguity(eps))
+
+
+def _induced(model: GaiModel, eps: float) -> int:
+    """:func:`induced_prompt_count` at an ``eps`` that
+    :func:`check_ambiguity` has already accepted."""
     threshold = model.cost / ((1.0 - eps) * model.utility)
     k = 0
     while k < _INDUCED_CAP:
@@ -108,27 +114,30 @@ def optimal_homogeneous_price(models: ModelSet, eps: float) -> HomogeneousSoluti
     zero means no trade: the quoted formula price exceeds what any user
     accepts, and the payoff is zero.
     """
-    eps = check_ambiguity(eps)
-    best: tuple[GaiModel, int, float, float] | None = None
-    prices: dict[str, float] = {}
-    for model in models:
-        k = induced_prompt_count(model, eps)
-        price = marginal_expected_utility(model.utility, eps, k)
-        payoff = (price - model.cost) * k
-        if best is None or _prefers(payoff, model.utility, best[3], best[0].utility):
-            best = (model, k, price, payoff)
-    assert best is not None
-    winner, k, price, payoff = best
-    for model in models:
-        prices[model.id] = price if model.id == winner.id else model.utility
+    winner, k, price, payoff = _winner(models, check_ambiguity(eps))
     return HomogeneousSolution(
-        schedule=PriceSchedule(prices),
+        schedule=PriceSchedule({m.id: price if m.id == winner.id else m.utility for m in models}),
         best_model=winner.id,
         served_model=winner.id if k >= 1 else None,
         induced_count=k,
         platform_payoff=payoff if k >= 1 else 0.0,
         cost_free_unbounded=(winner.cost == 0.0 or k >= _INDUCED_CAP),
     )
+
+
+def _winner(models: ModelSet, eps: float) -> tuple[GaiModel, int, float, float]:
+    """The best candidate ``(model, induced count, price, payoff)`` of
+    :func:`optimal_homogeneous_price`, at an ``eps`` that
+    :func:`check_ambiguity` has already accepted."""
+    best: tuple[GaiModel, int, float, float] | None = None
+    for model in models:
+        k = _induced(model, eps)
+        price = marginal_expected_utility(model.utility, eps, k)
+        payoff = (price - model.cost) * k
+        if best is None or _prefers(payoff, model.utility, best[3], best[0].utility):
+            best = (model, k, price, payoff)
+    assert best is not None
+    return best
 
 
 def homogeneous_payoff_curve(
@@ -140,14 +149,14 @@ def homogeneous_payoff_curve(
         raise InvalidAmbiguity("ambiguity grid must be strictly ascending")
     points: list[CurvePoint] = []
     for eps in grid:
-        sol = optimal_homogeneous_price(models, eps)
-        winner = models[sol.best_model]
-        price = sol.schedule.price_for(winner)
-        if sol.served_model is None:
-            points.append(CurvePoint(eps, price, 0, 0.0, sol.induced_count, None))
+        winner, k, price, payoff = _winner(models, eps)
+        if k < 1:
+            # the no-trade price (1-eps)/eps * U overflows for eps near 1e-308;
+            # reject it as optimal_homogeneous_price's schedule does
+            PriceSchedule({winner.id: price})
+            points.append(CurvePoint(eps, price, 0, 0.0, k, None))
             continue
-        n = optimal_prompt_count(winner, price, eps)
-        count = sol.induced_count if n is UNBOUNDED else int(n)
-        points.append(CurvePoint(eps, price, count, sol.platform_payoff,
-                                 sol.induced_count, sol.served_model))
+        n = _prompt_count(winner.utility, price, eps)
+        count = k if n is UNBOUNDED else int(n)
+        points.append(CurvePoint(eps, price, count, payoff, k, winner.id))
     return points

@@ -96,17 +96,21 @@ def optimal_prompt_count(model: GaiModel, price: float, eps: float) -> int | _Un
     """
     if price < 0.0 or not math.isfinite(price):
         raise InvalidPrice(f"price must be finite and >= 0, got {price}")
-    eps = check_ambiguity(eps)
+    return _prompt_count(model.utility, price, check_ambiguity(eps))
+
+
+def _prompt_count(utility: float, price: float, eps: float) -> int | _UnboundedType:
+    """:func:`optimal_prompt_count` at a finite price ``>= 0`` and an
+    ``eps`` that :func:`check_ambiguity` has already accepted."""
     if price == 0.0:
         return UNBOUNDED
-    u = model.utility
-    if marginal_expected_utility(u, eps, 1) - price < 0.0:
+    if marginal_expected_utility(utility, eps, 1) - price < 0.0:
         return 0
-    k = int(math.floor(math.log(eps * price / ((1.0 - eps) * u)) / math.log(eps) + 0.5)) - 2
+    k = int(math.floor(math.log(eps * price / ((1.0 - eps) * utility)) / math.log(eps) + 0.5)) - 2
     k = max(k, 1)
-    while marginal_expected_utility(u, eps, k + 1) - price >= 0.0:
+    while marginal_expected_utility(utility, eps, k + 1) - price >= 0.0:
         k += 1
-    while k > 1 and marginal_expected_utility(u, eps, k) - price < 0.0:
+    while k > 1 and marginal_expected_utility(utility, eps, k) - price < 0.0:
         k -= 1
     return k
 
@@ -152,12 +156,12 @@ def classify_prompt_shape(model: GaiModel, price: float) -> PromptShape:
 
 
 def _decision_for(model: GaiModel, price: float, eps: float) -> tuple[int | _UnboundedType, float]:
-    n = optimal_prompt_count(model, price, eps)
+    n = _prompt_count(model.utility, price, eps)
     if n is UNBOUNDED:
         return n, model.utility  # limiting payoff of unlimited free prompts
     if n == 0:
         return 0, 0.0
-    return n, user_payoff(model, price, eps, n)
+    return n, (1.0 - eps ** n) * model.utility - n * price  # user_payoff's operand order
 
 
 def _prefers(pay, util, best_pay, best_util):
@@ -174,20 +178,33 @@ def _prefers(pay, util, best_pay, best_util):
 def select_model(models: ModelSet, prices: PriceSchedule, eps: float) -> UserDecision:
     """Pick the payoff-maximizing model, or opt out entirely.
 
-    Payoff ties resolve toward the higher-utility model, then the
-    lexicographically smaller id (:func:`_prefers`).  A tie between
-    buying and not buying resolves toward buying, so indifferent users
-    stay in the market.  A user whose best option is zero prompts
-    everywhere opts out.
+    Each model is evaluated once (:func:`_options`) and the best option
+    is picked by :func:`_best`.  Payoff ties resolve toward the
+    higher-utility model, then the lexicographically smaller id
+    (:func:`_prefers`).  A tie between buying and not buying resolves
+    toward buying, so indifferent users stay in the market.  A user
+    whose best option is zero prompts everywhere opts out.
     """
-    eps = check_ambiguity(eps)
+    return _best(_options(models, prices, check_ambiguity(eps)))
+
+
+def _options(
+    models: ModelSet, prices: PriceSchedule, eps: float
+) -> list[tuple[GaiModel, int | _UnboundedType, float]]:
+    """Each model's ``(model, count, payoff)`` in model-set order, at an
+    ``eps`` that :func:`check_ambiguity` has already accepted."""
+    return [(model, *_decision_for(model, prices.price_for(model), eps)) for model in models]
+
+
+def _best(options: list[tuple[GaiModel, int | _UnboundedType, float]]) -> UserDecision:
+    """The user's decision among :func:`_options`' offers (see :func:`select_model`)."""
     best: tuple[GaiModel, int | _UnboundedType, float] | None = None
-    for model in models:
-        n, payoff = _decision_for(model, prices.price_for(model), eps)
+    for option in options:
+        model, n, payoff = option
         if n is not UNBOUNDED and n == 0:
             continue
         if best is None or _prefers(payoff, model.utility, best[2], best[0].utility):
-            best = (model, n, payoff)
+            best = option
     if best is None:
         return UserDecision(selected_model=None, prompt_count=0, payoff=0.0)
     model, n, payoff = best

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from prompt_pricing import (
@@ -18,6 +19,7 @@ from prompt_pricing import (
     TabulatedAmbiguity,
     UniformAmbiguity,
 )
+from prompt_pricing.core import check_ambiguity
 
 
 class TestTypes:
@@ -52,9 +54,15 @@ class TestTypes:
 
     def test_ambiguity_range(self):
         assert float(Ambiguity(0.5)) == 0.5
-        for bad in (0.0, 1.0, -0.2, 1.7, float("nan")):
-            with pytest.raises(InvalidAmbiguity):
+        for bad in (0.0, 1.0, -0.2, 1.7, math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidAmbiguity) as from_type:
                 Ambiguity(bad)
+            with pytest.raises(InvalidAmbiguity) as from_check:
+                check_ambiguity(bad)
+            assert str(from_check.value) == str(from_type.value)
+        for good in (0.5, np.float64(0.25), Ambiguity(0.75), 5e-324, math.nextafter(1.0, 0.0)):
+            value = check_ambiguity(good)
+            assert type(value) is float and value == float(good)
 
     def test_quadrature_config(self):
         with pytest.raises(ConfigError):

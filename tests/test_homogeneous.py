@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from prompt_pricing import (
+    UNBOUNDED,
     CostShape,
+    CurvePoint,
     GaiModel,
+    InvalidPrice,
     ModelSet,
     classify_cost_shape,
     homogeneous_payoff_curve,
@@ -156,3 +159,54 @@ class TestPayoffCurve:
         from prompt_pricing import InvalidAmbiguity
         with pytest.raises(InvalidAmbiguity):
             homogeneous_payoff_curve(ModelSet([GaiModel("m", 1.0, 0.1)]), [0.5, 0.4])
+
+
+def public_point(models: ModelSet, eps: float) -> CurvePoint:
+    """One curve point from the public per-eps route: the closed-form
+    solution, then the user's count at its quoted price."""
+    sol = optimal_homogeneous_price(models, eps)
+    price = sol.schedule.price_for(sol.best_model)
+    if sol.served_model is None:
+        return CurvePoint(eps, price, 0, 0.0, sol.induced_count, None)
+    n = optimal_prompt_count(models[sol.best_model], price, eps)
+    count = sol.induced_count if n is UNBOUNDED else n
+    return CurvePoint(eps, price, count, sol.platform_payoff, sol.induced_count, sol.served_model)
+
+
+class TestCurveMatchesPublicRoute:
+    GRID = [float(e) for e in np.linspace(0.001, 0.9995, 400)]
+
+    @pytest.mark.parametrize("catalogue", [
+        [GaiModel("m", 1.0, 0.0)],
+        [GaiModel("m", 1.0, 1.2)],
+        [GaiModel("ml", 1.0, 0.02), GaiModel("mh", 1.8, 0.3)],
+    ], ids=["zero-cost", "cost-above-utility", "two-model"])
+    def test_every_field_equals_public_route(self, catalogue):
+        models = ModelSet(catalogue)
+        points = homogeneous_payoff_curve(models, self.GRID)
+        assert points == [public_point(models, eps) for eps in self.GRID]
+
+    def test_two_model_curve_serves_both_and_nobody(self):
+        points = homogeneous_payoff_curve(
+            ModelSet([GaiModel("ml", 1.0, 0.02), GaiModel("mh", 1.8, 0.3)]), self.GRID)
+        assert {p.served_model for p in points} == {"ml", "mh", None}
+
+    def test_unbounded_user_count_reports_induced_count(self):
+        """A subnormal utility at zero cost quotes prices that round to 0,
+        where the user's count is unbounded: the point reports the induced count."""
+        models = ModelSet([GaiModel("m", 1e-323, 0.0)])
+        grid = [float(e) for e in np.linspace(0.5, 0.6, 51)]
+        points = homogeneous_payoff_curve(models, grid)
+        assert points == [public_point(models, eps) for eps in grid]
+        free = [p for p in points if p.price == 0.0]
+        assert free and all(p.prompt_count == p.induced_count >= 1 for p in free)
+        assert optimal_prompt_count(models["m"], 0.0, free[0].eps) is UNBOUNDED
+
+    def test_overflowing_no_trade_price_raises_like_public_route(self):
+        # no trade at eps = 1e-308: the quoted price (1-eps)/eps * U overflows to inf
+        models = ModelSet([GaiModel("m", 10.0, 20.0)])
+        with pytest.raises(InvalidPrice) as public:
+            optimal_homogeneous_price(models, 1e-308)
+        with pytest.raises(InvalidPrice) as curve:
+            homogeneous_payoff_curve(models, [1e-308])
+        assert str(curve.value) == str(public.value)

@@ -6,10 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from prompt_pricing.cli import main
+from prompt_pricing import UNBOUNDED, PriceSchedule, optimal_prompt_count, select_model
+from prompt_pricing.cli import _fmt, main
 from prompt_pricing.scenario import ScenarioError, load_scenario
+from prompt_pricing.user_strategy import marginal_expected_utility
 
 from _helpers import package_env
 
@@ -228,6 +231,78 @@ class TestCliCommands:
         assert main(["opp", "--scenario", str(scen), "--out", str(out_b),
                      "--nodes", "151", "--alpha", "0.1"]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def sweep_scenario(models, start: float, stop: float, points: int) -> str:
+    """An eps-sweep scenario body; ``models`` holds ``(id, utility, price)``."""
+    parts = [f"[scenario]\nname = rows\n"]
+    parts += [f"[model.{mid}]\nutility = {u!r}\nprice = {p!r}\n" for mid, u, p in models]
+    parts.append("[distribution]\nkind = uniform\nlo = 0.0\nhi = 1.0\n")
+    parts.append(f"[sweep]\nvariable = eps\nstart = {start!r}\nstop = {stop!r}\npoints = {points}\n")
+    return "\n".join(parts)
+
+
+# eps of the third point of a 0.05..0.95 sweep of 7 points, as the loader computes it
+INDIFFERENT_EPS = float(np.linspace(0.05, 0.95, 7)[2])
+
+
+class TestUserStrategyRows:
+    """Every ``user-strategy`` row equals the public per-eps route:
+    ``optimal_prompt_count`` per model and ``select_model``, rendered by
+    the CLI's cell format."""
+
+    CASES = {
+        "zero-price": ([("ml", 1.0, 0.0), ("mh", 1.8, 0.3)], 0.05, 0.95, 7),
+        "indifference": ([("ml", 1.0, marginal_expected_utility(1.0, INDIFFERENT_EPS, 3)),
+                          ("mh", 1.8, 0.3)], 0.05, 0.95, 7),
+        "prohibitive": ([("ml", 1.0, 0.1), ("mh", 1.8, 2.5)], 0.05, 0.95, 7),
+        # at eps = 0.5 all three pay exactly 0.25: a sends 2 prompts, b and c one
+        "utility-tie": ([("a", 1.0, 0.25), ("b", 2.0, 0.75), ("c", 2.0, 0.75)], 0.25, 0.75, 3),
+    }
+
+    @staticmethod
+    def public_rows(scenario) -> list[list[str]]:
+        schedule = PriceSchedule(scenario.prices)
+        rows = []
+        for eps in scenario.sweep.values():
+            eps = float(eps)
+            counts = [optimal_prompt_count(m, schedule.price_for(m), eps) for m in scenario.models]
+            decision = select_model(scenario.models, schedule, eps)
+            rows.append([_fmt(eps), *("inf" if n is UNBOUNDED else _fmt(n) for n in counts),
+                         decision.selected_model or "none", _fmt(decision.payoff)])
+        return rows
+
+    def run(self, tmp_path, case):
+        scen = write_scenario(tmp_path, sweep_scenario(*self.CASES[case]))
+        out = tmp_path / "rows.csv"
+        assert main(["user-strategy", "--scenario", str(scen), "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        scenario = load_scenario(scen)
+        assert rows[1:] == self.public_rows(scenario)
+        return rows
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_equal_public_route(self, tmp_path, case):
+        self.run(tmp_path, case)
+
+    def test_zero_price_writes_inf_beside_finite_counts(self, tmp_path):
+        rows = self.run(tmp_path, "zero-price")
+        assert {row[1] for row in rows[1:]} == {"inf"}
+        assert all(row[2] != "inf" for row in rows[1:])
+
+    def test_price_at_marginal_gain_buys_that_prompt(self, tmp_path):
+        rows = self.run(tmp_path, "indifference")
+        assert rows[3][0] == _fmt(INDIFFERENT_EPS)
+        assert rows[3][1] == "3"
+
+    def test_prohibitive_price_counts_zero(self, tmp_path):
+        rows = self.run(tmp_path, "prohibitive")
+        assert {row[2] for row in rows[1:]} == {"0"}
+
+    def test_payoff_tie_goes_to_higher_utility_then_smaller_id(self, tmp_path):
+        rows = self.run(tmp_path, "utility-tie")
+        assert rows[2] == ["0.5", "2", "1", "1", "b", "0.25"]
 
 
 class TestMoreScenarios:
