@@ -9,7 +9,6 @@ the solvers.
 """
 
 from .core import (
-    Ambiguity,
     AmbiguityDistribution,
     ConfigError,
     DegenerateCostBase,
@@ -60,7 +59,6 @@ from .user_strategy import (
 )
 
 __all__ = [
-    "Ambiguity",
     "AmbiguityDistribution",
     "ConfigError",
     "CostShape",

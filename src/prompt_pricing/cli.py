@@ -11,8 +11,10 @@ Verbs:
 * ``compare``      — OPP against the utility- and cost-proportional
   benchmarks over an eps_min sweep.
 
-Exit codes: 0 success, 2 scenario validation failure, 3 numerical
-failure, 4 usage error (an output file that cannot be written included).
+Each verb accepts only the flags it reads (``_COMMANDS``).  Exit codes:
+0 success, 2 scenario validation failure, 3 numerical failure, 4 usage
+error (any other flag, and an output file that cannot be written,
+included).
 Output is deterministic: the same scenario and flags produce
 byte-identical files.
 """
@@ -164,32 +166,34 @@ def cmd_compare(scenario: Scenario, args: argparse.Namespace) -> tuple[list[str]
     return columns, rows
 
 
+# each verb's handler and the flags it reads; the parser offers no others
 _COMMANDS = {
-    "user-strategy": cmd_user_strategy,
-    "homog-price": cmd_homog_price,
-    "opp": cmd_opp,
-    "compare": cmd_compare,
+    "user-strategy": (cmd_user_strategy, ("--scenario", "--out", "--json")),
+    "homog-price": (cmd_homog_price, ("--scenario", "--out", "--json")),
+    "opp": (cmd_opp, ("--scenario", "--out", "--json", "--nodes", "--alpha",
+                      "--oracle", "--trace")),
+    "compare": (cmd_compare, ("--scenario", "--out", "--json", "--nodes", "--alpha")),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
+    flags = {
+        "--scenario": {"required": True, "help": "path to the scenario INI file"},
+        "--out": {"required": True, "help": "path of the CSV output file"},
+        "--json": {"action": "store_true", "help": "also write a JSON mirror next to the CSV"},
+        "--nodes": {"type": int, "help": "override the scenario's quadrature node count"},
+        "--alpha": {"type": float, "help": "override the scenario's low-tier price step"},
+        "--oracle": {"action": "store_true",
+                     "help": "append an exhaustive-lattice oracle payoff column"},
+        "--trace": {"help": "write one CSV row per sweep step to this path"},
+    }
     parser = _Parser(prog="prompt-pricing",
                      description="Prompt pricing solvers for per-prompt AI content services")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, verb_flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=f"run the {name} computation")
-        p.add_argument("--scenario", required=True, help="path to the scenario INI file")
-        p.add_argument("--out", required=True, help="path of the CSV output file")
-        p.add_argument("--json", action="store_true",
-                       help="also write a JSON mirror next to the CSV")
-        p.add_argument("--oracle", action="store_true",
-                       help="opp only: append an exhaustive-lattice oracle payoff column")
-        p.add_argument("--trace", default=None,
-                       help="opp only: write one CSV row per sweep step to this path")
-        p.add_argument("--nodes", type=int, default=None,
-                       help="override the scenario's quadrature node count")
-        p.add_argument("--alpha", type=float, default=None,
-                       help="override the scenario's low-tier price step")
+        for flag in verb_flags:
+            p.add_argument(flag, **flags[flag])
     return parser
 
 
@@ -198,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
-        columns, rows = _COMMANDS[args.command](scenario, args)
+        columns, rows = _COMMANDS[args.command][0](scenario, args)
         _write_outputs(args.out, columns, rows, args.json, args.command, scenario.name)
     except ScenarioError as exc:
         print(exc, file=sys.stderr)

@@ -155,18 +155,6 @@ class PriceSchedule:
             raise SchedulePriceMissing(f"schedule has no price for model {mid!r}") from None
 
 
-class Ambiguity(float):
-    """A user's prompt ambiguity: a float validated to lie strictly in (0, 1).
-
-    Lower values mean the user conveys the intended task more reliably
-    per prompt.  The endpoints are excluded: 0 would make a single
-    prompt always sufficient and 1 would make prompts useless.
-    """
-
-    def __new__(cls, value: float) -> "Ambiguity":
-        return super().__new__(cls, check_ambiguity(value))
-
-
 def check_ambiguity(value: float) -> float:
     """Validate a raw float as an ambiguity level and return it as a plain float.
 

@@ -669,12 +669,11 @@ def opp(
     low, high = models.require_pair()
     nodes, weights = dist.quadrature(cfg.quad)
 
-    feas_low = low.cost < low.utility
-    feas_high = high.cost < high.utility
-    if not feas_low and not feas_high:
-        return _outcome_for(models, [low.utility, high.utility], nodes, weights, method="OPP")
-    if not feas_low or not feas_high:
-        return _one_sided_opp(models, dist, cfg, nodes, weights, feas_low)
+    if low.cost >= low.utility or high.cost >= high.utility:
+        # single_model_price prices a tier that cannot sell above cost at its utility,
+        # where nobody buys it, so the other tier is a catalogue of its own
+        prices = [single_model_price(m, dist, cfg.quad).schedule.price_for(m) for m in (low, high)]
+        return _outcome_for(models, prices, nodes, weights, method="OPP")
 
     alpha = cfg.resolve_alpha(low.utility)
     steps = int(math.floor((low.utility - low.cost) / alpha)) + 1
@@ -729,23 +728,6 @@ def opp(
         best = (float(x[0]), best[1], float(fx[0]))
 
     return _outcome_for(models, best[:2], nodes, weights, method="OPP")
-
-
-def _one_sided_opp(
-    models: ModelSet,
-    dist: AmbiguityDistribution,
-    cfg: OppConfig,
-    nodes: np.ndarray,
-    weights: np.ndarray,
-    feas_low: bool,
-) -> PricingOutcome:
-    """Degenerate sweep when only one tier can be sold above cost."""
-    low, high = models.require_pair()
-    viable, fixed = (low, high) if feas_low else (high, low)
-    single = single_model_price(viable, dist, cfg.quad)
-    p_viable = single.schedule.price_for(viable)
-    prices = [p_viable, fixed.utility] if feas_low else [fixed.utility, p_viable]
-    return _outcome_for(models, prices, nodes, weights, method="OPP")
 
 
 def grid_oracle(

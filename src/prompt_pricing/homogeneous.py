@@ -14,7 +14,14 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import GaiModel, InvalidAmbiguity, ModelSet, PriceSchedule, check_ambiguity
+from .core import (
+    GaiModel,
+    InvalidAmbiguity,
+    ModelSet,
+    PriceSchedule,
+    PromptPricingError,
+    check_ambiguity,
+)
 from .user_strategy import UNBOUNDED, _prefers, _prompt_count, marginal_expected_utility
 
 _INDUCED_CAP = 10_000  # induced counts scanned per model
@@ -75,6 +82,8 @@ def induced_prompt_count(model: GaiModel, eps: float) -> int:
     The left side decreases and eventually turns negative, so the scan
     terminates even at zero cost; ``_INDUCED_CAP`` guards ambiguity values
     within about 1e-4 of one, where the count grows like ``1/(1-eps)``.
+    A first-prompt gain ``(1-eps)*U`` that underflows to zero raises
+    :class:`PromptPricingError`.
     """
     return _induced(model, check_ambiguity(eps))
 
@@ -82,7 +91,12 @@ def induced_prompt_count(model: GaiModel, eps: float) -> int:
 def _induced(model: GaiModel, eps: float) -> int:
     """:func:`induced_prompt_count` at an ``eps`` that
     :func:`check_ambiguity` has already accepted."""
-    threshold = model.cost / ((1.0 - eps) * model.utility)
+    gain = (1.0 - eps) * model.utility
+    if gain == 0.0:
+        raise PromptPricingError(
+            f"model {model.id!r}: the first prompt's gain (1-eps)*U underflows to 0 "
+            f"at ambiguity {eps}")
+    threshold = model.cost / gain
     k = 0
     while k < _INDUCED_CAP:
         lhs = (k + 1) * eps ** k - k * eps ** (k - 1) if k >= 1 else 1.0
@@ -132,7 +146,11 @@ def _winner(models: ModelSet, eps: float) -> tuple[GaiModel, int, float, float]:
     best: tuple[GaiModel, int, float, float] | None = None
     for model in models:
         k = _induced(model, eps)
-        price = marginal_expected_utility(model.utility, eps, k)
+        try:
+            price = marginal_expected_utility(model.utility, eps, k)
+        except OverflowError:  # k = 0: the no-trade price (1-eps)/eps * U
+            raise PromptPricingError(
+                f"model {model.id!r}: the no-trade price overflows at ambiguity {eps}") from None
         payoff = (price - model.cost) * k
         if best is None or _prefers(payoff, model.utility, best[3], best[0].utility):
             best = (model, k, price, payoff)

@@ -106,7 +106,12 @@ def _prompt_count(utility: float, price: float, eps: float) -> int | _UnboundedT
         return UNBOUNDED
     if marginal_expected_utility(utility, eps, 1) - price < 0.0:
         return 0
-    k = int(math.floor(math.log(eps * price / ((1.0 - eps) * utility)) / math.log(eps) + 0.5)) - 2
+    try:
+        log_ratio = math.log(eps * price / ((1.0 - eps) * utility))
+    except ValueError:
+        raise PromptPricingError(f"eps * p / ((1-eps) * U) underflows to 0 at "
+                                 f"p = {price}, U = {utility}, eps = {eps}") from None
+    k = int(math.floor(log_ratio / math.log(eps) + 0.5)) - 2
     k = max(k, 1)
     while marginal_expected_utility(utility, eps, k + 1) - price >= 0.0:
         k += 1

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from prompt_pricing import (
-    Ambiguity,
     ConfigError,
     GaiModel,
     InvalidAmbiguity,
@@ -53,14 +52,11 @@ class TestTypes:
             PriceSchedule({"a": -0.1})
 
     def test_ambiguity_range(self):
-        assert float(Ambiguity(0.5)) == 0.5
         for bad in (0.0, 1.0, -0.2, 1.7, math.nan, math.inf, -math.inf):
-            with pytest.raises(InvalidAmbiguity) as from_type:
-                Ambiguity(bad)
-            with pytest.raises(InvalidAmbiguity) as from_check:
+            with pytest.raises(InvalidAmbiguity) as exc:
                 check_ambiguity(bad)
-            assert str(from_check.value) == str(from_type.value)
-        for good in (0.5, np.float64(0.25), Ambiguity(0.75), 5e-324, math.nextafter(1.0, 0.0)):
+            assert str(exc.value) == f"ambiguity must lie strictly in (0, 1), got {bad}"
+        for good in (0.5, np.float64(0.25), 0.75, 5e-324, math.nextafter(1.0, 0.0)):
             value = check_ambiguity(good)
             assert type(value) is float and value == float(good)
 

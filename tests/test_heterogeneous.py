@@ -410,6 +410,8 @@ class TestOpp:
     def test_both_tiers_unprofitable(self):
         models = ModelSet([GaiModel("ml", 1.0, 1.5), GaiModel("mh", 1.8, 2.2)])
         out = opp(models, U01, FAST_OPP)
+        assert out.schedule == PriceSchedule({"ml": 1.0, "mh": 1.8})
+        assert out.prompt_volume == {"ml": 0.0, "mh": 0.0}
         assert out.platform_payoff == 0.0
 
     def test_one_profitable_tier_falls_back_to_single_model(self):

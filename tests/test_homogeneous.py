@@ -10,6 +10,7 @@ from prompt_pricing import (
     GaiModel,
     InvalidPrice,
     ModelSet,
+    PromptPricingError,
     classify_cost_shape,
     homogeneous_payoff_curve,
     induced_prompt_count,
@@ -210,3 +211,32 @@ class TestCurveMatchesPublicRoute:
         with pytest.raises(InvalidPrice) as curve:
             homogeneous_payoff_curve(models, [1e-308])
         assert str(curve.value) == str(public.value)
+
+
+class TestFloatRange:
+    """Models the scenario loader accepts whose prices leave float range
+    raise PromptPricingError, never a bare arithmetic error."""
+
+    TINY = ModelSet([GaiModel("m", 1e-323, 0.0)])
+
+    def test_overflowing_no_trade_price(self):
+        # no trade: the quoted price (1-eps)/eps * U overflows at eps = 1e-310
+        models = ModelSet([GaiModel("m", 1.0, 2.0)])
+        for solve in (lambda: optimal_homogeneous_price(models, 1e-310),
+                      lambda: homogeneous_payoff_curve(models, [1e-310])):
+            with pytest.raises(PromptPricingError, match="no-trade price overflows"):
+                solve()
+
+    @pytest.mark.parametrize("eps", [0.1, 0.2, 0.3, 0.4])
+    def test_subnormal_price_ratio(self, eps):
+        # the quoted price is subnormal and the user's price ratio rounds to 0
+        with pytest.raises(PromptPricingError, match="underflows to 0"):
+            homogeneous_payoff_curve(self.TINY, [eps])
+
+    @pytest.mark.parametrize("eps", [0.8, 0.9])
+    def test_first_prompt_gain_underflows(self, eps):
+        for solve in (lambda: induced_prompt_count(self.TINY["m"], eps),
+                      lambda: optimal_homogeneous_price(self.TINY, eps),
+                      lambda: homogeneous_payoff_curve(self.TINY, [eps])):
+            with pytest.raises(PromptPricingError, match=r"\(1-eps\)\*U underflows to 0"):
+                solve()

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +64,9 @@ start = 0.05
 stop = 0.95
 points = 7
 """
+
+COMPARE_ONE_POINT = TWO_MODEL.replace("variable = eps\nstart = 0.05\nstop = 0.95\npoints = 7",
+                                      "variable = eps_min\nstart = 0.3\nstop = 0.3\npoints = 1")
 
 
 class TestScenarioLoading:
@@ -201,9 +205,7 @@ class TestCliCommands:
         assert mirror["rows"][0]["platform_payoff"] == rows[1][2]
 
     def test_compare_single_point_equals_individual_methods(self, tmp_path):
-        body = TWO_MODEL.replace("variable = eps\nstart = 0.05\nstop = 0.95\npoints = 7",
-                                 "variable = eps_min\nstart = 0.3\nstop = 0.3\npoints = 1")
-        scen = write_scenario(tmp_path, body)
+        scen = write_scenario(tmp_path, COMPARE_ONE_POINT)
         out = tmp_path / "cmp.csv"
         assert main(["compare", "--scenario", str(scen), "--out", str(out)]) == 0
         with open(out) as fh:
@@ -376,16 +378,75 @@ price = 0.3
         assert err == f"error: cannot write {paths[flag]}: No such file or directory\n"
 
     def test_nodes_checked_only_by_the_verbs_that_read_it(self, tmp_path, capsys):
-        """``--nodes`` is checked by QuadratureConfig when a verb builds its
-        quadrature; user-strategy never does, so it ignores the flag."""
+        """``--nodes`` is offered only by the verbs that build a quadrature,
+        where QuadratureConfig checks it; user-strategy rejects the flag."""
         scen = write_scenario(tmp_path, TWO_MODEL)
         out = str(tmp_path / "x.csv")
-        assert main(["user-strategy", "--scenario", str(scen), "--out", out,
-                     "--nodes", "1"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["user-strategy", "--scenario", str(scen), "--out", out, "--nodes", "1"])
+        assert exc.value.code == 4
+        assert "unrecognized arguments: --nodes 1" in capsys.readouterr().err
         assert main(["opp", "--scenario", str(scen), "--out", out, "--nodes", "1"]) == 4
         assert "node_count must be >= 3, got 1" in capsys.readouterr().err
-        body = TWO_MODEL.replace("variable = eps\nstart = 0.05\nstop = 0.95\npoints = 7",
-                                 "variable = eps_min\nstart = 0.3\nstop = 0.3\npoints = 1")
-        scen = write_scenario(tmp_path, body, "sweep.ini")
+        scen = write_scenario(tmp_path, COMPARE_ONE_POINT, "sweep.ini")
         assert main(["compare", "--scenario", str(scen), "--out", out, "--nodes", "1"]) == 4
         assert "node_count must be >= 3, got 1" in capsys.readouterr().err
+
+    def test_homog_price_out_of_float_range_is_a_numerical_failure(self, tmp_path):
+        body = ("[scenario]\nname = tiny\n\n[model.m]\nutility = 1e-323\ncost = 0.0\n\n"
+                "[distribution]\nkind = uniform\nlo = 0.0\nhi = 1.0\n\n"
+                "[sweep]\nvariable = eps\nstart = 0.1\nstop = 0.9\npoints = 9\n")
+        scen = write_scenario(tmp_path, body)
+        out = tmp_path / "x.csv"
+        proc = run_cli("homog-price", "--scenario", str(scen), "--out", str(out))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numerical failure: ")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+
+
+# the flags each verb reads; every other flag is a usage error
+VERB_FLAGS = {
+    "user-strategy": {"--scenario", "--out", "--json"},
+    "homog-price": {"--scenario", "--out", "--json"},
+    "opp": {"--scenario", "--out", "--json", "--nodes", "--alpha", "--oracle", "--trace"},
+    "compare": {"--scenario", "--out", "--json", "--nodes", "--alpha"},
+}
+ALL_FLAGS = set().union(*VERB_FLAGS.values())
+
+
+def verb_args(verb: str, flags, tmp_path: Path) -> list[str]:
+    """A run of ``verb`` on a scenario it accepts, with ``flags`` given values."""
+    scen = write_scenario(tmp_path, COMPARE_ONE_POINT if verb == "compare" else TWO_MODEL)
+    values = {"--scenario": [str(scen)], "--out": [str(tmp_path / "x.csv")], "--json": [],
+              "--nodes": ["151"], "--alpha": ["0.1"], "--oracle": [],
+              "--trace": [str(tmp_path / "trace.csv")]}
+    return [verb, *(v for flag in sorted(flags) for v in [flag, *values[flag]])]
+
+
+class TestVerbFlags:
+    @pytest.mark.parametrize("verb,flag", sorted(
+        (verb, flag) for verb, flags in VERB_FLAGS.items() for flag in ALL_FLAGS - flags))
+    def test_flag_the_verb_does_not_read_is_a_usage_error(self, tmp_path, capsys, verb, flag):
+        args = verb_args(verb, {"--scenario", "--out", flag}, tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 4
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert f"error: unrecognized arguments: {flag}" in err
+        assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.parametrize("verb", sorted(VERB_FLAGS))
+    def test_every_flag_of_a_verb_runs(self, tmp_path, verb):
+        assert main(verb_args(verb, VERB_FLAGS[verb], tmp_path)) == 0
+        assert (tmp_path / "x.json").exists()
+        assert (tmp_path / "trace.csv").exists() == ("--trace" in VERB_FLAGS[verb])
+
+    @pytest.mark.parametrize("verb", sorted(VERB_FLAGS))
+    def test_help_lists_only_the_verbs_flags(self, capsys, verb):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out)) - {"--help"}
+        assert listed == VERB_FLAGS[verb]

@@ -56,6 +56,11 @@ class TestOptimalPromptCount:
         with pytest.raises(InvalidPrice):
             optimal_prompt_count(UNIT, -0.1, 0.5)
 
+    def test_underflowing_price_ratio_raises(self):
+        # eps * p / ((1-eps) * U) rounds to 0, so the logarithmic estimate has no value
+        with pytest.raises(PromptPricingError, match="underflows to 0"):
+            optimal_prompt_count(UNIT, 1e-323, 0.1)
+
     def test_optimality_on_a_dense_grid(self):
         """The count maximizes the payoff; at exact ties it is the larger optimum."""
         ties = 0
