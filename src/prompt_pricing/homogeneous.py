@@ -151,7 +151,7 @@ def _winner(models: ModelSet, eps: float) -> tuple[GaiModel, int, float, float]:
         except OverflowError:  # k = 0: the no-trade price (1-eps)/eps * U
             raise PromptPricingError(
                 f"model {model.id!r}: the no-trade price overflows at ambiguity {eps}") from None
-        payoff = (price - model.cost) * k
+        payoff = (price - model.cost) * k if k >= 1 else 0.0  # no trade: its price may be inf
         if best is None or _prefers(payoff, model.utility, best[3], best[0].utility):
             best = (model, k, price, payoff)
     assert best is not None

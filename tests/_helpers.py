@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -124,17 +126,21 @@ def dense_pair_lattice(low: GaiModel, high: GaiModel, axis_low, axis_high, nodes
                      for s_l, g_l in zip(score_l, gain_l)])
 
 
-def scalar_mass(dist, a: float, b: float) -> float:
+def scalar_mass(dist, a, b):
     """Exact mass of a uniform or piecewise-linear density on [a, b], one
-    interval at a time (the per-interval formulas, piece by piece)."""
+    interval at a time (the per-interval formulas, piece by piece).  The
+    density's parameters are converted to the type of ``a``, so ``Decimal``
+    ends give the mass at the decimal context's precision."""
+    num = type(a)
     if b <= a:
-        return 0.0
+        return num(0)
     if isinstance(dist, UniformAmbiguity):
-        lo = max(a, dist.lo)
-        hi = min(b, dist.hi)
-        return max(0.0, hi - lo) / (dist.hi - dist.lo)
-    total = 0.0
-    for x0, x1, y0, y1 in zip(dist.knots, dist.knots[1:], dist.values, dist.values[1:]):
+        lo = max(a, num(dist.lo))
+        hi = min(b, num(dist.hi))
+        return max(num(0), hi - lo) / (num(dist.hi) - num(dist.lo))
+    total = num(0)
+    knots, values = [num(x) for x in dist.knots], [num(y) for y in dist.values]
+    for x0, x1, y0, y1 in zip(knots, knots[1:], values, values[1:]):
         lo = max(a, x0)
         hi = min(b, x1)
         if hi <= lo:
@@ -142,41 +148,44 @@ def scalar_mass(dist, a: float, b: float) -> float:
         slope = (y1 - y0) / (x1 - x0)
         d_lo = y0 + slope * (lo - x0)
         d_hi = y0 + slope * (hi - x0)
-        total += (d_lo + d_hi) * (hi - lo) / 2.0
+        total += (d_lo + d_hi) * (hi - lo) / 2
     return total
 
 
 def scalar_segment_roots(model: GaiModel, price: float, k: int) -> tuple[float, float] | None:
-    """Roots of ``eps**(k-1) * (1-eps) * U = price`` by scalar bisection, one
-    (price, k) pair at a time; None above the curve's maximum."""
+    """Roots of ``eps**(k-1) * (1-eps) * U = price`` by scalar Newton steps in
+    log space, one (price, k) pair at a time; None above the curve's maximum.
+    A root that rounding puts past the peak ``(k-1)/k`` is taken to be it.
+    The logarithms and exponentials are numpy's, as in the batched route:
+    near a tangency one ulp of ``log`` moves a root by about 1e-12."""
     ratio = price / model.utility
     peak_x = (k - 1) / k
     peak = (k - 1) ** (k - 1) / k ** k if k <= 64 else math.exp(
         (k - 1) * math.log(k - 1) - k * math.log(k))
     if ratio > peak:
         return None
-
-    def g(eps: float) -> float:
-        return eps ** (k - 1) * (1.0 - eps) - ratio
-
-    tiny = 1e-300
-    lower = _bisect_monotone(g, tiny, peak_x) if g(tiny) < 0.0 else tiny
-    upper = _bisect_monotone(g, 1.0 - 1e-16, peak_x) if g(1.0 - 1e-16) < 0.0 else 1.0 - 1e-16
-    return lower, upper
+    log_r = float(np.log(ratio))
+    lower = float(np.exp(_newton_log_root(k - 1, 1, log_r)))
+    upper = -float(np.expm1(_newton_log_root(1, k - 1, log_r)))
+    return min(lower, peak_x), max(upper, peak_x)
 
 
-def _bisect_monotone(g, outside: float, peak_x: float) -> float:
-    """Bisection between an endpoint with g < 0 and the peak with g >= 0."""
-    lo, hi = outside, peak_x
+def _newton_log_root(a: float, b: float, log_r: float) -> float:
+    """Zero of the concave ``f(x) = a*x + b*log(-expm1(x)) - log_r`` by Newton
+    steps rising from ``log_r / a``, each cut at the peak ``log(a / (a+b))``;
+    stops once ``f >= 0`` or a step does not rise."""
+    top = float(np.log(a / (a + b)))
+    x = min(log_r / a, top)
     for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if abs(hi - lo) < 1e-14:
-            break
-    return hi
+        f = a * x + b * float(np.log(-np.expm1(x))) - log_r
+        if f >= 0.0:
+            return x
+        slope = a - b / float(np.expm1(-x))
+        nxt = top if slope == 0.0 else min(x - f / slope, top)
+        if not nxt > x:
+            return x
+        x = nxt
+    raise AssertionError("Newton steps did not settle")
 
 
 def scalar_volume_from_segments(model: GaiModel, price: float, dist) -> float:
@@ -193,3 +202,43 @@ def scalar_volume_from_segments(model: GaiModel, price: float, dist) -> float:
         if roots is not None:
             total += scalar_mass(dist, *roots)
     return total
+
+
+def decimal_volume(model: GaiModel, price: float, dist, digits: int = 40) -> float:
+    """Expected prompt volume at one price with every segment root refined to
+    ``digits`` significant digits and the masses summed at that precision
+    (standard-library ``decimal``).  The ratio ``price / U`` and the first
+    prompt's end ``1 - price/U`` are the floats the package computes, so
+    the reference measures the segment roots and the masses, not those two
+    roundings.  A price at a tangency, where a root is double, is not
+    supported."""
+    u = model.utility
+    if price >= u:
+        return 0.0
+    with localcontext() as ctx:
+        ctx.prec = digits
+        total = scalar_mass(dist, Decimal(0), Decimal(1.0 - price / u))
+        for k in range(2, prompt_upper_bound(model, price) + 1):
+            roots = [_decimal_root(price / u, k, outside, digits) for outside in (0.0, 1.0)]
+            total += scalar_mass(dist, *roots)
+        return float(total)
+
+
+@functools.lru_cache(maxsize=1 << 15)  # shared by the densities of one test
+def _decimal_root(ratio: float, k: int, outside: float, digits: int) -> Decimal:
+    """The root of ``eps**(k-1) * (1-eps) = ratio`` between ``outside`` (0 or
+    1) and the peak ``(k-1)/k``: float bisection on the polynomial down to a
+    1e-12 bracket, then Newton steps on it at ``digits`` digits."""
+    lo, hi = outside, (k - 1) / k
+    while abs(hi - lo) > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid ** (k - 1) * (1.0 - mid) < ratio else (lo, mid)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        eps, exact = Decimal(hi), Decimal(ratio)
+        for _ in range(20):
+            step = (eps ** (k - 1) * (1 - eps) - exact) / (eps ** (k - 2) * ((k - 1) - k * eps))
+            eps -= step
+            if abs(step) <= eps.scaleb(4 - digits):
+                return eps
+    raise AssertionError(f"Newton steps on k = {k} did not settle")

@@ -32,6 +32,7 @@ from prompt_pricing import (
 )
 
 from _helpers import (
+    decimal_volume,
     dense_pair_lattice,
     per_cell_profile,
     scalar_mass,
@@ -193,6 +194,14 @@ class TestSingleModelPrice:
         coarse_best = max(payoffs)
         assert out.platform_payoff >= coarse_best - 1e-3
 
+    def test_zero_cost_ties_go_to_the_cheaper_maximum(self):
+        """At zero cost on U(0, 1) the prices 1/2 (one prompt) and
+        (sqrt(2) - 1)/2 (up to two prompts) both pay exactly 1/4; the
+        cheaper one is returned, whatever rounding says about the two."""
+        out = single_model_price(GaiModel("m", 1.0, 0.0), U01)
+        assert out.schedule.price_for("m") == pytest.approx((math.sqrt(2.0) - 1.0) / 2.0, abs=1e-8)
+        assert out.platform_payoff == pytest.approx(0.25, abs=1e-14)
+
     def test_hopeless_cost_gives_zero(self):
         out = single_model_price(GaiModel("m", 1.0, 1.4), U01)
         assert out.platform_payoff == 0.0
@@ -210,22 +219,24 @@ SEGMENT_DISTS = {
 
 class TestBatchedSegments:
     """The batched single-model objective against the scalar route of
-    ``tests/_helpers.py`` (one bisection per root, one mass per interval)
-    and against fine quadrature."""
+    ``tests/_helpers.py`` (one Newton iteration per root, one mass per
+    interval), against roots refined to 40 digits and against fine
+    quadrature."""
 
     MODEL = GaiModel("m", 1.8)
 
     @pytest.mark.parametrize("dist_name", sorted(SEGMENT_DISTS))
     def test_volume_matches_scalar_reference(self, dist_name):
         """Within 1e-13 of the volume (or of 1, if larger) at every price but
-        the tangencies ``U * _TOPS[k]``.  A ``pow`` result one ulp off can
-        flip a bisection step inside the 1e-14 root tolerance, and a price
-        near the floor sums about 190 segments.  At a tangency the curve of
-        prompt k + 1 touches the price at its peak, a single point: the
-        batched route adds no interval for it, while the scalar route
-        places the double root only to about the square root of machine
-        epsilon and adds an interval about that wide, so there the volumes
-        agree within 1e-7."""
+        the tangencies ``U * _TOPS[k]``.  A price 1e-9 from a tangency has
+        a nearly double root, which one ulp of a logarithm moves by about
+        1e-12, so the scalar route calls numpy's ``log``, ``exp`` and
+        ``expm1`` as the batched one does; a price near the floor sums
+        about 190 segments.  At a tangency the curve of prompt k + 1
+        touches the price at its peak, a single point: the batched route
+        adds no interval for it, while the scalar route places the double
+        root only to about the square root of machine epsilon and adds an
+        interval about that wide, so there the volumes agree within 1e-7."""
         from prompt_pricing.heterogeneous import _MAX_SEGMENTS, _TOPS, _volume_from_segments
 
         dist = SEGMENT_DISTS[dist_name]
@@ -241,6 +252,23 @@ class TestBatchedSegments:
             want = np.array([scalar_volume_from_segments(self.MODEL, float(p), dist) for p in batch])
             np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
         assert len(prices) + len(tangent) > 430
+
+    @pytest.mark.parametrize("dist_name", sorted(SEGMENT_DISTS))
+    def test_volume_matches_40_digit_roots(self, dist_name):
+        """Within 2e-15 (relative) of the volume from segment roots refined
+        to 40 digits (``decimal_volume``), at 120 random prices away from
+        the tangencies, where every root is simple.  The Newton roots sit
+        within about an ulp of the true ones; a bisection bracket frozen at
+        1e-14 misses this by more than ten times."""
+        from prompt_pricing.heterogeneous import _MAX_SEGMENTS, _TOPS, _volume_from_segments
+
+        dist = SEGMENT_DISTS[dist_name]
+        u = self.MODEL.utility
+        prices = np.random.default_rng(8).uniform(u / _MAX_SEGMENTS, u, 120)
+        assert np.abs(prices[:, None] / (u * _TOPS[None, :]) - 1.0).min() > 1e-6
+        got = _volume_from_segments(self.MODEL, prices, dist)
+        want = [decimal_volume(self.MODEL, float(p), dist) for p in prices]
+        np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
 
     @pytest.mark.parametrize("dist_name", sorted(SEGMENT_DISTS))
     def test_volume_matches_fine_quadrature(self, dist_name):
@@ -281,14 +309,16 @@ class TestBatchedSegments:
     def test_root_step_cap_raises(self, monkeypatch):
         from prompt_pricing import heterogeneous
 
-        monkeypatch.setattr(heterogeneous, "_ROOT_STEPS", 20)
-        with pytest.raises(PromptPricingError, match="bisection"):
+        monkeypatch.setattr(heterogeneous, "_ROOT_STEPS", 3)  # these roots take 4 and 5 steps
+        with pytest.raises(PromptPricingError, match="Newton steps"):
             heterogeneous._segment_bounds(np.array([0.1]), np.array([3]))
-        with pytest.raises(PromptPricingError, match="bisection"):
+        with pytest.raises(PromptPricingError, match="Newton steps"):
             single_model_price(GaiModel("m", 1.0, 0.1), U01)
 
+    @pytest.mark.filterwarnings("error")
     def test_roots_that_miss_the_peak_raise(self):
-        """k = 1 has its peak at eps = 0, outside the lower bracket's (0, 0]."""
+        """k = 1 has its peak at eps = 0, where no lower root lies in (0, 1);
+        it is rejected before any logarithm or division, without a warning."""
         from prompt_pricing.heterogeneous import _segment_bounds
 
         with pytest.raises(PromptPricingError, match="bracket"):

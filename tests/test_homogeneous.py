@@ -212,6 +212,17 @@ class TestCurveMatchesPublicRoute:
             homogeneous_payoff_curve(models, [1e-308])
         assert str(curve.value) == str(public.value)
 
+    def test_infinite_no_trade_price_does_not_keep_the_lead(self):
+        """Model a trades nothing at eps = 1e-308 and its quoted price rounds
+        to inf; it scores 0, not inf * 0 = nan, so model b is served."""
+        models = ModelSet([GaiModel("a", 10.0, 20.0), GaiModel("b", 20.0, 0.1)])
+        sol = optimal_homogeneous_price(models, 1e-308)
+        assert (sol.served_model, sol.induced_count) == ("b", 1)
+        assert sol.platform_payoff == pytest.approx(19.9, rel=1e-15)
+        assert sol.schedule.prices == {"a": 10.0, "b": 20.0}
+        point, = homogeneous_payoff_curve(models, [1e-308])
+        assert point == public_point(models, 1e-308)
+
 
 class TestFloatRange:
     """Models the scenario loader accepts whose prices leave float range
