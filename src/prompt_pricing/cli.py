@@ -67,18 +67,17 @@ def _write_outputs(
     out_path: str, columns: list[str], rows: list[list], as_json: bool, command: str, name: str
 ) -> None:
     path = Path(out_path)
+    json_rows = []  # each row's CSV cells, kept only for the JSON mirror
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            cells = [_fmt(v) for v in row]
+            writer.writerow(cells)
+            if as_json:
+                json_rows.append(dict(zip(columns, cells)))
     if as_json:
-        payload = {
-            "command": command,
-            "scenario": name,
-            "columns": columns,
-            "rows": [{c: _fmt(v) for c, v in zip(columns, row)} for row in rows],
-        }
+        payload = {"command": command, "scenario": name, "columns": columns, "rows": json_rows}
         with open(path.with_suffix(".json"), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=False)
             fh.write("\n")

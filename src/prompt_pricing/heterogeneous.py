@@ -25,7 +25,10 @@ the stage-2 rules.  This module provides:
   lattice (:func:`opp`),
 * the price-pair lattice itself, scored per node by merging the two
   tiers' user-payoff columns, each monotone in its own price, instead of
-  comparing every pair (:func:`_pair_lattice_payoffs`),
+  comparing every pair (:func:`_pair_lattice_payoffs`); a node where one
+  tier's worst score still beats the other's best (the high tier on a
+  tie) is decided by those two ends, and only the other nodes are
+  sorted (:func:`_prefix_lengths`),
 * an exhaustive two-dimensional lattice oracle (:func:`grid_oracle`),
 * the utility- and cost-proportional benchmark mechanisms, which score
   every row of their one-parameter price family at full resolution from
@@ -260,6 +263,18 @@ def _choose(counts, pays, utils) -> np.ndarray:
 _LATTICE_BUDGET = 1 << 17  # (rows + columns) x nodes per node chunk: 1 MB of float64
 
 
+def _prefix_lengths(score_h: np.ndarray, score_l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, the rows that win against each column and the columns that
+    win against each row, from one stable argsort of both negated score
+    columns (see :func:`_pair_lattice_payoffs`).  Shapes (nodes, columns)
+    and (nodes, rows)."""
+    n_high, n_low = score_h.shape[1], score_l.shape[1]
+    merged = np.argsort(-np.hstack([score_h, score_l]), axis=1, kind="stable")
+    rank = np.empty_like(merged)
+    np.put_along_axis(rank, merged, np.arange(n_high + n_low)[None, :], axis=1)
+    return rank[:, :n_high] - np.arange(n_high), rank[:, n_high:] - np.arange(n_low)
+
+
 def _pair_lattice_payoffs(
     low: GaiModel,
     high: GaiModel,
@@ -289,11 +304,19 @@ def _pair_lattice_payoffs(
     tier's (:func:`_prefers` with its strictly higher utility gives it
     payoff ties).  So on the sorted axes the columns that win against a
     row are a prefix of the columns, and the rows that win against a
-    column are a prefix of the rows.  One stable argsort per node of
+    column are a prefix of the rows.  A node where the high tier's
+    worst score is at least the low tier's best is decided by those two
+    ends: every column wins against every row.  So is a node where the
+    low tier's worst score is above the high tier's best: every row
+    wins against every column.  Only the other, mixed nodes are ranked
+    one by one (:func:`_prefix_lengths`): one stable argsort per node of
     both negated score columns, the high tier's first so that a column
     sorts before every row it ties, gives both prefix lengths as ranks:
     the columns sorted before a row win against it, and the rows sorted
-    before a column win against that.  Cell (i, j) then collects the
+    before a column win against that.  At a decided node that argsort
+    gives the same two constants, so skipping it changes no cell, bit
+    for bit; a chunk whose nodes are all mixed is ranked whole, with no
+    gather.  Cell (i, j) then collects the
     high tier's gain at column j from the nodes where at most i rows
     win against j, and the low tier's gain at row i from the nodes
     where at most j columns win against i; difference arrays
@@ -331,11 +354,18 @@ def _pair_lattice_payoffs(
         """Add one node chunk's gains to ``high_from`` and ``low_from``."""
         score_l, gain_l = profile(low, p_low, eps, w)
         score_h, gain_h = profile(high, p_high, eps, w)
-        merged = np.argsort(-np.hstack([score_h, score_l]), axis=1, kind="stable")
-        rank = np.empty_like(merged)
-        np.put_along_axis(rank, merged, np.arange(n_high + n_low)[None, :], axis=1)
-        beaten = rank[:, :n_high] - cols  # rows sorted before each column
-        beating = rank[:, n_high:] - rows  # columns sorted before each row
+        # decided by the column ends: the high tier's worst meets the low tier's best, or
+        # the low tier's worst beats the high tier's best
+        high_wins = score_h[:, -1] >= score_l[:, 0]
+        low_wins = score_l[:, -1] > score_h[:, 0]
+        mixed = ~(high_wins | low_wins)
+        if mixed.all():
+            beaten, beating = _prefix_lengths(score_h, score_l)
+        else:
+            beaten = np.repeat(np.where(low_wins, n_low, 0)[:, None], n_high, axis=1)
+            beating = np.repeat(np.where(low_wins, 0, n_high)[:, None], n_low, axis=1)
+            if mixed.any():
+                beaten[mixed], beating[mixed] = _prefix_lengths(score_h[mixed], score_l[mixed])
         np.add(high_from, np.bincount((beaten * n_high + cols).ravel(), gain_h.ravel(),
                                       minlength=len(high_from)), out=high_from)
         np.add(low_from, np.bincount((rows * (n_high + 1) + beating).ravel(), gain_l.ravel(),

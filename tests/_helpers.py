@@ -19,6 +19,7 @@ from prompt_pricing import (
     prompt_upper_bound,
     user_payoff,
 )
+from prompt_pricing.heterogeneous import _LATTICE_BUDGET, _count_profile
 from prompt_pricing.user_strategy import _counts_vec
 
 
@@ -124,6 +125,63 @@ def dense_pair_lattice(low: GaiModel, high: GaiModel, axis_low, axis_high, nodes
     (score_l, gain_l), (score_h, gain_h) = profile(low, axis_low), profile(high, axis_high)
     return np.array([np.where(score_h >= s_l, gain_h, g_l).sum(axis=1)
                      for s_l, g_l in zip(score_l, gain_l)])
+
+
+def argsort_pair_lattice(low: GaiModel, high: GaiModel, axis_low, axis_high, nodes, weights):
+    """The pair lattice with one stable argsort at every selling node: the
+    package's profiles, node chunks and difference arrays, and no node
+    decided by the ends of its score columns.  Same cells, bit for bit."""
+    order_l = np.argsort(axis_low, kind="stable")
+    order_h = np.argsort(axis_high, kind="stable")
+    p_low, p_high = axis_low[order_l], axis_high[order_h]
+    n_low, n_high = len(p_low), len(p_high)
+    rows, cols = np.arange(n_low), np.arange(n_high)
+
+    def profile(model, prices, eps, w):
+        counts, pay = _count_profile(model.utility, prices, eps)
+        return np.where(counts >= 1.0, pay, -np.inf), (prices[None, :] - model.cost) * counts * w[:, None]
+
+    high_from = np.zeros((n_low + 1) * n_high)
+    low_from = np.zeros(n_low * (n_high + 1))
+
+    def merge(eps, w):
+        score_l, gain_l = profile(low, p_low, eps, w)
+        score_h, gain_h = profile(high, p_high, eps, w)
+        merged = np.argsort(-np.hstack([score_h, score_l]), axis=1, kind="stable")
+        rank = np.empty_like(merged)
+        np.put_along_axis(rank, merged, np.arange(n_high + n_low)[None, :], axis=1)
+        beaten = rank[:, :n_high] - cols  # rows sorted before each column
+        beating = rank[:, n_high:] - rows  # columns sorted before each row
+        np.add(high_from, np.bincount((beaten * n_high + cols).ravel(), gain_h.ravel(),
+                                      minlength=len(high_from)), out=high_from)
+        np.add(low_from, np.bincount((rows * (n_high + 1) + beating).ravel(), gain_l.ravel(),
+                                     minlength=len(low_from)), out=low_from)
+
+    chunk = max(1, _LATTICE_BUDGET // (n_low + n_high))
+    for start in range(0, len(nodes), chunk):
+        eps, w = nodes[start:start + chunk], weights[start:start + chunk]
+        sells = (p_low[0] <= (1.0 - eps) * low.utility) | (p_high[0] <= (1.0 - eps) * high.utility)
+        if sells.any():
+            merge(eps[sells], w[sells])
+    out = np.empty((n_low, n_high))
+    out[np.ix_(order_l, order_h)] = (
+        np.cumsum(high_from.reshape(n_low + 1, n_high), axis=0)[:n_low]
+        + np.cumsum(low_from.reshape(n_low, n_high + 1), axis=1)[:, :n_high])
+    return out
+
+
+def node_kinds(low: GaiModel, high: GaiModel, axis_low, axis_high, nodes):
+    """How many selling nodes each tier wins at every price pair, and how
+    many are mixed: (high wins all, low wins all, mixed).  Scores come from
+    the count kernel at every cell; a node where no price sells is left out."""
+    score_l, score_h = (np.where(counts >= 1.0, pay, -np.inf) for counts, pay in
+                        (per_cell_profile(m.utility, axis, nodes)
+                         for m, axis in ((low, axis_low), (high, axis_high))))
+    sells = np.isfinite(np.maximum(score_l.max(axis=1), score_h.max(axis=1)))
+    high_all = score_h.min(axis=1) >= score_l.max(axis=1)
+    low_all = score_l.min(axis=1) > score_h.max(axis=1)
+    return (int(np.sum(sells & high_all)), int(np.sum(sells & low_all)),
+            int(np.sum(sells & ~high_all & ~low_all)))
 
 
 def scalar_mass(dist, a, b):

@@ -32,8 +32,10 @@ from prompt_pricing import (
 )
 
 from _helpers import (
+    argsort_pair_lattice,
     decimal_volume,
     dense_pair_lattice,
+    node_kinds,
     per_cell_profile,
     scalar_mass,
     scalar_volume_from_segments,
@@ -701,6 +703,120 @@ class TestLatticeMerge:
         got = grid_oracle(PAIR, dist, quad=quad)
         assert got.schedule == want.schedule
         assert got.platform_payoff == want.platform_payoff
+
+
+def _polish_windows(catalogue: str, dist_index: int) -> list:
+    """The polish windows ``opp`` scores at 2001 nodes for one fig7 catalogue
+    and density: (low, high, axis_low, axis_high, nodes, weights) each."""
+    from prompt_pricing import heterogeneous
+
+    calls, kernel = [], heterogeneous._pair_lattice_payoffs
+
+    def record(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heterogeneous, "_pair_lattice_payoffs", record)
+        opp(FAMILY_SETS[catalogue], PRUNING_DISTS[dist_index],
+            OppConfig(step_alpha=0.01, quad=QuadratureConfig()))
+    return [c for c in calls if len(c[2]) == len(c[3]) == heterogeneous._WINDOW_POINTS]
+
+
+class TestDecidedNodes:
+    """The pair lattice sorts only the nodes whose winner is not decided by
+    the ends of the two sorted score columns.  Its cells must equal, bit
+    for bit, the lattice that sorts every selling node."""
+
+    @staticmethod
+    def shuffled(nodes, weights):
+        order = np.random.default_rng(20240811).permutation(len(nodes))
+        return nodes[order], weights[order]
+
+    @pytest.mark.parametrize("dist_index", [0, 1], ids=["uniform-0.3", "tabulated"])
+    @pytest.mark.parametrize("catalogue", ["fig7a", "fig7b"])
+    def test_polish_windows_equal_argsort_reference(self, catalogue, dist_index):
+        """The 32 polish windows of ``opp`` (33 x 33 at 2001 nodes).  Every
+        window has nodes the high tier wins at every pair, and some window
+        also has nodes the low tier wins at every pair and nodes where the
+        winner changes inside it.  (Under Uniform(0.3, 1) fig7a's low tier
+        sells under 1% of the prompts, so most windows hold no low-tier
+        node.)"""
+        from prompt_pricing.heterogeneous import _POLISH_ROWS, _WINDOW_ROUNDS, _pair_lattice_payoffs
+
+        windows = _polish_windows(catalogue, dist_index)
+        assert len(windows) == _POLISH_ROWS * _WINDOW_ROUNDS
+        kinds = np.array([node_kinds(*c[:5]) for c in windows])
+        assert np.all(kinds[:, 0] > 0)
+        assert np.any(np.all(kinds > 0, axis=1))
+        for low, high, axis_low, axis_high, nodes, weights in windows:
+            for eps, w in ((nodes, weights), self.shuffled(nodes, weights)):
+                got = _pair_lattice_payoffs(low, high, axis_low, axis_high, eps, w)
+                assert np.array_equal(got, argsort_pair_lattice(low, high, axis_low, axis_high, eps, w))
+
+    @pytest.mark.parametrize("dist_index", [0, 1], ids=["uniform-0.3", "tabulated"])
+    def test_grid_oracle_axes_equal_argsort_reference(self, dist_index):
+        """``grid_oracle``'s 400 x 400 axes at 2001 nodes, where every selling
+        node is mixed."""
+        from prompt_pricing.heterogeneous import _pair_lattice_payoffs
+
+        low, high = PAIR.require_pair()
+        axis_low, axis_high = (m.cost + (m.utility - m.cost) * (np.arange(1, 401) / 400)
+                               for m in (low, high))
+        nodes, weights = PRUNING_DISTS[dist_index].quadrature(QuadratureConfig())
+        high_all, low_all, mixed = node_kinds(low, high, axis_low, axis_high, nodes)
+        assert high_all == low_all == 0 < mixed
+        for eps, w in ((nodes, weights), self.shuffled(nodes, weights)):
+            got = _pair_lattice_payoffs(low, high, axis_low, axis_high, eps, w)
+            assert np.array_equal(got, argsort_pair_lattice(low, high, axis_low, axis_high, eps, w))
+
+    @pytest.mark.parametrize("axes, sorted_rows", [
+        # the high tier's dearest price ties the low tier's cheapest: decided, no sort
+        ((np.array([0.25, 0.125]), np.array([0.5, 0.25])), 0),
+        # the low tier's dearest price ties the high tier's cheapest: the high tier
+        # takes that pair, so the node is mixed
+        ((np.array([0.125, 0.0625]), np.array([1.0, 0.5])), 1),
+    ], ids=["high-end-tie", "low-end-tie"])
+    def test_end_ties(self, axes, sorted_rows, monkeypatch):
+        """At eps = 1/2 the user pays 0.5 either way: three prompts of the
+        low tier at 0.125 or two of the high tier at 0.5 (all values exact
+        in binary), so the two score columns' ends tie exactly.  A tie is
+        the high tier's, so the first node is decided by its ends and the
+        second is sorted."""
+        from prompt_pricing import heterogeneous
+
+        models = ModelSet([GaiModel("a", 1.0, 0.0625), GaiModel("b", 2.0, 0.25)])
+        low, high = models.require_pair()
+        assert user_payoff(low, 0.125, 0.5, 3) == user_payoff(high, 0.5, 0.5, 2) == 0.5
+        (axis_low, axis_high), nodes, weights = axes, np.array([0.5]), np.array([1.0])
+        rows, kernel = [], heterogeneous._prefix_lengths
+
+        def counted(score_h, score_l):
+            rows.append(len(score_h))
+            return kernel(score_h, score_l)
+
+        monkeypatch.setattr(heterogeneous, "_prefix_lengths", counted)
+        got = heterogeneous._pair_lattice_payoffs(low, high, axis_low, axis_high, nodes, weights)
+        assert sum(rows) == sorted_rows
+        assert np.array_equal(got, argsort_pair_lattice(low, high, axis_low, axis_high, nodes, weights))
+        for i, p_low in enumerate(axis_low):
+            for j, p_high in enumerate(axis_high):
+                want, _ = _scalar_route(models, [p_low, p_high], nodes, weights)
+                assert got[i, j] == want
+
+    @pytest.mark.parametrize("dist", [U01, PRUNING_DISTS[1]], ids=["uniform", "tabulated"])
+    def test_opp_equals_argsort_reference(self, dist, monkeypatch):
+        """``opp`` at ``FAST_OPP``: schedule, payoff, volumes and every trace
+        row are the same with the lattice that sorts every node."""
+        from prompt_pricing import heterogeneous
+
+        trace = []
+        got = opp(PAIR, dist, FAST_OPP, trace_sink=trace)
+        monkeypatch.setattr(heterogeneous, "_pair_lattice_payoffs", argsort_pair_lattice)
+        want_trace = []
+        want = opp(PAIR, dist, FAST_OPP, trace_sink=want_trace)
+        assert got == want
+        assert trace == want_trace
 
 
 PROFILE_DISTS = {"uniform": U01, "uniform-0.3": PRUNING_DISTS[0], "tabulated": PRUNING_DISTS[1]}
