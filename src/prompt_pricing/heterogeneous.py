@@ -22,7 +22,7 @@ the stage-2 rules.  This module provides:
   two-model set (:func:`price_upper_bound`),
 * the two-model optimizer that sweeps the low-tier price and, for each
   value, takes the best high-tier price from a separable price-pair
-  lattice (:func:`opp`),
+  lattice, then polishes it with shrinking lattice windows (:func:`opp`),
 * the price-pair lattice itself, scored per node by merging the two
   tiers' user-payoff columns, each monotone in its own price, instead of
   comparing every pair (:func:`_pair_lattice_payoffs`); a node where one
@@ -709,12 +709,11 @@ def opp(
     high-tier price within ``_RESCORE_TOL`` of the top utility of its
     best, so rounding does not choose between columns that pay the same
     (:func:`_near_best`).  Those pairs are re-scored by full-resolution
-    schedule evaluation, which is what the sweep argmax uses.  The
-    strongest steps are then polished at full resolution: a few shrinking
-    price-pair lattices around each (the first spans one sweep step and
-    two high-tier grid steps either way), then one golden-section pass
-    per price, whose points are scored in one :func:`_family_volumes`
-    call per step, each as :func:`platform_payoff` scores it alone.  If
+    schedule evaluation, which ranks the steps.  The polish compares
+    full-resolution lattice cells only: a few shrinking price-pair
+    lattices around each of the strongest steps (the first spans one
+    sweep step and two high-tier grid steps either way), then around the
+    best cell of all until the window is within 1e-8·U_H either way.  If
     ``trace_sink`` is given, one (p_L, p_H, payoff) tuple per sweep step
     is appended.
     """
@@ -744,42 +743,33 @@ def opp(
     if trace_sink is not None:
         trace_sink.extend(
             (float(p_low), float(p_high), float(v)) for (p_low, p_high), v in zip(sweep, payoffs))
-    i = int(np.argmax(payoffs))
-    best = (float(sweep[i, 0]), float(sweep[i, 1]), float(payoffs[i]))
 
     span = (high.utility - high.cost) / _INNER_GRID
     limits = [(low_prices[0], low.utility), (high_grid[0], high.utility)]
+    best, best_payoff = None, -np.inf
+
+    def window(centre, half) -> np.ndarray:
+        """The best cell of a lattice around ``centre``, kept as ``best`` if it is the best yet."""
+        nonlocal best, best_payoff
+        axes = [np.linspace(max(c - h, lo), min(c + h, hi), _WINDOW_POINTS)
+                for c, h, (lo, hi) in zip(centre, half, limits)]
+        cells = _pair_lattice_payoffs(low, high, axes[0], axes[1], nodes, weights)
+        a, b = np.unravel_index(int(np.argmax(cells)), cells.shape)
+        cell = np.array([axes[0][a], axes[1][b]])
+        if cells[a, b] > best_payoff:
+            best, best_payoff = cell, cells[a, b]
+        return cell
+
     for row in np.argsort(-payoffs, kind="stable")[:_POLISH_ROWS]:
         centre, half = sweep[row], np.array([alpha, 2 * span])
         for _ in range(_WINDOW_ROUNDS):
-            axes = [np.linspace(max(c - h, lo), min(c + h, hi), _WINDOW_POINTS)
-                    for c, h, (lo, hi) in zip(centre, half, limits)]
-            window = _pair_lattice_payoffs(low, high, axes[0], axes[1], nodes, weights)
-            a, b = np.unravel_index(int(np.argmax(window)), window.shape)
-            centre, half = np.array([axes[0][a], axes[1][b]]), half / 4
-            if window[a, b] > best[2]:
-                best = (float(centre[0]), float(centre[1]), float(window[a, b]))
+            centre, half = window(centre, half), half / 4
+    # the best pair's window keeps shrinking until it is within 1e-8·U_H either way
+    while half.max() > 1e-8 * high.utility:
+        window(best, half)
+        half = half / 4
 
-    def payoffs_at(p_low, p_high) -> np.ndarray:
-        """Each price pair on a line, scored as :func:`platform_payoff` scores it."""
-        pairs = np.column_stack(np.broadcast_arrays(p_low, p_high))
-        return _family_volumes(models, pairs, nodes, weights)[0]
-
-    # final coordinate polish at full resolution, one golden bracket per price
-    x, fx = _golden_max(lambda p: payoffs_at(best[0], p),
-                        np.array([max(best[1] - 2 * span, 1e-12)]),
-                        np.array([min(best[1] + 2 * span, high.utility)]),
-                        tol=1e-8 * high.utility)
-    if fx[0] > best[2]:
-        best = (best[0], float(x[0]), float(fx[0]))
-    x, fx = _golden_max(lambda p: payoffs_at(p, best[1]),
-                        np.array([max(best[0] - alpha, np.nextafter(0.0, 1.0))]),
-                        np.array([min(best[0] + alpha, low.utility)]),
-                        tol=1e-8 * low.utility)
-    if fx[0] > best[2]:
-        best = (float(x[0]), best[1], float(fx[0]))
-
-    return _outcome_for(models, best[:2], nodes, weights, method="OPP")
+    return _outcome_for(models, best, nodes, weights, method="OPP")
 
 
 def grid_oracle(

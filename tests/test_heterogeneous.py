@@ -2,6 +2,7 @@
 
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from prompt_pricing import (
     DegenerateCostBase,
     GaiModel,
+    InvalidModel,
     ModelSet,
     OppConfig,
     PriceSchedule,
@@ -30,6 +32,7 @@ from prompt_pricing import (
     user_payoff,
     utility_based_pricing,
 )
+from prompt_pricing.scenario import load_scenario
 
 from _helpers import (
     argsort_pair_lattice,
@@ -45,6 +48,15 @@ PAIR = ModelSet([GaiModel("ml", 1.0, 0.02), GaiModel("mh", 1.8, 0.04)])
 U01 = UniformAmbiguity(0.0, 1.0)
 FAST = QuadratureConfig(501)
 FAST_OPP = OppConfig(step_alpha=0.01, quad=FAST)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# opp's payoff at each point of the bundled fig7 scenarios' eps_min sweeps (0, 0.15,
+# 0.3, 0.45, 0.6) when its windows were followed by two golden-section passes,
+# rounded down at 1e-10
+FIG7_OPP_FLOORS = {
+    "fig7a": (0.4304387247, 0.4148206247, 0.430798702, 0.3844327836, 0.3510625537),
+    "fig7b": (0.3460752877, 0.3175232462, 0.3304191511, 0.2820057392, 0.250873324),
+}
 
 
 def _scalar_route(models, prices, nodes, weights):
@@ -482,6 +494,32 @@ class TestOpp:
         want = optimal_homogeneous_price(PAIR, eps0).platform_payoff
         assert got.platform_payoff == pytest.approx(want, rel=0.02)
 
+    @pytest.mark.parametrize("point", range(5), ids=["0", "0.15", "0.3", "0.45", "0.6"])
+    @pytest.mark.parametrize("name", ["fig7a", "fig7b"])
+    def test_fig7_payoff_floor(self, name, point):
+        """At each bundled fig7 point, in the scenario's own setting (step
+        0.002, 2001 nodes), ``opp`` pays at least what the search with
+        golden-section passes after its windows paid."""
+        scenario = load_scenario(SCENARIOS / f"{name}.ini")
+        eps_min = float(scenario.sweep.values()[point])
+        got = opp(scenario.models, UniformAmbiguity(eps_min, scenario.dist.hi),
+                  scenario.opp_config())
+        assert got.platform_payoff >= FIG7_OPP_FLOORS[name][point]
+
+    def test_one_sweep_rescore_and_one_outcome_evaluation(self, monkeypatch):
+        """Every comparison in the polish is between lattice cells: a solve
+        evaluates schedules twice, the sweep pairs and the answer."""
+        from prompt_pricing import heterogeneous
+
+        calls = _count_calls(monkeypatch, heterogeneous, "_family_volumes")
+        opp(PAIR, UniformAmbiguity(0.3, 1.0), FAST_OPP)
+        assert len(calls) == 2
+
+    def test_three_models_are_not_a_pair(self):
+        for solve in (lambda m: opp(m, U01, FAST_OPP), lambda m: grid_oracle(m, U01, 50, FAST)):
+            with pytest.raises(InvalidModel, match="expected exactly two models, got 3"):
+                solve(FAMILY_SETS["three"])
+
 
 class TestGridOracle:
     def test_degenerate_distribution_recovers_homogeneous(self):
@@ -736,7 +774,8 @@ class TestDecidedNodes:
     @pytest.mark.parametrize("dist_index", [0, 1], ids=["uniform-0.3", "tabulated"])
     @pytest.mark.parametrize("catalogue", ["fig7a", "fig7b"])
     def test_polish_windows_equal_argsort_reference(self, catalogue, dist_index):
-        """The 32 polish windows of ``opp`` (33 x 33 at 2001 nodes).  Every
+        """The 38 polish windows of ``opp`` (33 x 33 at 2001 nodes): 32
+        around the strongest sweep steps, then 6 around the best pair.  Every
         window has nodes the high tier wins at every pair, and some window
         also has nodes the low tier wins at every pair and nodes where the
         winner changes inside it.  (Under Uniform(0.3, 1) fig7a's low tier
@@ -745,7 +784,9 @@ class TestDecidedNodes:
         from prompt_pricing.heterogeneous import _POLISH_ROWS, _WINDOW_ROUNDS, _pair_lattice_payoffs
 
         windows = _polish_windows(catalogue, dist_index)
-        assert len(windows) == _POLISH_ROWS * _WINDOW_ROUNDS
+        # the step windows end at half-widths (0.01, 2 (U_H - C_H) / 250) / 4**4, the
+        # wider 5.5e-5 (fig7a) or 4.5e-5 (fig7b); 6 more quarters bring it under 1e-8·U_H
+        assert len(windows) == _POLISH_ROWS * _WINDOW_ROUNDS + 6
         kinds = np.array([node_kinds(*c[:5]) for c in windows])
         assert np.all(kinds[:, 0] > 0)
         assert np.any(np.all(kinds > 0, axis=1))

@@ -366,6 +366,15 @@ price = 0.3
         assert proc.returncode == 2
         assert "two models" in proc.stderr
 
+    @pytest.mark.parametrize("verb, body", [("opp", TWO_MODEL), ("compare", COMPARE_ONE_POINT)])
+    def test_three_model_scenario_cannot_run_pair_verbs(self, tmp_path, capsys, verb, body):
+        third = "[model.mx]\nutility = 2.5\ncost = 0.05\nprice = 0.5\n\n[distribution]"
+        scen = write_scenario(tmp_path, body.replace("[distribution]", third))
+        out = tmp_path / "x.csv"
+        assert main([verb, "--scenario", str(scen), "--out", str(out)]) == 2
+        assert "expected exactly two models, got 3" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--out", "--trace"])
     def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys, flag):
         scen = write_scenario(tmp_path, TWO_MODEL)
