@@ -15,9 +15,10 @@ the stage-2 rules.  This module provides:
   structure of the demand curve (:func:`single_model_price`): every
   (price, count) root of a batch of prices in one monotone Newton
   iteration in log space (:func:`_segment_bounds`), exact interval
-  masses summed per price
-  (:func:`_volume_from_segments`), and every smooth piece's
-  golden-section search in lockstep (:func:`_golden_max`),
+  masses summed per price (:func:`_volume_from_segments`), and one
+  shrinking 9-point grid per smooth piece, all pieces in one batch per
+  round, after dropping the pieces whose volume bound cannot reach the
+  best first-round price,
 * the preference price bound that separates the two tiers of a
   two-model set (:func:`price_upper_bound`),
 * the two-model optimizer that sweeps the low-tier price and, for each
@@ -251,9 +252,7 @@ def _choose(counts, pays, utils) -> np.ndarray:
     """
     sel, best_pay, best_util = -1, -np.inf, -np.inf
     for j, (n, pay, u) in enumerate(zip(counts, pays, utils)):
-        take = n >= 1.0
-        if j:  # the first model has no rival yet
-            take &= _prefers(pay, u, best_pay, best_util)
+        take = (n >= 1.0) & _prefers(pay, u, best_pay, best_util)  # any finite pay beats -inf
         sel = np.where(take, j, sel)
         best_pay = np.where(take, pay, best_pay)
         best_util = np.where(take, u, best_util)
@@ -529,10 +528,6 @@ def _volume_from_segments(
     return total
 
 
-_GOLDEN_STEPS = 200  # golden-section steps allowed per bracket
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def single_model_price(
     model: GaiModel,
     dist: AmbiguityDistribution,
@@ -542,97 +537,73 @@ def single_model_price(
 
     The objective ``(p - C) * volume(p)`` is piecewise-smooth in the
     price, with kinks exactly where the attainable prompt count steps
-    (at ``U * _TOPS[k]``); each smooth piece is searched by golden
-    section after a coarse presample (the pieces are strictly concave
-    under a uniform density, and the presample guards tabulated
-    densities).  The search domain is (C, U], floored at U/MAX_SEGMENTS
-    when the cost is tiny so the per-count decomposition stays bounded.
-    The objective is evaluated on arrays of prices
-    (:func:`_volume_from_segments`): one call scores every piece's
-    9-point presample, and the pieces' golden-section searches run in
-    lockstep (:func:`_golden_max`), about 50 batched evaluations per
-    solve, each solving its segment roots by Newton steps
-    (:func:`_segment_bounds`).  The cheapest candidate within
-    ``_RESCORE_TOL`` of U of the best wins (:func:`_near_best`), so of
-    two equal maxima (zero cost on U(0, 1) has two, at 1/2 and (sqrt(2) -
-    1)/2) rounding does not pick the answer.
+    (at ``U * _TOPS[k]``).  The search domain is (C, U], floored at
+    U/MAX_SEGMENTS when the cost is tiny so the per-count decomposition
+    stays bounded.  Each smooth piece is searched by shrinking 9-point
+    grids: round 0 spans the piece, and each later round spans the two
+    grid steps either side of the piece's best point of the last round,
+    a quarter of its width, until every such bracket is within 1e-10 of
+    U; each piece keeps the best point it has seen.  One call of
+    :func:`_volume_from_segments` scores a whole round, at most 17 per
+    solve: the widest piece, (U/4, U], is within 1e-10 of U after 16
+    rounds past round 0, so the loop needs no step cap.  After round 0
+    a piece is dropped when no price in it can pay within
+    ``_RESCORE_TOL`` of U of the best point so far: the volume never
+    rises with the price, so no price in a piece pays more than its
+    cheapest point's volume at the piece's dearest price.  The
+    cheapest candidate within ``_RESCORE_TOL`` of U of the best wins
+    (:func:`_near_best`), so of two equal maxima (zero cost on U(0, 1)
+    has two, at 1/2 and (sqrt(2) - 1)/2) rounding does not pick the
+    answer.
+
+    The reported payoff and volume come from exact segment masses
+    (:func:`_volume_from_segments`), not from the quadrature that
+    :func:`platform_payoff` and every other solver report; re-scoring the
+    answer by :func:`platform_payoff` differs by up to 1.2e-4 of U on the
+    fig7 tiers.  ``quad`` is used only when the cost is at least U, where
+    the price U sells nothing.
     """
     u, c = model.utility, model.cost
-    nodes, weights = dist.quadrature(quad)
     if c >= u:
+        nodes, weights = dist.quadrature(quad)
         return _outcome_for(ModelSet([model]), [u], nodes, weights, method="SingleModel")
 
     def objective(p: np.ndarray) -> np.ndarray:
-        return (p - c) * _volume_from_segments(model, p, dist)
+        return (p - c) * _volume_from_segments(model, p.ravel(), dist).reshape(p.shape)
 
     floor = max(c, u / _MAX_SEGMENTS)
     levels = u * _TOPS[1:]
     cuts = np.unique(np.concatenate([[u], levels[levels > floor], [floor]]))
-
     lo, hi = cuts[:-1], cuts[1:]
     probes = np.linspace(np.nextafter(lo, hi), hi, 9, axis=1)
-    vals = objective(probes.ravel()).reshape(probes.shape)
-    i = np.argmax(vals, axis=1)
-    rows = np.arange(len(i))
-    x, fx = _golden_max(objective, probes[rows, np.maximum(0, i - 1)],
-                        probes[rows, np.minimum(probes.shape[1] - 1, i + 1)], tol=1e-10 * u)
+    vals = objective(probes)
+    # a piece's volume is at most its cheapest probe's, and its margin at most hi - C
+    keep = vals[:, 0] * (hi - c) / (probes[:, 0] - c) >= vals.max() - _RESCORE_TOL * u
+    probes, vals = probes[keep], vals[keep]
+    rows = np.arange(len(probes))
+    best_p, best_v = np.zeros(len(probes)), np.full(len(probes), -np.inf)
+    while True:
+        i = np.argmax(vals, axis=1)
+        best_p = np.where(vals[rows, i] > best_v, probes[rows, i], best_p)
+        best_v = np.maximum(vals[rows, i], best_v)
+        a, b = probes[rows, np.maximum(i - 1, 0)], probes[rows, np.minimum(i + 1, 8)]
+        if np.all(b - a <= 1e-10 * u):
+            break
+        probes = np.linspace(a, b, 9, axis=1)
+        vals = objective(probes)
 
-    # per piece: its golden-section result and its best probe; the cheapest
-    # candidate near the best wins, so rounding does not pick between equal maxima
-    cand_p = np.concatenate([x, probes[rows, i]])
-    cand_v = np.concatenate([fx, vals[rows, i]])
-    near = np.flatnonzero(_near_best(ModelSet([model]), cand_v))
-    j = int(near[np.argmin(cand_p[near])])
-    best_p = float(cand_p[j]) if cand_v[j] > 0.0 else u  # the price U sells nothing
+    # the cheapest piece near the best wins, so rounding does not pick between equal maxima
+    near = np.flatnonzero(_near_best(ModelSet([model]), best_v))
+    j = int(near[np.argmin(best_p[near])])
+    price = float(best_p[j]) if best_v[j] > 0.0 else u  # the price U sells nothing
 
-    volume = float(_volume_from_segments(model, np.array([best_p]), dist)[0])
+    volume = float(_volume_from_segments(model, np.array([price]), dist)[0])
     return PricingOutcome(
-        schedule=PriceSchedule({model.id: best_p}),
-        platform_payoff=(best_p - c) * volume,
+        schedule=PriceSchedule({model.id: price}),
+        platform_payoff=(price - c) * volume,
         prompt_volume={model.id: volume},
         method="SingleModel",
     )
-
-
-def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section maximization on every bracket [lo, hi] in lockstep.
-
-    ``f`` maps an array of points to their values.  Each step shrinks
-    every open bracket and evaluates its one new point, all in one call
-    of ``f``; a bracket narrower than ``tol`` is frozen, so each returns
-    what a search of it alone returns.  Returns the best point seen per
-    bracket and its value.  A bracket still wider than ``tol`` after
-    ``_GOLDEN_STEPS`` steps raises :class:`PromptPricingError`.
-    """
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = np.split(f(np.concatenate([x1, x2])), 2)
-    left = f1 >= f2
-    best_x, best_f = np.where(left, x1, x2), np.where(left, f1, f2)
-    for step in range(_GOLDEN_STEPS + 1):
-        live = np.flatnonzero(b - a > tol)
-        if not live.size:
-            break
-        if step == _GOLDEN_STEPS:
-            raise PromptPricingError(
-                f"golden section: {live.size} brackets still wider than {tol:g} after "
-                f"{_GOLDEN_STEPS} steps")
-        # the left of a live bracket's two points is better or equal: drop the right part
-        left = f1[live] >= f2[live]
-        move = np.where(left, x2[live], x1[live])  # the bracket end that moves
-        b[live] = np.where(left, move, b[live])
-        a[live] = np.where(left, a[live], move)
-        x_new = np.where(left, b[live] - _INV_PHI * (b[live] - a[live]),
-                         a[live] + _INV_PHI * (b[live] - a[live]))
-        f_new = f(x_new)
-        # the kept point becomes the far one; the new point takes its place
-        x1[live], x2[live] = np.where(left, x_new, x2[live]), np.where(left, x1[live], x_new)
-        f1[live], f2[live] = np.where(left, f_new, f2[live]), np.where(left, f1[live], f_new)
-        for xs, fs in ((x1, f1), (x2, f2)):
-            up = live[fs[live] > best_f[live]]
-            best_x[up], best_f[up] = xs[up], fs[up]
-    return best_x, best_f
 
 
 # --------------------------------------------------------------------------
@@ -683,8 +654,8 @@ def price_upper_bound(
 # --------------------------------------------------------------------------
 
 def _reduced_quad(quad: QuadratureConfig) -> QuadratureConfig:
-    """The quadrature of the coarse search sweeps: a quarter of the nodes,
-    at least 501, and never more than the full rule."""
+    """The quadrature of :func:`opp`'s coarse sweep lattice: a quarter of
+    the nodes, at least 501, and never more than the full rule."""
     return QuadratureConfig(min(quad.node_count, max(501, quad.node_count // 4)))
 
 

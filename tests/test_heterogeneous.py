@@ -189,6 +189,11 @@ class TestSegmentRoots:
         assert abs(at - above) <= 1e-12
 
 
+# the tiers of the bundled fig7 scenarios (fig7a and fig7b share the low tier)
+FIG7_TIERS = (GaiModel("ml", 1.0, 0.02), GaiModel("mh", 1.8, 0.04), GaiModel("mh", 1.5, 0.06))
+ZERO_KNOT = TabulatedAmbiguity((0.0, 0.25, 0.5, 0.75, 1.0), (1.0, 0.8, 0.0, 1.2, 0.6))
+
+
 class TestSingleModelPrice:
     @pytest.mark.parametrize("cost", [0.1, 0.2, 0.4])
     def test_uniform_full_support_closed_form(self, cost):
@@ -220,6 +225,39 @@ class TestSingleModelPrice:
         out = single_model_price(GaiModel("m", 1.0, 1.4), U01)
         assert out.platform_payoff == 0.0
         assert out.schedule.price_for("m") == 1.0
+
+    @pytest.mark.parametrize("model", [*FIG7_TIERS, GaiModel("m", 1.0, 0.0)], ids=str)
+    def test_at_most_18_objective_calls(self, model, monkeypatch):
+        """Round 0 and at most 16 shrinking grid rounds, plus the answer's
+        own volume: at most 18 batched objective calls per solve."""
+        from prompt_pricing import heterogeneous
+
+        calls = []
+        real = heterogeneous._volume_from_segments
+        monkeypatch.setattr(heterogeneous, "_volume_from_segments",
+                            lambda *args: calls.append(1) or real(*args))
+        single_model_price(model, U01)
+        assert 1 < len(calls) <= 18
+
+    @pytest.mark.parametrize("model,dist", [
+        *((m, d) for m in FIG7_TIERS for d in (U01, UniformAmbiguity(0.6, 1.0), ZERO_KNOT)),
+        (GaiModel("m", 1.0, 0.0), U01),
+        (GaiModel("m", 1.0, 1e-4), U01),
+    ], ids=str)
+    def test_beats_a_dense_grid_over_every_piece(self, model, dist):
+        """The pieces dropped after round 0 hold no better price: the answer
+        pays at least the best of 33 prices in every smooth piece, kept or
+        dropped, minus 1e-12 of U.  At cost 1e-4 the best piece is not the
+        one with the best round-0 point."""
+        from prompt_pricing.heterogeneous import _MAX_SEGMENTS, _TOPS, _volume_from_segments
+
+        u, c = model.utility, model.cost
+        floor = max(c, u / _MAX_SEGMENTS)
+        cuts = np.unique(np.concatenate([[u], u * _TOPS[1:][u * _TOPS[1:] > floor], [floor]]))
+        grid = np.linspace(np.nextafter(cuts[:-1], np.inf), cuts[1:], 33, axis=1).ravel()
+        best = ((grid - c) * _volume_from_segments(model, grid, dist)).max()
+        out = single_model_price(model, dist)
+        assert out.platform_payoff >= best - 1e-12 * u
 
 
 SEGMENT_DISTS = {
@@ -337,29 +375,6 @@ class TestBatchedSegments:
 
         with pytest.raises(PromptPricingError, match="bracket"):
             _segment_bounds(np.array([0.1, 0.1]), np.array([3, 1]))
-
-    def test_golden_lockstep_equals_one_bracket_calls(self):
-        from prompt_pricing.heterogeneous import _golden_max
-
-        def f(x):
-            return np.sin(7.0 * x) + 0.3 * np.cos(23.0 * x) - 0.1 * x
-
-        lo = np.array([0.0, 0.3, 1.0, -2.0, 0.5])
-        hi = np.array([1.0, 0.31, 4.0, 2.0, 0.5 + 1e-9])  # converge at different steps
-        x, fx = _golden_max(f, lo, hi, tol=1e-10)
-        for j in range(len(lo)):
-            x1, f1 = _golden_max(f, lo[j:j + 1], hi[j:j + 1], tol=1e-10)
-            assert (x[j], fx[j]) == (x1[0], f1[0])
-        assert lo[2] == 1.0 and hi[2] == 4.0  # the brackets passed in are not modified
-
-    def test_golden_step_cap_raises(self, monkeypatch):
-        from prompt_pricing import heterogeneous
-
-        monkeypatch.setattr(heterogeneous, "_GOLDEN_STEPS", 5)
-        with pytest.raises(PromptPricingError, match="golden"):
-            heterogeneous._golden_max(np.sin, np.array([0.0]), np.array([3.0]), tol=1e-10)
-        with pytest.raises(PromptPricingError, match="golden"):
-            single_model_price(GaiModel("m", 1.0, 0.1), U01)
 
     @pytest.mark.parametrize("cost", [0.0, 1e-4])
     def test_near_zero_cost_beats_a_reference_grid(self, cost):
