@@ -254,11 +254,6 @@ class TabulatedAmbiguity:
     def support(self) -> tuple[float, float]:
         return (self.knots[0], self.knots[-1])
 
-    def density(self, eps):
-        eps = np.asarray(eps, dtype=float)
-        out = np.interp(eps, self.knots, self.values, left=0.0, right=0.0)
-        return out
-
     def mass(self, a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
         """Exact integral of the (piecewise-linear) density over [a, b],
         elementwise over arrays.  Pieces are added in knot order; a piece
@@ -288,7 +283,8 @@ class TabulatedAmbiguity:
             step = (x1 - x0) / c
             mids = x0 + (np.arange(c) + 0.5) * step
             nodes_parts.append(mids)
-            weights_parts.append(self.density(mids) * step)
+            weights_parts.append(
+                np.interp(mids, self.knots, self.values, left=0.0, right=0.0) * step)
         return np.concatenate(nodes_parts), np.concatenate(weights_parts)
 
 

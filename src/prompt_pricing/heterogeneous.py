@@ -33,7 +33,11 @@ the stage-2 rules.  This module provides:
 * an exhaustive two-dimensional lattice oracle (:func:`grid_oracle`),
 * the utility- and cost-proportional benchmark mechanisms, which score
   every row of their one-parameter price family at full resolution from
-  the rows where each node's prompt counts step (:func:`_family_payoffs`).
+  the rows where each node's prompt counts step (:func:`_family_payoffs`),
+* one finish for every quadrature solver: the candidates within rounding
+  of the best search score are re-scored in one schedule evaluation and
+  the first best of them is returned, with the payoff and volumes of
+  that evaluation (:func:`_best_outcome`).
 """
 
 from __future__ import annotations
@@ -404,25 +408,8 @@ def platform_payoff(
                 f"price for model {m.id!r} is {p}; zero prices make demand unbounded")
         prices.append(p)
     nodes, weights = dist.quadrature(quad)
-    return replace(_outcome_for(models, prices, nodes, weights, method="Direct"),
+    return replace(_best_outcome(models, [prices], [0.0], nodes, weights, method="Direct"),
                    schedule=schedule)
-
-
-def _outcome_for(
-    models: ModelSet,
-    prices: Sequence[float],
-    nodes: np.ndarray,
-    weights: np.ndarray,
-    method: str,
-) -> PricingOutcome:
-    """The outcome of one schedule, given as its prices in set order."""
-    payoffs, volumes = _family_volumes(models, np.array([list(prices)]), nodes, weights)
-    return PricingOutcome(
-        schedule=PriceSchedule({m.id: float(p) for m, p in zip(models, prices)}),
-        platform_payoff=float(payoffs[0]),
-        prompt_volume={m.id: float(volumes[0, j]) for j, m in enumerate(models)},
-        method=method,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -566,7 +553,8 @@ def single_model_price(
     u, c = model.utility, model.cost
     if c >= u:
         nodes, weights = dist.quadrature(quad)
-        return _outcome_for(ModelSet([model]), [u], nodes, weights, method="SingleModel")
+        return _best_outcome(ModelSet([model]), [[u]], [0.0], nodes, weights,
+                             method="SingleModel")
 
     def objective(p: np.ndarray) -> np.ndarray:
         return (p - c) * _volume_from_segments(model, p.ravel(), dist).reshape(p.shape)
@@ -684,7 +672,9 @@ def opp(
     full-resolution lattice cells only: a few shrinking price-pair
     lattices around each of the strongest steps (the first spans one
     sweep step and two high-tier grid steps either way), then around the
-    best cell of all until the window is within 1e-8·U_H either way.  If
+    first best window cell of all until the window is within 1e-8·U_H
+    either way.  Every window's best cell is a candidate answer, and the
+    solve ends as :func:`grid_oracle` does (:func:`_best_outcome`).  If
     ``trace_sink`` is given, one (p_L, p_H, payoff) tuple per sweep step
     is appended.
     """
@@ -695,7 +685,7 @@ def opp(
         # single_model_price prices a tier that cannot sell above cost at its utility,
         # where nobody buys it, so the other tier is a catalogue of its own
         prices = [single_model_price(m, dist, cfg.quad).schedule.price_for(m) for m in (low, high)]
-        return _outcome_for(models, prices, nodes, weights, method="OPP")
+        return _best_outcome(models, [prices], [0.0], nodes, weights, method="OPP")
 
     alpha = cfg.resolve_alpha(low.utility)
     steps = int(math.floor((low.utility - low.cost) / alpha)) + 1
@@ -717,19 +707,17 @@ def opp(
 
     span = (high.utility - high.cost) / _INNER_GRID
     limits = [(low_prices[0], low.utility), (high_grid[0], high.utility)]
-    best, best_payoff = None, -np.inf
+    winners, scores = [], []
 
     def window(centre, half) -> np.ndarray:
-        """The best cell of a lattice around ``centre``, kept as ``best`` if it is the best yet."""
-        nonlocal best, best_payoff
+        """The best cell of a lattice around ``centre``, recorded with its score."""
         axes = [np.linspace(max(c - h, lo), min(c + h, hi), _WINDOW_POINTS)
                 for c, h, (lo, hi) in zip(centre, half, limits)]
         cells = _pair_lattice_payoffs(low, high, axes[0], axes[1], nodes, weights)
         a, b = np.unravel_index(int(np.argmax(cells)), cells.shape)
-        cell = np.array([axes[0][a], axes[1][b]])
-        if cells[a, b] > best_payoff:
-            best, best_payoff = cell, cells[a, b]
-        return cell
+        winners.append(np.array([axes[0][a], axes[1][b]]))
+        scores.append(cells[a, b])
+        return winners[-1]
 
     for row in np.argsort(-payoffs, kind="stable")[:_POLISH_ROWS]:
         centre, half = sweep[row], np.array([alpha, 2 * span])
@@ -737,10 +725,10 @@ def opp(
             centre, half = window(centre, half), half / 4
     # the best pair's window keeps shrinking until it is within 1e-8·U_H either way
     while half.max() > 1e-8 * high.utility:
-        window(best, half)
+        window(winners[int(np.argmax(scores))], half)
         half = half / 4
 
-    return _outcome_for(models, best, nodes, weights, method="OPP")
+    return _best_outcome(models, winners, scores, nodes, weights, method="OPP")
 
 
 def grid_oracle(
@@ -756,7 +744,7 @@ def grid_oracle(
     full resolution by :func:`_pair_lattice_payoffs`.  The cells within
     rounding of the best are re-scored in one batch and the first best
     of them (lowest low-tier price, then lowest high-tier price) is
-    returned (:func:`_first_best`), so summation order does not choose
+    returned (:func:`_best_outcome`), so summation order does not choose
     between cells that pay the same.
     """
     if grid_n < 50:
@@ -771,8 +759,7 @@ def grid_oracle(
     nodes, weights = dist.quadrature(quad)
     payoffs = _pair_lattice_payoffs(low, high, axes[0], axes[1], nodes, weights)
     cells = np.column_stack([np.repeat(axes[0], len(axes[1])), np.tile(axes[1], len(axes[0]))])
-    best = _first_best(models, cells, payoffs.ravel(), nodes, weights)
-    return _outcome_for(models, list(cells[best]), nodes, weights, method="GridOracle")
+    return _best_outcome(models, cells, payoffs.ravel(), nodes, weights, method="GridOracle")
 
 
 # --------------------------------------------------------------------------
@@ -788,15 +775,14 @@ def utility_based_pricing(
 
     The shared factor beta is swept over (0, 1) in steps of 1e-3.  Every
     row is scored at full resolution by :func:`_family_payoffs`, and the
-    rows within rounding of the best are re-scored (:func:`_first_best`).
+    rows within rounding of the best are re-scored (:func:`_best_outcome`).
     """
     betas = np.arange(1, 1000) / 1000.0
     utils = np.array([m.utility for m in models])
     family = betas[:, None] * utils[None, :]
     nodes, weights = dist.quadrature(quad)
-    idx = _first_best(models, family, _family_payoffs(models, family, nodes, weights),
-                      nodes, weights)
-    return _outcome_for(models, list(family[idx]), nodes, weights, method="UtilityBased")
+    return _best_outcome(models, family, _family_payoffs(models, family, nodes, weights),
+                         nodes, weights, method="UtilityBased")
 
 
 def cost_based_pricing(
@@ -813,7 +799,7 @@ def cost_based_pricing(
     steps per node, not with the rows; the rows that price every model
     above its utility (about half of them there) sell to no one and
     score exactly 0.  The best rows are then re-scored
-    (:func:`_first_best`).
+    (:func:`_best_outcome`).
     """
     costs = np.array([m.cost for m in models])
     if np.any(costs <= 0.0):
@@ -822,9 +808,8 @@ def cost_based_pricing(
     mus = np.arange(0, int(math.floor(mu_max / 1e-3)) + 1) * 1e-3
     family = (1.0 + mus)[:, None] * costs[None, :]
     nodes, weights = dist.quadrature(quad)
-    idx = _first_best(models, family, _family_payoffs(models, family, nodes, weights),
-                      nodes, weights)
-    return _outcome_for(models, list(family[idx]), nodes, weights, method="CostBased")
+    return _best_outcome(models, family, _family_payoffs(models, family, nodes, weights),
+                         nodes, weights, method="CostBased")
 
 
 def _live_rows(models: ModelSet, family: np.ndarray, nodes: np.ndarray) -> int:
@@ -874,7 +859,7 @@ def _family_payoffs(
     to summation order (within 1e-11 of the top utility in the tests).
     The one exception is a pair of user payoffs within an ulp of each
     other over a run of rows, where rounding, not the affine trend,
-    decides the float comparison; :func:`_first_best` re-scores the
+    decides the float comparison; :func:`_best_outcome` re-scores the
     rows it chooses between.
     """
     family = np.asarray(family, dtype=float)
@@ -960,20 +945,30 @@ def _near_best(models: ModelSet, scores: np.ndarray) -> np.ndarray:
     return scores >= scores.max(axis=-1, keepdims=True) - tol
 
 
-def _first_best(
+def _best_outcome(
     models: ModelSet,
-    schedules: np.ndarray,
-    scores: np.ndarray,
+    schedules: np.ndarray | Sequence[Sequence[float]],
+    scores: np.ndarray | Sequence[float],
     nodes: np.ndarray,
     weights: np.ndarray,
-) -> int:
-    """Index of the schedule to return, given a batch score for each.
+    method: str,
+) -> PricingOutcome:
+    """The outcome of the schedule to return, given a search score for each.
 
-    The schedules :func:`_near_best` keeps are re-scored in one
-    :func:`_family_volumes` call, each exactly as :func:`platform_payoff`
-    scores it alone, and the first best of them is returned, so rounding
-    in the batch scores does not pick the answer.
+    ``schedules`` has one row of prices per schedule, in set order.  The
+    schedules :func:`_near_best` keeps are re-scored in one
+    :func:`_family_volumes` call, each row exactly as
+    :func:`platform_payoff` scores that schedule alone, and the outcome
+    of the first best of them is read off its row, so rounding in the
+    search scores does not pick the answer.
     """
-    near = np.flatnonzero(_near_best(models, scores))
-    pays, _ = _family_volumes(models, schedules[near], nodes, weights)
-    return int(near[np.argmax(pays)])
+    near = np.flatnonzero(_near_best(models, np.asarray(scores)))
+    prices = np.asarray(schedules, dtype=float)[near]
+    payoffs, volumes = _family_volumes(models, prices, nodes, weights)
+    i = int(np.argmax(payoffs))
+    return PricingOutcome(
+        schedule=PriceSchedule({m.id: float(p) for m, p in zip(models, prices[i])}),
+        platform_payoff=float(payoffs[i]),
+        prompt_volume={m.id: float(volumes[i, j]) for j, m in enumerate(models)},
+        method=method,
+    )

@@ -31,21 +31,18 @@ from .core import (
 )
 
 
-class _UnboundedType:
+class _UnboundedType(enum.Enum):
     """Marker for an infinite optimal prompt count (free prompts)."""
 
-    _instance: "_UnboundedType | None" = None
-
-    def __new__(cls) -> "_UnboundedType":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    UNBOUNDED = "unbounded"
 
     def __repr__(self) -> str:
         return "Unbounded"
 
+    __str__ = __repr__  # str() and format() print the marker as before
 
-UNBOUNDED = _UnboundedType()
+
+UNBOUNDED = _UnboundedType.UNBOUNDED
 
 
 class PromptShape(enum.Enum):

@@ -521,9 +521,46 @@ class TestOpp:
                   scenario.opp_config())
         assert got.platform_payoff >= FIG7_OPP_FLOORS[name][point]
 
+    @pytest.mark.parametrize("name", ["fig7a", "fig7b"])
+    def test_answer_is_the_first_best_window_winner(self, name):
+        """Under Uniform(0.6, 1) at step 0.002 and 2001 nodes, every polish
+        window's best cell is a candidate.  The answer is the first best, by
+        one-row evaluation, of the winners within ``_RESCORE_TOL`` of the top
+        utility of the best window score (two distinct cells for fig7a), so
+        it pays at least what the window winner the lattice ranks first
+        pays."""
+        from prompt_pricing import heterogeneous
+
+        kernel, winners, scores = heterogeneous._pair_lattice_payoffs, [], []
+
+        def record(low, high, axis_low, axis_high, *rest):
+            cells = kernel(low, high, axis_low, axis_high, *rest)
+            if len(axis_low) == len(axis_high) == heterogeneous._WINDOW_POINTS:
+                a, b = np.unravel_index(int(np.argmax(cells)), cells.shape)
+                winners.append(PriceSchedule({"ml": axis_low[a], "mh": axis_high[b]}))
+                scores.append(cells[a, b])
+            return cells
+
+        models, dist = FAMILY_SETS[name], UniformAmbiguity(0.6, 1.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heterogeneous, "_pair_lattice_payoffs", record)
+            out = opp(models, dist, OppConfig(step_alpha=0.002, quad=QuadratureConfig()))
+        near = np.flatnonzero(heterogeneous._near_best(models, np.array(scores)))
+        best = None
+        for i in near:
+            got = platform_payoff(models, winners[i], dist)
+            if best is None or got.platform_payoff > best.platform_payoff:
+                best = got
+        assert out.schedule == best.schedule
+        assert out.platform_payoff == best.platform_payoff
+        assert out.prompt_volume == best.prompt_volume
+        lattice_pick = platform_payoff(models, winners[int(np.argmax(scores))], dist)
+        assert out.platform_payoff >= lattice_pick.platform_payoff
+
     def test_one_sweep_rescore_and_one_outcome_evaluation(self, monkeypatch):
         """Every comparison in the polish is between lattice cells: a solve
-        evaluates schedules twice, the sweep pairs and the answer."""
+        evaluates schedules twice, the sweep pairs and the near-best polish
+        window winners, whose batch also gives the answer's outcome."""
         from prompt_pricing import heterogeneous
 
         calls = _count_calls(monkeypatch, heterogeneous, "_family_volumes")
@@ -1173,8 +1210,9 @@ class TestRowIndependence:
 
     def test_grid_oracle_tie_is_scored_in_one_batch(self, monkeypatch):
         """fig7a under Uniform(0.6, 1) at 2001 nodes: 370 lattice cells tie
-        the best.  The oracle re-scores them in one call and returns what
-        scoring each alone and keeping the first strictly better gives."""
+        the best.  The oracle re-scores them in one call, which also gives
+        the answer's payoff and volumes, and returns what scoring each alone
+        and keeping the first strictly better gives."""
         from prompt_pricing import heterogeneous
         from prompt_pricing.heterogeneous import (
             _family_volumes, _near_best, _pair_lattice_payoffs)
@@ -1194,7 +1232,7 @@ class TestRowIndependence:
 
         calls = _count_calls(monkeypatch, heterogeneous, "_family_volumes")
         out = grid_oracle(PAIR, dist, grid_n)
-        assert len(calls) <= 2
+        assert len(calls) == 1
         assert [out.schedule.price_for(m) for m in PAIR] == list(best)
         assert out.platform_payoff == best_pay
 
@@ -1204,5 +1242,51 @@ class TestRowIndependence:
         models = ModelSet([GaiModel("ml", 1.0, 1.5), GaiModel("mh", 1.8, 2.2)])
         calls = _count_calls(monkeypatch, heterogeneous, "_family_volumes")
         out = cost_based_pricing(models, U01)
-        assert len(calls) <= 2
+        assert len(calls) == 1
         assert out.platform_payoff == 0.0
+
+    def test_utility_family_is_rescored_in_one_batch(self, monkeypatch):
+        """The near-best rows are re-scored in one call, and the answer is
+        read off that call: fig7a's utility family under Uniform(0, 1)."""
+        from prompt_pricing import heterogeneous
+
+        calls = _count_calls(monkeypatch, heterogeneous, "_family_volumes")
+        out = utility_based_pricing(PAIR, U01)
+        assert len(calls) == 1
+        alone = platform_payoff(PAIR, out.schedule, U01)
+        assert out.platform_payoff == alone.platform_payoff
+        assert out.prompt_volume == alone.prompt_volume
+
+
+class TestBestOutcome:
+    """Every quadrature solver finishes through ``_best_outcome``."""
+
+    def test_rescored_best_wins_and_far_candidates_are_not_scored(self, monkeypatch):
+        """Candidate 0 has the best search score but pays less than candidate 1,
+        which is within ``_RESCORE_TOL`` of the top utility of it.  Candidate 2
+        pays the most of all, but its score is further below, so it is never
+        evaluated."""
+        from prompt_pricing import heterogeneous
+        from prompt_pricing.heterogeneous import _RESCORE_TOL, _best_outcome
+
+        nodes, weights = U01.quadrature(FAST)
+        schedules = np.array([[0.3, 0.6], [0.35, 0.7], [0.4, 0.8]])
+        pays = [platform_payoff(PAIR, PriceSchedule({"ml": lo, "mh": hi}), U01, FAST)
+                for lo, hi in schedules]
+        assert pays[0].platform_payoff < pays[1].platform_payoff < pays[2].platform_payoff
+        tol = _RESCORE_TOL * PAIR.high.utility
+        scores = np.array([1.0, 1.0 - tol / 2, 1.0 - 2 * tol])
+
+        seen, inner = [], heterogeneous._family_volumes
+
+        def recording(models, price_matrix, *rest):
+            seen.extend(np.asarray(price_matrix).tolist())
+            return inner(models, price_matrix, *rest)
+
+        monkeypatch.setattr(heterogeneous, "_family_volumes", recording)
+        out = _best_outcome(PAIR, schedules, scores, nodes, weights, method="Test")
+        assert schedules[2].tolist() not in seen
+        assert out.schedule == pays[1].schedule
+        assert out.platform_payoff == pays[1].platform_payoff
+        assert out.prompt_volume == pays[1].prompt_volume
+        assert out.method == "Test"
