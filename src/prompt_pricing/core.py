@@ -2,8 +2,11 @@
 
 This module owns the immutable value types (models, price schedules,
 ambiguity distributions) and the composite-midpoint quadrature used to
-average over a population of users.  Everything here is pure and safe
-to share across concurrent workers.
+average over a population of users.  There is one density type, the
+piecewise-linear :class:`TabulatedAmbiguity` with its exact interval
+masses and knot-aligned quadrature; :class:`UniformAmbiguity` is its
+two-knot case.  Everything here is pure and safe to share across
+concurrent workers.
 """
 
 from __future__ import annotations
@@ -182,45 +185,6 @@ class QuadratureConfig:
 
 
 @dataclass(frozen=True)
-class UniformAmbiguity:
-    """Uniform ambiguity density on [lo, hi] inside the unit interval.
-
-    The closed endpoints may touch 0 or 1; quadrature nodes are interval
-    midpoints, so the excluded ambiguity values 0 and 1 are never
-    evaluated.
-    """
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise InvalidDistribution("uniform bounds must be finite")
-        if not (0.0 <= self.lo < self.hi <= 1.0):
-            raise InvalidDistribution(
-                f"uniform support needs 0 <= lo < hi <= 1, got [{self.lo}, {self.hi}]")
-
-    def support(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
-
-    def mass(self, a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
-        """Exact probability mass on [a, b], elementwise over arrays.
-
-        The clip at 0 gives 0 where b <= a or [a, b] misses the support."""
-        lo = np.maximum(a, self.lo)
-        hi = np.minimum(b, self.hi)
-        return (np.maximum(0.0, hi - lo) / (self.hi - self.lo))[()]
-
-    def quadrature(self, quad: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-        """Midpoint nodes and weights; weights already include the density."""
-        n = quad.node_count
-        step = (self.hi - self.lo) / n
-        nodes = self.lo + (np.arange(n) + 0.5) * step
-        weights = np.full(n, 1.0 / n)
-        return nodes, weights
-
-
-@dataclass(frozen=True)
 class TabulatedAmbiguity:
     """Piecewise-linear ambiguity density given by (knot, value) pairs.
 
@@ -248,6 +212,8 @@ class TabulatedAmbiguity:
         area = sum((v[i] + v[i + 1]) * (k[i + 1] - k[i]) / 2.0 for i in range(len(k) - 1))
         if area <= 0.0:
             raise InvalidDistribution("density must have positive total mass")
+        if any(not math.isfinite(x / area) for x in v):
+            raise InvalidDistribution("density values overflow: the support is too narrow")
         object.__setattr__(self, "knots", k)
         object.__setattr__(self, "values", tuple(x / area for x in v))
 
@@ -288,4 +254,28 @@ class TabulatedAmbiguity:
         return np.concatenate(nodes_parts), np.concatenate(weights_parts)
 
 
-AmbiguityDistribution = UniformAmbiguity | TabulatedAmbiguity
+@dataclass(frozen=True, init=False)
+class UniformAmbiguity(TabulatedAmbiguity):
+    """Uniform ambiguity density on [lo, hi] inside the unit interval: the
+    tabulated density with the two knots ``(lo, hi)`` and one value.
+
+    The closed endpoints may touch 0 or 1; quadrature nodes are interval
+    midpoints, so the excluded ambiguity values 0 and 1 are never
+    evaluated.
+    """
+
+    def __init__(self, lo: float, hi: float) -> None:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InvalidDistribution("uniform bounds must be finite")
+        if not (0.0 <= lo < hi <= 1.0):
+            raise InvalidDistribution(f"uniform support needs 0 <= lo < hi <= 1, got [{lo}, {hi}]")
+        super().__init__((lo, hi), (1.0, 1.0))
+
+    lo = property(lambda self: self.knots[0])
+    hi = property(lambda self: self.knots[1])
+
+    def __repr__(self) -> str:
+        return f"UniformAmbiguity(lo={self.lo!r}, hi={self.hi!r})"
+
+
+AmbiguityDistribution = TabulatedAmbiguity

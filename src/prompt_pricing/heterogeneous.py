@@ -186,7 +186,7 @@ def _count_profile(
     return counts, pays
 
 
-_ROW_CHUNK = 64  # schedules per chunk: keeps full-resolution temporaries to about 1 MB each
+_CHUNK_ELEMENTS = 1 << 17  # elements per temporary of a row or node chunk: 1 MB of float64
 
 
 def _family_volumes(
@@ -202,7 +202,9 @@ def _family_volumes(
     (F, M).  Selection per node is the stage-2 rule of
     :func:`~prompt_pricing.user_strategy.select_model` (:func:`_choose`).
 
-    Rows are taken in chunks of ``_ROW_CHUNK``.  In each chunk a model's
+    Rows are taken in chunks of ``_CHUNK_ELEMENTS // len(nodes)`` (at
+    least one), so each chunk's temporaries hold about
+    ``_CHUNK_ELEMENTS`` elements.  In each chunk a model's
     prices are sorted and profiled by :func:`_count_profile`, which runs
     the count kernel at the cheapest and the dearest of them only (once
     for a one-row call); its counts and user payoffs, bit-identical to
@@ -225,10 +227,11 @@ def _family_volumes(
     costs = [m.cost for m in models]
     # the largest (1 - eps) * U of _counts_vec's buy test: rounding keeps the order of eps
     ceilings = (1.0 - nodes.min()) * np.array(utils)
-    counts_buf = np.empty((n_models, min(n_rows, _ROW_CHUNK), len(nodes)))
+    chunk = max(1, _CHUNK_ELEMENTS // len(nodes))
+    counts_buf = np.empty((n_models, min(n_rows, chunk), len(nodes)))
     pays_buf = np.empty_like(counts_buf)
-    for start in range(0, n_rows, _ROW_CHUNK):
-        rows = slice(start, start + _ROW_CHUNK)
+    for start in range(0, n_rows, chunk):
+        rows = slice(start, start + chunk)
         prices = price_matrix[rows]
         if not np.any(prices.min(axis=0) <= ceilings):
             continue
@@ -263,9 +266,6 @@ def _choose(counts, pays, utils) -> np.ndarray:
     return sel
 
 
-_LATTICE_BUDGET = 1 << 17  # (rows + columns) x nodes per node chunk: 1 MB of float64
-
-
 def _prefix_lengths(score_h: np.ndarray, score_l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per node, the rows that win against each column and the columns that
     win against each row, from one stable argsort of both negated score
@@ -295,7 +295,7 @@ def _pair_lattice_payoffs(
     len high), in the axes' own order: each axis is sorted ascending
     (stably) for the profile and the merge, and the output is put back
     in place.  Nodes may come in any order; they are taken in chunks
-    whose temporaries hold about ``_LATTICE_BUDGET`` elements.  In each
+    whose temporaries hold about ``_CHUNK_ELEMENTS`` elements.  In each
     chunk the nodes where neither tier's cheapest price passes the
     kernel's ``buy`` test are dropped: no price sells there, so they
     would add only zeros to the sequential ``np.bincount`` sums, and
@@ -374,7 +374,7 @@ def _pair_lattice_payoffs(
         np.add(low_from, np.bincount((rows * (n_high + 1) + beating).ravel(), gain_l.ravel(),
                                      minlength=len(low_from)), out=low_from)
 
-    chunk = max(1, _LATTICE_BUDGET // (n_low + n_high))
+    chunk = max(1, _CHUNK_ELEMENTS // (n_low + n_high))
     for start in range(0, len(nodes), chunk):
         eps, w = nodes[start:start + chunk], weights[start:start + chunk]
         # a node where neither cheapest price passes the kernel's buy test adds only zeros
@@ -547,14 +547,13 @@ def single_model_price(
     (:func:`_volume_from_segments`), not from the quadrature that
     :func:`platform_payoff` and every other solver report; re-scoring the
     answer by :func:`platform_payoff` differs by up to 1.2e-4 of U on the
-    fig7 tiers.  ``quad`` is used only when the cost is at least U, where
-    the price U sells nothing.
+    fig7 tiers.  When the cost is at least U the answer is the price U,
+    where nothing sells.  ``quad`` is read nowhere; it is kept only for
+    callers that pass it positionally (the benchmark's workloads).
     """
     u, c = model.utility, model.cost
     if c >= u:
-        nodes, weights = dist.quadrature(quad)
-        return _best_outcome(ModelSet([model]), [[u]], [0.0], nodes, weights,
-                             method="SingleModel")
+        return PricingOutcome(PriceSchedule({model.id: float(u)}), 0.0, {model.id: 0.0}, "SingleModel")
 
     def objective(p: np.ndarray) -> np.ndarray:
         return (p - c) * _volume_from_segments(model, p.ravel(), dist).reshape(p.shape)
@@ -580,9 +579,9 @@ def single_model_price(
         probes = np.linspace(a, b, 9, axis=1)
         vals = objective(probes)
 
-    # the cheapest piece near the best wins, so rounding does not pick between equal maxima
-    near = np.flatnonzero(_near_best(ModelSet([model]), best_v))
-    j = int(near[np.argmin(best_p[near])])
+    # the first near-best piece wins: pieces ascend and are disjoint, so it is the cheapest,
+    # and rounding does not pick between equal maxima
+    j = int(np.argmax(_near_best(ModelSet([model]), best_v)))
     price = float(best_p[j]) if best_v[j] > 0.0 else u  # the price U sells nothing
 
     volume = float(_volume_from_segments(model, np.array([price]), dist)[0])
@@ -684,7 +683,7 @@ def opp(
     if low.cost >= low.utility or high.cost >= high.utility:
         # single_model_price prices a tier that cannot sell above cost at its utility,
         # where nobody buys it, so the other tier is a catalogue of its own
-        prices = [single_model_price(m, dist, cfg.quad).schedule.price_for(m) for m in (low, high)]
+        prices = [single_model_price(m, dist).schedule.price_for(m) for m in (low, high)]
         return _best_outcome(models, [prices], [0.0], nodes, weights, method="OPP")
 
     alpha = cfg.resolve_alpha(low.utility)

@@ -19,7 +19,7 @@ from prompt_pricing import (
     prompt_upper_bound,
     user_payoff,
 )
-from prompt_pricing.heterogeneous import _LATTICE_BUDGET, _count_profile
+from prompt_pricing.heterogeneous import _CHUNK_ELEMENTS, _count_profile
 from prompt_pricing.user_strategy import _counts_vec
 
 
@@ -97,6 +97,19 @@ def is_unimodal(seq) -> bool:
     return True
 
 
+def shape_name(seq) -> str | None:
+    """The name a shape classifier gives the course of ``seq``: rising
+    (``INCREASING``), rising then falling (``INVERSE_U_SHAPED``) or falling
+    (``DECREASING``); None for a flat or a wavy sequence."""
+    if is_non_decreasing(seq) and seq[-1] > seq[0]:
+        return "INCREASING"
+    if is_non_increasing(seq) and seq[-1] < seq[0]:
+        return "DECREASING"
+    if is_unimodal(seq) and not (is_non_decreasing(seq) or is_non_increasing(seq)):
+        return "INVERSE_U_SHAPED"
+    return None
+
+
 def payoffs_at_counts(utility: float, price, eps, counts):
     """User payoffs ``(1 - eps**n) * U - n * p`` at the given prompt counts;
     the arguments broadcast."""
@@ -157,7 +170,7 @@ def argsort_pair_lattice(low: GaiModel, high: GaiModel, axis_low, axis_high, nod
         np.add(low_from, np.bincount((rows * (n_high + 1) + beating).ravel(), gain_l.ravel(),
                                      minlength=len(low_from)), out=low_from)
 
-    chunk = max(1, _LATTICE_BUDGET // (n_low + n_high))
+    chunk = max(1, _CHUNK_ELEMENTS // (n_low + n_high))
     for start in range(0, len(nodes), chunk):
         eps, w = nodes[start:start + chunk], weights[start:start + chunk]
         sells = (p_low[0] <= (1.0 - eps) * low.utility) | (p_high[0] <= (1.0 - eps) * high.utility)

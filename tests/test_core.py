@@ -1,6 +1,9 @@
 """Domain types and the quadrature rules of the ambiguity distributions."""
 
+import copy
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -65,12 +68,14 @@ class TestTypes:
             QuadratureConfig(2)
 
     def test_uniform_support_validation(self):
-        with pytest.raises(InvalidDistribution):
-            UniformAmbiguity(0.5, 0.5)
-        with pytest.raises(InvalidDistribution):
-            UniformAmbiguity(-0.1, 0.5)
-        with pytest.raises(InvalidDistribution):
-            UniformAmbiguity(0.2, 1.1)
+        for lo, hi in ((0.5, 0.5), (-0.1, 0.5), (0.2, 1.1), (0.7, 0.3)):
+            with pytest.raises(InvalidDistribution) as exc:
+                UniformAmbiguity(lo, hi)
+            assert str(exc.value) == f"uniform support needs 0 <= lo < hi <= 1, got [{lo}, {hi}]"
+        for lo, hi in ((math.nan, 0.5), (0.0, math.inf)):
+            with pytest.raises(InvalidDistribution) as exc:
+                UniformAmbiguity(lo, hi)
+            assert str(exc.value) == "uniform bounds must be finite"
 
     def test_tabulated_validation(self):
         with pytest.raises(InvalidDistribution):
@@ -81,6 +86,15 @@ class TestTypes:
             TabulatedAmbiguity([0.0, 1.0], [-1.0, 1.0])
         with pytest.raises(InvalidDistribution):
             TabulatedAmbiguity([0.0, 1.0], [0.0, 0.0])
+
+    def test_too_narrow_support_is_rejected(self):
+        """A support narrower than 1 / DBL_MAX has a density that overflows:
+        rejected at construction, not turned into inf weights and nan payoffs."""
+        for make in (lambda: UniformAmbiguity(0.0, 1e-310),
+                     lambda: TabulatedAmbiguity([0.0, 1e-310], [1.0, 2.0])):
+            with pytest.raises(InvalidDistribution, match="support is too narrow"):
+                make()
+        assert np.all(np.isfinite(UniformAmbiguity(0.0, 1e-300).quadrature(QuadratureConfig())[1]))
 
     def test_tabulated_renormalizes(self):
         dist = TabulatedAmbiguity([0.0, 0.5, 1.0], [2.0, 4.0, 1.0])
@@ -126,3 +140,47 @@ class TestIntegrate:
         coarse = integrate(f, dist, QuadratureConfig(2001))
         fine = integrate(f, dist, QuadratureConfig(4001))
         assert abs(fine - coarse) < 1e-3
+
+
+class TestUniformIsTabulated:
+    """A uniform density is the tabulated density with the two knots (lo, hi)
+    and one value: the same nodes, weights and masses, bit for bit."""
+
+    SUPPORTS = [(lo / 100.0, hi) for hi in (1.0, 0.9, 0.75) for lo in range(99) if lo / 100.0 < hi]
+
+    @pytest.mark.parametrize("n", [201, 301, 501, 2001])
+    def test_quadrature_is_bit_identical(self, n):
+        quad = QuadratureConfig(n)
+        assert len(self.SUPPORTS) == 264
+        for lo, hi in self.SUPPORTS:
+            nodes, weights = UniformAmbiguity(lo, hi).quadrature(quad)
+            want_nodes, want_weights = TabulatedAmbiguity((lo, hi), (1.0, 1.0)).quadrature(quad)
+            assert np.array_equal(nodes, want_nodes), (lo, hi)
+            assert np.array_equal(weights, want_weights), (lo, hi)
+
+    def test_mass_is_bit_identical(self):
+        rng = np.random.default_rng(20241019)
+        a, b = rng.uniform(-0.2, 1.2, (2, 1000))
+        # intervals below, above and outside the support, and a few with b <= a
+        a[:3], b[:3] = (-0.5, 1.0, 0.6), (-0.1, 1.5, 0.6)
+        assert np.count_nonzero(b <= a) > 100
+        for lo, hi in self.SUPPORTS:
+            uniform, tabulated = UniformAmbiguity(lo, hi), TabulatedAmbiguity((lo, hi), (1.0, 1.0))
+            assert np.array_equal(uniform.mass(a, b), tabulated.mass(a, b)), (lo, hi)
+            assert uniform.mass(0.3, 0.8) == tabulated.mass(0.3, 0.8)
+            assert uniform.mass(0.8, 0.3) == 0.0
+
+    def test_value_semantics(self):
+        dist = UniformAmbiguity(0.2, 0.9)
+        assert isinstance(dist, TabulatedAmbiguity)
+        assert (dist.lo, dist.hi) == (0.2, 0.9) and dist.support() == (0.2, 0.9)
+        assert repr(dist) == "UniformAmbiguity(lo=0.2, hi=0.9)"
+        assert dist == UniformAmbiguity(0.2, 0.9) and hash(dist) == hash(UniformAmbiguity(0.2, 0.9))
+        assert dist != UniformAmbiguity(0.2, 0.8)
+        assert dist != TabulatedAmbiguity((0.2, 0.9), (1.0, 1.0))
+        assert len({dist, UniformAmbiguity(0.2, 0.9), UniformAmbiguity(0.0, 1.0)}) == 2
+        for twin in (pickle.loads(pickle.dumps(dist)), copy.deepcopy(dist)):
+            assert type(twin) is UniformAmbiguity and twin == dist and hash(twin) == hash(dist)
+            assert (twin.lo, twin.hi) == (0.2, 0.9)
+        with pytest.raises(FrozenInstanceError):
+            dist.lo = 0.5

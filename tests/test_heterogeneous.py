@@ -660,8 +660,8 @@ class TestNodePruning:
                 + [dead, [axis_low[-2], axis_high[-2]], dead]
                 + [[p, q] for p, q in zip(axis_low, axis_high)])
         want = [_scalar_route(PAIR, r, nodes, weights) for r in rows]
-        for chunk in (1, 3, 512):
-            monkeypatch.setattr(heterogeneous, "_ROW_CHUNK", chunk)
+        for chunk in (1, 3, 512):  # rows per chunk
+            monkeypatch.setattr(heterogeneous, "_CHUNK_ELEMENTS", chunk * len(nodes))
             payoffs, volumes = heterogeneous._family_volumes(PAIR, np.array(rows), nodes, weights)
             for (pay, vol), got_pay, got_vol in zip(want, payoffs, volumes):
                 assert abs(got_pay - pay) <= 1e-12 * PAIR.high.utility
@@ -1192,17 +1192,18 @@ class TestRowIndependence:
     @pytest.mark.parametrize("dist_name", FAMILY_DISTS)
     @pytest.mark.parametrize("set_name", ["fig7a", "three"])
     def test_batch_rows_equal_one_row_calls(self, set_name, dist_name):
-        from prompt_pricing.heterogeneous import _ROW_CHUNK, _family_volumes
+        from prompt_pricing.heterogeneous import _CHUNK_ELEMENTS, _family_volumes
 
         models = FAMILY_SETS[set_name]
         nodes, weights = FAMILY_DISTS[dist_name].quadrature(QuadratureConfig())
+        chunk = max(1, _CHUNK_ELEMENTS // len(nodes))  # rows per chunk
         utils = np.array([m.utility for m in models])
         rng = np.random.default_rng(20240811)
-        rows = rng.uniform(0.02, 1.3, (3 * _ROW_CHUNK + 8, len(models))) * utils
+        rows = rng.uniform(0.02, 1.3, (3 * chunk + 8, len(models))) * utils
         rows[::4] = 1.5 * utils  # above every utility: sells nowhere
-        rows[2 * _ROW_CHUNK:3 * _ROW_CHUNK] = 1.5 * utils  # a whole chunk that sells nowhere
+        rows[2 * chunk:3 * chunk] = 1.5 * utils  # a whole chunk that sells nowhere
         payoffs, volumes = _family_volumes(models, rows, nodes, weights)
-        assert len(rows) // 3 < np.count_nonzero(payoffs) < len(rows) - _ROW_CHUNK
+        assert len(rows) // 3 < np.count_nonzero(payoffs) < len(rows) - chunk
         for row, pay, vol in zip(rows, payoffs, volumes):
             one_pay, one_vol = _family_volumes(models, row[None, :], nodes, weights)
             assert pay == one_pay[0]

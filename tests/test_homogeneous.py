@@ -19,7 +19,7 @@ from prompt_pricing import (
 )
 from prompt_pricing.user_strategy import _counts_vec
 
-from _helpers import is_non_decreasing, is_non_increasing, is_unimodal
+from _helpers import is_non_decreasing, is_non_increasing, is_unimodal, shape_name
 
 
 def price_grid_payoff(model: GaiModel, eps: float, step: float = 1e-4) -> float:
@@ -123,6 +123,15 @@ class TestCostShape:
     ])
     def test_bands(self, cost, expected):
         assert classify_cost_shape(GaiModel("m", 1.0, cost)) is expected
+
+    @pytest.mark.parametrize("cost", [0.0, 0.01, 0.124, 0.125, 0.126, 0.5])
+    def test_band_matches_computed_count_shape(self, cost):
+        """The band from C/U alone names the course the served count takes
+        over a 1,999-point eps grid, on both sides of the U/8 edge."""
+        model = GaiModel("m", 1.0, cost)
+        grid = [(j + 1) / 2000.0 for j in range(1999)]
+        counts = [p.prompt_count for p in homogeneous_payoff_curve(ModelSet([model]), grid)]
+        assert classify_cost_shape(model).name == shape_name(counts)
 
 
 class TestPayoffCurve:

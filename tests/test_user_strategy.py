@@ -31,6 +31,7 @@ from _helpers import (
     is_non_increasing,
     is_unimodal,
     payoffs_at_counts,
+    shape_name,
 )
 
 UNIT = GaiModel("m", 1.0)
@@ -156,6 +157,14 @@ class TestPromptShape:
     ])
     def test_bands(self, price, expected):
         assert classify_prompt_shape(UNIT, price) is expected
+
+    @pytest.mark.parametrize("ratio", [0.01, 0.2, 0.249, 0.25, 0.251, 0.5])
+    def test_band_matches_computed_count_shape(self, ratio):
+        """The band from p/U alone names the course the optimal counts take
+        over a 1,999-point eps grid, on both sides of the U/4 edge."""
+        grid = [(j + 1) / 2000.0 for j in range(1999)]
+        counts = [optimal_prompt_count(UNIT, ratio, e) for e in grid]
+        assert classify_prompt_shape(UNIT, ratio).name == shape_name(counts)
 
     def test_shapes_realized_on_eps_grid(self):
         grid = [(j + 1) / 1000.0 for j in range(999)]
