@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -39,7 +40,7 @@ from .core import (
 from .heterogeneous import cost_based_pricing, grid_oracle, opp, utility_based_pricing
 from .homogeneous import homogeneous_payoff_curve
 from .scenario import Scenario, ScenarioError, load_scenario
-from .user_strategy import UNBOUNDED, _best, _options
+from .user_strategy import UNBOUNDED, _decision_for, _pick
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
@@ -54,43 +55,59 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _fmt(value) -> str:
-    """Fixed 12-significant-digit rendering for CSV cells."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
+class _Quoted(dict):
+    """Text cells under csv's QUOTE_MINIMAL rule, each distinct one rendered once."""
+
+    def __missing__(self, text):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([text])
+        self[text] = cell = buf.getvalue()[:-1]
+        return cell
 
 
 def _write_outputs(
     out_path: str, columns: list[str], rows: list[list], as_json: bool, command: str, name: str
 ) -> None:
+    """Stream ``rows`` to a CSV file through one ``%``-format line made from the
+    first row's cell kinds (every verb keeps one kind per column; counts mix ints
+    and "inf"): floats, ``np.float64`` too, at 12 significant digits, text quoted
+    as ``csv.writer`` quotes it, ints and "inf" as they print."""
     path = Path(out_path)
-    json_rows = []  # each row's CSV cells, kept only for the JSON mirror
+    quoted = _Quoted()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            cells = [_fmt(v) for v in row]
-            writer.writerow(cells)
-            if as_json:
-                json_rows.append(dict(zip(columns, cells)))
+        fh.write(",".join(quoted[c] for c in columns) + "\n")
+        if rows:
+            line = ",".join("%.12g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
+            text = [i for i, v in enumerate(rows[0]) if isinstance(v, str)]
+            for row in rows:
+                cells = list(row)
+                for i in text:
+                    cells[i] = quoted[cells[i]]
+                fh.write(line % tuple(cells))
     if as_json:
-        payload = {"command": command, "scenario": name, "columns": columns, "rows": json_rows}
-        with open(path.with_suffix(".json"), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=False)
-            fh.write("\n")
+        _write_json(path, command, name)
+
+
+def _write_json(path: Path, command: str, name: str) -> None:
+    """The CSV's JSON mirror in ``json.dump(..., indent=2)``'s layout, for a CSV
+    of one row or more; its cells are the CSV's as ``csv.reader`` reads them."""
+    enc = json.encoder.encode_basestring_ascii
+    with open(path, newline="") as fh, open(path.with_suffix(".json"), "w") as out:
+        reader = csv.reader(fh)
+        columns = next(reader)
+        keys = [f"\n      {enc(c)}: " for c in columns]
+        out.write(f'{{\n  "command": {enc(command)},\n  "scenario": {enc(name)},\n  "columns": [')
+        out.write(",".join(f"\n    {enc(c)}" for c in columns) + '\n  ],\n  "rows": [')
+        for i, cells in enumerate(reader):
+            out.write((",\n    {" if i else "\n    {")
+                      + ",".join(map(str.__add__, keys, map(enc, cells))) + "\n    }")
+        out.write("\n  ]\n}\n")
 
 
 def _require_sweep(scenario: Scenario, variable: str, command: str) -> None:
     if scenario.sweep is None or scenario.sweep.variable != variable:
         raise ScenarioError(
             scenario.name, [f"the {command} command needs a [sweep] section with variable = {variable}"])
-
-
-def _count_cell(n) -> object:
-    return "inf" if n is UNBOUNDED else int(n)
 
 
 def cmd_user_strategy(scenario: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list]]:
@@ -101,22 +118,22 @@ def cmd_user_strategy(scenario: Scenario, args: argparse.Namespace) -> tuple[lis
         raise ScenarioError(
             scenario.name, [f"[model.{mid}] price: required by user-strategy" for mid in missing])
     schedule = PriceSchedule(scenario.prices)
+    priced = [(model, schedule.price_for(model)) for model in models]
     columns = ["eps"] + [f"n_star_{m.id}" for m in models] + ["selected_model", "user_payoff"]
     rows = []
-    for eps in scenario.sweep.values():
+    for eps in scenario.sweep.values().tolist():
         eps = check_ambiguity(eps)
-        options = _options(models, schedule, eps)
-        decision = _best(options)
-        rows.append([eps, *(_count_cell(n) for _, n, _ in options),
-                     decision.selected_model if decision.selected_model else "none",
-                     decision.payoff])
+        options = [(model, *_decision_for(model, price, eps)) for model, price in priced]
+        chosen, _, payoff = _pick(options) or (None, 0, 0.0)
+        rows.append([eps, *("inf" if n is UNBOUNDED else n for _, n, _ in options),
+                     chosen.id if chosen else "none", payoff])
     return columns, rows
 
 
 def cmd_homog_price(scenario: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list]]:
     _require_sweep(scenario, "eps", "homog-price")
     models = scenario.models
-    grid = [float(e) for e in scenario.sweep.values()]
+    grid = scenario.sweep.values().tolist()
     columns = ["eps", "price", "induced_count", "served_model", "prompt_count", "platform_payoff"]
     rows = [[eps, point.price, point.induced_count, point.served_model or "none",
              point.prompt_count, point.payoff]
@@ -155,13 +172,11 @@ def cmd_compare(scenario: Scenario, args: argparse.Namespace) -> tuple[list[str]
     cfg = scenario.opp_config(nodes_override=args.nodes, alpha_override=args.alpha)
     columns = ["eps_min", "payoff_opp", "payoff_utility", "payoff_cost"]
     rows = []
-    for eps_min in scenario.sweep.values():
-        dist = UniformAmbiguity(float(eps_min), scenario.dist.hi)
-        row_opp = opp(models, dist, cfg)
-        row_util = utility_based_pricing(models, dist, cfg.quad)
-        row_cost = cost_based_pricing(models, dist, cfg.quad)
-        rows.append([float(eps_min), row_opp.platform_payoff,
-                     row_util.platform_payoff, row_cost.platform_payoff])
+    for eps_min in scenario.sweep.values().tolist():
+        dist = UniformAmbiguity(eps_min, scenario.dist.hi)
+        rows.append([eps_min, opp(models, dist, cfg).platform_payoff,
+                     utility_based_pricing(models, dist, cfg.quad).platform_payoff,
+                     cost_based_pricing(models, dist, cfg.quad).platform_payoff])
     return columns, rows
 
 

@@ -181,7 +181,7 @@ def select_model(models: ModelSet, prices: PriceSchedule, eps: float) -> UserDec
     """Pick the payoff-maximizing model, or opt out entirely.
 
     Each model is evaluated once (:func:`_options`) and the best option
-    is picked by :func:`_best`.  Payoff ties resolve toward the
+    is picked by :func:`_pick`.  Payoff ties resolve toward the
     higher-utility model, then the lexicographically smaller id
     (:func:`_prefers`).  A tie between buying and not buying resolves
     toward buying, so indifferent users stay in the market.  A user
@@ -200,17 +200,26 @@ def _options(
 
 def _best(options: list[tuple[GaiModel, int | _UnboundedType, float]]) -> UserDecision:
     """The user's decision among :func:`_options`' offers (see :func:`select_model`)."""
-    best: tuple[GaiModel, int | _UnboundedType, float] | None = None
+    best = _pick(options)
+    if best is None:
+        return UserDecision(selected_model=None, prompt_count=0, payoff=0.0)
+    model, n, payoff = best
+    return UserDecision(selected_model=model.id, prompt_count=n, payoff=payoff)
+
+
+def _pick(
+    options: list[tuple[GaiModel, int | _UnboundedType, float]]
+) -> tuple[GaiModel, int | _UnboundedType, float] | None:
+    """The winning ``(model, count, payoff)`` option by :func:`_prefers`, or
+    None when every option sends zero prompts (the user opts out)."""
+    best = None
     for option in options:
         model, n, payoff = option
         if n is not UNBOUNDED and n == 0:
             continue
         if best is None or _prefers(payoff, model.utility, best[2], best[0].utility):
             best = option
-    if best is None:
-        return UserDecision(selected_model=None, prompt_count=0, payoff=0.0)
-    model, n, payoff = best
-    return UserDecision(selected_model=model.id, prompt_count=n, payoff=payoff)
+    return best
 
 
 def optimal_user_payoff(models: ModelSet, prices: PriceSchedule, eps: float) -> float:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import functools
+import json
 import math
 import os
 from decimal import Decimal, localcontext
@@ -30,6 +32,34 @@ def package_env() -> dict[str, str]:
     root = str(Path(prompt_pricing.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
     return dict(os.environ, PYTHONPATH=os.pathsep.join([root, inherited]) if inherited else root)
+
+
+def fmt_cell(value) -> str:
+    """A CSV cell as the CLI rendered it cell by cell: floats at 12
+    significant digits, everything else by ``str``."""
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)
+
+
+def csv_writer_outputs(out_path, columns, rows, as_json: bool, command: str, name: str) -> None:
+    """The CLI's output files written the plain way: ``csv.writer`` over
+    :func:`fmt_cell` cells, and ``json.dump(..., indent=2)`` of those cells
+    for the mirror.  The oracle for the CLI's own row writer."""
+    path = Path(out_path)
+    json_rows = []
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            cells = [fmt_cell(v) for v in row]
+            writer.writerow(cells)
+            json_rows.append(dict(zip(columns, cells)))
+    if as_json:
+        payload = {"command": command, "scenario": name, "columns": columns, "rows": json_rows}
+        with open(path.with_suffix(".json"), "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=False)
+            fh.write("\n")
 
 
 def brute_force_count(model: GaiModel, price: float, eps: float, cap: int = 200) -> int:

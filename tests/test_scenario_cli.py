@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from prompt_pricing import UNBOUNDED, PriceSchedule, optimal_prompt_count, select_model
-from prompt_pricing.cli import _fmt, main
+from prompt_pricing import cli
+from prompt_pricing.cli import main
 from prompt_pricing.scenario import ScenarioError, load_scenario
 from prompt_pricing.user_strategy import marginal_expected_utility
 
-from _helpers import package_env
+from _helpers import csv_writer_outputs, fmt_cell, package_env
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -270,8 +271,8 @@ class TestUserStrategyRows:
             eps = float(eps)
             counts = [optimal_prompt_count(m, schedule.price_for(m), eps) for m in scenario.models]
             decision = select_model(scenario.models, schedule, eps)
-            rows.append([_fmt(eps), *("inf" if n is UNBOUNDED else _fmt(n) for n in counts),
-                         decision.selected_model or "none", _fmt(decision.payoff)])
+            rows.append([fmt_cell(eps), *("inf" if n is UNBOUNDED else fmt_cell(n) for n in counts),
+                         decision.selected_model or "none", fmt_cell(decision.payoff)])
         return rows
 
     def run(self, tmp_path, case):
@@ -295,7 +296,7 @@ class TestUserStrategyRows:
 
     def test_price_at_marginal_gain_buys_that_prompt(self, tmp_path):
         rows = self.run(tmp_path, "indifference")
-        assert rows[3][0] == _fmt(INDIFFERENT_EPS)
+        assert rows[3][0] == fmt_cell(INDIFFERENT_EPS)
         assert rows[3][1] == "3"
 
     def test_prohibitive_price_counts_zero(self, tmp_path):
@@ -459,3 +460,102 @@ class TestVerbFlags:
         assert exc.value.code == 0
         listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out)) - {"--help"}
         assert listed == VERB_FLAGS[verb]
+
+
+def write_both_ways(monkeypatch) -> None:
+    """Route every CLI write through the row writer and, beside it, through
+    the ``csv.writer`` oracle into ``<stem>.ref<suffix>`` (the JSON mirror
+    of ``out.ref.csv`` lands in ``out.ref.json``)."""
+    write = cli._write_outputs
+
+    def both(out_path, columns, rows, as_json, command, name):
+        write(out_path, columns, rows, as_json, command, name)
+        path = Path(out_path)
+        csv_writer_outputs(path.with_suffix(".ref" + path.suffix), columns, rows, as_json,
+                           command, name)
+
+    monkeypatch.setattr(cli, "_write_outputs", both)
+
+
+QUOTED_IDS = """
+[scenario]
+name = quoted "ids", too
+
+[model.c d]
+utility = 1.0
+cost = 0.02
+price = 0.1
+
+[model.a,"b]
+utility = 1.8
+cost = 0.04
+price = 0.3
+
+[sweep]
+variable = eps
+start = 0.02
+stop = 0.98
+points = 49
+"""
+
+# opp and compare at a coarse lattice, to keep the suite quick
+SOLVE_FLAGS = {"user-strategy": [], "homog-price": [],
+               "opp": ["--nodes", "301", "--alpha", "0.02"],
+               "compare": ["--nodes", "301", "--alpha", "0.02"]}
+
+
+class TestRowWriter:
+    """The CLI's one-line row writer gives the bytes of ``csv.writer`` over
+    cell-by-cell rendering, and a JSON mirror in ``json.dump``'s layout."""
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["csv", "json"])
+    @pytest.mark.parametrize("verb", sorted(SOLVE_FLAGS))
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS.glob("*.ini")), ids=lambda p: p.stem)
+    def test_bundled_outputs_equal_the_csv_writer(self, tmp_path, monkeypatch, scenario, verb,
+                                                  as_json):
+        write_both_ways(monkeypatch)
+        args = [verb, "--scenario", str(scenario), "--out", str(tmp_path / "out.csv"),
+                *SOLVE_FLAGS[verb]]
+        if verb == "opp":
+            args += ["--trace", str(tmp_path / "trace.csv")]
+        code = main(args + ["--json"] * as_json)
+        written = {p.name for p in tmp_path.iterdir()}
+        if code != 0:  # a verb the scenario does not serve writes nothing
+            assert code == 2 and written == set()
+            return
+        stems = ["out"] + ["trace"] * (verb == "opp")
+        files = [f"{stem}.csv" for stem in stems] + ["out.json"] * as_json
+        assert written == set(files) | {f.replace(".", ".ref.") for f in files}
+        for name in files:
+            assert (tmp_path / name).read_bytes() == \
+                (tmp_path / name.replace(".", ".ref.")).read_bytes(), name
+
+    @pytest.mark.parametrize("verb", ["user-strategy", "homog-price"])
+    def test_ids_with_a_comma_and_a_quote(self, tmp_path, monkeypatch, verb):
+        write_both_ways(monkeypatch)
+        out = tmp_path / "out.csv"
+        scen = write_scenario(tmp_path, QUOTED_IDS)
+        assert main([verb, "--scenario", str(scen), "--out", str(out), "--json"]) == 0
+        assert out.read_bytes() == (tmp_path / "out.ref.csv").read_bytes()
+        assert (tmp_path / "out.json").read_bytes() == (tmp_path / "out.ref.json").read_bytes()
+        assert '"a,""b"' in out.read_text()  # quoted, its quote doubled
+        with open(out, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert 'a,"b' in {cell for row in rows for cell in row}
+        mirror = json.loads((tmp_path / "out.json").read_text())
+        assert mirror["scenario"] == 'quoted "ids", too'
+        assert mirror["columns"] == header
+        assert [list(row.values()) for row in mirror["rows"]] == rows
+        assert all(list(row) == header for row in mirror["rows"])
+
+    def test_cell_kinds_beyond_the_bundled_rows(self, tmp_path):
+        """numpy floats take the float format; a count column may start with
+        "inf" or with an int; text needing no quotes stays bare."""
+        columns = ["x", "n_a", "n_b", "model", "y"]
+        rows = [[np.float64(0.1) + np.float64(0.2), "inf", 3, "m,1", np.float64(1e-20)],
+                [np.float64(2.0) / 3.0, 12, "inf", "none", -0.0],
+                [1e300, 0, 10 ** 15, 'q"', float("inf")]]
+        cli._write_outputs(str(tmp_path / "a.csv"), columns, rows, True, "verb", "name")
+        csv_writer_outputs(str(tmp_path / "b.csv"), columns, rows, True, "verb", "name")
+        for suffix in (".csv", ".json"):
+            assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
