@@ -38,7 +38,7 @@ from .core import (
     check_ambiguity,
 )
 from .heterogeneous import cost_based_pricing, grid_oracle, opp, utility_based_pricing
-from .homogeneous import homogeneous_payoff_curve
+from .homogeneous import _curve_rows
 from .scenario import Scenario, ScenarioError, load_scenario
 from .user_strategy import UNBOUNDED, _decision_for, _pick
 
@@ -125,19 +125,16 @@ def cmd_user_strategy(scenario: Scenario, args: argparse.Namespace) -> tuple[lis
         eps = check_ambiguity(eps)
         options = [(model, *_decision_for(model, price, eps)) for model, price in priced]
         chosen, _, payoff = _pick(options) or (None, 0, 0.0)
-        rows.append([eps, *("inf" if n is UNBOUNDED else n for _, n, _ in options),
+        rows.append([eps, *["inf" if n is UNBOUNDED else n for _, n, _ in options],
                      chosen.id if chosen else "none", payoff])
     return columns, rows
 
 
 def cmd_homog_price(scenario: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list]]:
     _require_sweep(scenario, "eps", "homog-price")
-    models = scenario.models
-    grid = scenario.sweep.values().tolist()
     columns = ["eps", "price", "induced_count", "served_model", "prompt_count", "platform_payoff"]
-    rows = [[eps, point.price, point.induced_count, point.served_model or "none",
-             point.prompt_count, point.payoff]
-            for eps, point in zip(grid, homogeneous_payoff_curve(models, grid))]
+    rows = [[eps, price, k, served or "none", n, payoff] for eps, price, n, payoff, k, served
+            in _curve_rows(scenario.models, scenario.sweep.values().tolist())]
     return columns, rows
 
 

@@ -63,7 +63,8 @@ class CurvePoint:
     :func:`_winner` as in :func:`optimal_homogeneous_price`;
     ``prompt_count`` is what a user buys at the quoted price, worked out
     independently by ``user_strategy._prompt_count``, the core of
-    :func:`optimal_prompt_count`.
+    :func:`optimal_prompt_count`.  :func:`_curve_rows` computes the
+    fields, in this order, as plain tuples.
     """
 
     eps: float
@@ -162,19 +163,25 @@ def homogeneous_payoff_curve(
     models: ModelSet, eps_grid: Sequence[float]
 ) -> list[CurvePoint]:
     """Optimal price, induced count, and payoff over an ascending ambiguity grid."""
+    return [CurvePoint(*row) for row in _curve_rows(models, eps_grid)]
+
+
+def _curve_rows(models: ModelSet, eps_grid: Sequence[float]) -> list[tuple]:
+    """:func:`homogeneous_payoff_curve`'s points as plain tuples in
+    :class:`CurvePoint`'s field order, for callers that only read them."""
     grid = [check_ambiguity(e) for e in eps_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidAmbiguity("ambiguity grid must be strictly ascending")
-    points: list[CurvePoint] = []
+    rows = []
     for eps in grid:
         winner, k, price, payoff = _winner(models, eps)
         if k < 1:
             # the no-trade price (1-eps)/eps * U overflows for eps near 1e-308;
             # reject it as optimal_homogeneous_price's schedule does
             PriceSchedule({winner.id: price})
-            points.append(CurvePoint(eps, price, 0, 0.0, k, None))
+            rows.append((eps, price, 0, 0.0, k, None))
             continue
         n = _prompt_count(winner.utility, price, eps)
         count = k if n is UNBOUNDED else int(n)
-        points.append(CurvePoint(eps, price, count, payoff, k, winner.id))
-    return points
+        rows.append((eps, price, count, payoff, k, winner.id))
+    return rows

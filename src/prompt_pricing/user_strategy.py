@@ -98,21 +98,29 @@ def optimal_prompt_count(model: GaiModel, price: float, eps: float) -> int | _Un
 
 def _prompt_count(utility: float, price: float, eps: float) -> int | _UnboundedType:
     """:func:`optimal_prompt_count` at a finite price ``>= 0`` and an
-    ``eps`` that :func:`check_ambiguity` has already accepted."""
+    ``eps`` that :func:`check_ambiguity` has already accepted.
+
+    The search starts at the floor of the closed-form count
+    ``log(eps*p / ((1-eps)*U)) / log(eps)`` (positive once the first
+    prompt is bought), usually the answer itself.  Any start of at least
+    1 is exact: the float gains are non-increasing in k, so both loops
+    reach the same largest k.  Each gain is
+    :func:`marginal_expected_utility` inline, in its operand order.
+    """
     if price == 0.0:
         return UNBOUNDED
-    if marginal_expected_utility(utility, eps, 1) - price < 0.0:
+    one_minus = 1.0 - eps
+    if one_minus * utility - price < 0.0:  # the first gain; eps ** 0 is 1.0
         return 0
     try:
-        log_ratio = math.log(eps * price / ((1.0 - eps) * utility))
+        log_ratio = math.log(eps * price / (one_minus * utility))
     except ValueError:
         raise PromptPricingError(f"eps * p / ((1-eps) * U) underflows to 0 at "
                                  f"p = {price}, U = {utility}, eps = {eps}") from None
-    k = int(math.floor(log_ratio / math.log(eps) + 0.5)) - 2
-    k = max(k, 1)
-    while marginal_expected_utility(utility, eps, k + 1) - price >= 0.0:
+    k = max(int(log_ratio / math.log(eps)), 1)
+    while eps ** k * one_minus * utility - price >= 0.0:  # prompt k + 1 pays
         k += 1
-    while k > 1 and marginal_expected_utility(utility, eps, k) - price < 0.0:
+    while k > 1 and eps ** (k - 1) * one_minus * utility - price < 0.0:  # prompt k does not
         k -= 1
     return k
 

@@ -10,7 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prompt_pricing import UNBOUNDED, PriceSchedule, optimal_prompt_count, select_model
+from prompt_pricing import (
+    UNBOUNDED,
+    PriceSchedule,
+    optimal_homogeneous_price,
+    optimal_prompt_count,
+    select_model,
+)
 from prompt_pricing import cli
 from prompt_pricing.cli import main
 from prompt_pricing.scenario import ScenarioError, load_scenario
@@ -177,10 +183,16 @@ class TestCliCommands:
             rows = list(csv.reader(fh))
         assert rows[0] == ["eps", "price", "induced_count", "served_model",
                            "prompt_count", "platform_payoff"]
-        # self-consistency surfaces in the emitted rows as well
-        for row in rows[1:]:
-            if row[3] != "none":
-                assert row[2] == row[4]
+        # a served row quotes its model's gain of the induced k-th prompt, and a
+        # user facing that price buys exactly k prompts
+        scenario = load_scenario(scen)
+        served = [(eps, row) for eps, row in zip(scenario.sweep.values().tolist(), rows[1:])
+                  if row[3] != "none"]
+        assert served
+        for eps, row in served:
+            utility = scenario.models[row[3]].utility
+            assert row[1] == fmt_cell(marginal_expected_utility(utility, eps, int(row[2])))
+            assert row[4] == row[2]
 
     def test_opp_row_trace_and_oracle(self, tmp_path):
         scen = write_scenario(tmp_path, TWO_MODEL)
@@ -236,10 +248,11 @@ class TestCliCommands:
         assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def sweep_scenario(models, start: float, stop: float, points: int) -> str:
-    """An eps-sweep scenario body; ``models`` holds ``(id, utility, price)``."""
+def sweep_scenario(models, start: float, stop: float, points: int, key: str = "price") -> str:
+    """An eps-sweep scenario body; ``models`` holds ``(id, utility, value)``,
+    with each model's value under ``key``."""
     parts = [f"[scenario]\nname = rows\n"]
-    parts += [f"[model.{mid}]\nutility = {u!r}\nprice = {p!r}\n" for mid, u, p in models]
+    parts += [f"[model.{mid}]\nutility = {u!r}\n{key} = {v!r}\n" for mid, u, v in models]
     parts.append("[distribution]\nkind = uniform\nlo = 0.0\nhi = 1.0\n")
     parts.append(f"[sweep]\nvariable = eps\nstart = {start!r}\nstop = {stop!r}\npoints = {points}\n")
     return "\n".join(parts)
@@ -306,6 +319,60 @@ class TestUserStrategyRows:
     def test_payoff_tie_goes_to_higher_utility_then_smaller_id(self, tmp_path):
         rows = self.run(tmp_path, "utility-tie")
         assert rows[2] == ["0.5", "2", "1", "1", "b", "0.25"]
+
+
+class TestHomogPriceRows:
+    """Every ``homog-price`` row equals the public per-eps route:
+    ``optimal_homogeneous_price``, and ``optimal_prompt_count`` of its best
+    model at its quoted price, rendered by the CLI's cell format."""
+
+    CASES = {
+        "no-trade": ([("ml", 1.0, 1.2), ("mh", 1.8, 2.0)], 0.05, 0.95, 7),
+        "zero-cost": ([("ml", 1.0, 0.0), ("mh", 1.8, 1.5)], 0.05, 0.999, 7),
+        # at eps = 0.5 all three earn exactly 0.25 from one prompt
+        "utility-tie": ([("a", 1.0, 0.25), ("b", 2.0, 0.75), ("c", 2.0, 0.75)], 0.25, 0.75, 3),
+    }
+
+    @staticmethod
+    def public_rows(scenario) -> list[list[str]]:
+        rows = []
+        for eps in scenario.sweep.values().tolist():
+            sol = optimal_homogeneous_price(scenario.models, eps)
+            price = sol.schedule.prices[sol.best_model]
+            count = optimal_prompt_count(scenario.models[sol.best_model], price, eps)
+            rows.append([fmt_cell(eps), fmt_cell(price), fmt_cell(sol.induced_count),
+                         sol.served_model or "none", fmt_cell(count), fmt_cell(sol.platform_payoff)])
+        return rows
+
+    def run(self, tmp_path, scen: Path) -> list[list[str]]:
+        out = tmp_path / "rows.csv"
+        assert main(["homog-price", "--scenario", str(scen), "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == self.public_rows(load_scenario(scen))
+        return rows
+
+    def run_case(self, tmp_path, case: str) -> list[list[str]]:
+        return self.run(tmp_path, write_scenario(tmp_path, sweep_scenario(*self.CASES[case], "cost")))
+
+    def test_no_trade_writes_none_and_zeros(self, tmp_path):
+        rows = self.run_case(tmp_path, "no-trade")
+        assert all(row[2:] == ["0", "none", "0", "0"] for row in rows[1:])
+
+    def test_zero_cost_counts_rise_without_bound(self, tmp_path):
+        rows = self.run_case(tmp_path, "zero-cost")
+        assert {row[3] for row in rows[1:]} == {"ml"}
+        counts = [int(row[2]) for row in rows[1:]]
+        # the induced count of a free model grows like 1/(1-eps)
+        assert all(b >= a for a, b in zip(counts, counts[1:])) and counts[-1] == 1000
+
+    def test_payoff_tie_goes_to_higher_utility_then_smaller_id(self, tmp_path):
+        rows = self.run_case(tmp_path, "utility-tie")
+        assert rows[2] == ["0.5", "1", "1", "b", "1", "0.25"]
+
+    def test_fig6(self, tmp_path):
+        rows = self.run(tmp_path, SCENARIOS / "fig6.ini")
+        assert len(rows) == 200
 
 
 class TestMoreScenarios:

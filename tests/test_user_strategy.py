@@ -1,5 +1,7 @@
 """Stage-2 user strategy against brute-force enumeration."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,7 +24,7 @@ from prompt_pricing import (
     user_payoff,
 )
 from prompt_pricing import user_strategy
-from prompt_pricing.user_strategy import _counts_vec, marginal_expected_utility
+from prompt_pricing.user_strategy import _counts_vec, _prompt_count, marginal_expected_utility
 
 from _helpers import (
     boundary_tie_count,
@@ -109,6 +111,51 @@ class TestOptimalPromptCount:
         for probe in (0, 1, n - 1, n + 1, n + 7):
             if probe >= 0:
                 assert pay >= user_payoff(model, price, eps, probe) - 1e-12
+
+
+def scan_counts(gains: np.ndarray, prices: np.ndarray) -> np.ndarray:
+    """For each price, the largest n whose gain ``gains[n - 1]`` covers it, or
+    0 if none does: every gain compared with every price, assuming nothing
+    about the gains' order.  Float64 arrays subtract and compare exactly as
+    Python floats do."""
+    covers = gains[None, :] - prices[:, None] >= 0.0
+    last = covers.shape[1] - np.argmax(covers[:, ::-1], axis=1)
+    return np.where(covers.any(axis=1), last, 0)
+
+
+class TestPromptCountCore:
+    """``_prompt_count`` equals a plain scan of :func:`marginal_expected_utility`
+    at the prices stage 1 quotes (each prompt's own gain), at their two float
+    neighbours, and at random prices, from eps near 0 to eps near 1."""
+
+    SCAN = 400  # prompts the scan looks at; every tested price exceeds the last gain
+    QUOTED = 300  # prompts whose gains are quoted as prices
+    EPS = {
+        "near-0": [1e-9, 1e-4, 0.01, 0.05],
+        "mid": [0.1, 0.3, 0.5, (math.sqrt(5.0) - 1.0) / 2.0, 0.9],
+        "near-1": [1.0 - 10.0 ** -u for u in (3, 6, 9, 12)],
+    }
+
+    @pytest.mark.parametrize("band", sorted(EPS))
+    def test_counts_equal_the_scan(self, band):
+        rng = np.random.default_rng(sorted(self.EPS).index(band))
+        for eps in self.EPS[band]:
+            for utility in (1.0, 1.606, float(rng.uniform(0.1, 10.0))):
+                gains = np.array([marginal_expected_utility(utility, eps, n)
+                                  for n in range(1, self.SCAN + 1)])
+                quoted = gains[:self.QUOTED].tolist()
+                prices = quoted + [math.nextafter(g, 0.0) for g in quoted] \
+                    + [math.nextafter(g, math.inf) for g in quoted]
+                decades = min(math.log10(gains[0] / max(gains[self.QUOTED - 1], 1e-300)), 300.0)
+                prices += (gains[0] * 10.0 ** -rng.uniform(-0.05, decades, 100)).tolist()
+                # price 0 buys without bound, and a price whose ratio to the first
+                # gain underflows raises (test_underflowing_price_ratio_raises)
+                prices = np.array([p for p in prices
+                                   if p > 0.0 and eps * p / ((1.0 - eps) * utility) > 0.0])
+                assert (gains[-1] - prices < 0.0).all()
+                expected = scan_counts(gains, prices)
+                counts = [_prompt_count(utility, p, eps) for p in prices.tolist()]
+                assert counts == expected.tolist(), (eps, utility)
 
 
 class TestUserPayoff:
