@@ -9,7 +9,6 @@ the solvers.
 """
 
 from .core import (
-    AmbiguityDistribution,
     ConfigError,
     DegenerateCostBase,
     GaiModel,
@@ -59,7 +58,6 @@ from .user_strategy import (
 )
 
 __all__ = [
-    "AmbiguityDistribution",
     "ConfigError",
     "CostShape",
     "CurvePoint",

@@ -140,7 +140,6 @@ def cmd_homog_price(scenario: Scenario, args: argparse.Namespace) -> tuple[list[
 
 def cmd_opp(scenario: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list]]:
     models = scenario.models
-    models.require_pair()
     dist = scenario.dist
     cfg = scenario.opp_config(nodes_override=args.nodes, alpha_override=args.alpha)
     trace: list | None = [] if args.trace else None
@@ -165,7 +164,6 @@ def cmd_compare(scenario: Scenario, args: argparse.Namespace) -> tuple[list[str]
         raise ScenarioError(
             scenario.name, ["[distribution] kind: compare sweeps eps_min of a uniform distribution"])
     models = scenario.models
-    models.require_pair()
     cfg = scenario.opp_config(nodes_override=args.nodes, alpha_override=args.alpha)
     columns = ["eps_min", "payoff_opp", "payoff_utility", "payoff_cost"]
     rows = []

@@ -12,6 +12,7 @@ concurrent workers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -180,6 +181,8 @@ class QuadratureConfig:
     node_count: int = 2001
 
     def __post_init__(self) -> None:
+        if not isinstance(self.node_count, numbers.Integral):
+            raise ConfigError(f"node_count must be an integer, got {self.node_count!r}")
         if self.node_count < 3:
             raise ConfigError(f"node_count must be >= 3, got {self.node_count}")
 
@@ -276,6 +279,3 @@ class UniformAmbiguity(TabulatedAmbiguity):
 
     def __repr__(self) -> str:
         return f"UniformAmbiguity(lo={self.lo!r}, hi={self.hi!r})"
-
-
-AmbiguityDistribution = TabulatedAmbiguity

@@ -43,13 +43,13 @@ the stage-2 rules.  This module provides:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import (
-    AmbiguityDistribution,
     ConfigError,
     DegenerateCostBase,
     GaiModel,
@@ -58,17 +58,11 @@ from .core import (
     PriceSchedule,
     PromptPricingError,
     QuadratureConfig,
+    TabulatedAmbiguity,
     UnboundedDemand,
     check_ambiguity,
 )
-from .user_strategy import (
-    UNBOUNDED,
-    _counts_vec,
-    _curve_top,
-    _prefers,
-    optimal_prompt_count,
-    user_payoff,
-)
+from .user_strategy import _counts_vec, _curve_top, _decision_for, _prefers
 
 
 @dataclass(frozen=True)
@@ -102,12 +96,6 @@ class OppConfig:
         if self.step_alpha is not None and not (
                 math.isfinite(self.step_alpha) and self.step_alpha > 0.0):
             raise ConfigError(f"step_alpha must be finite and > 0, got {self.step_alpha}")
-
-    def resolve_alpha(self, low_utility: float) -> float:
-        alpha = self.step_alpha if self.step_alpha is not None else 1e-3 * low_utility
-        if not alpha < low_utility:
-            raise ConfigError(f"step_alpha must lie in (0, U_L), got {alpha}")
-        return alpha
 
 
 # --------------------------------------------------------------------------
@@ -292,21 +280,20 @@ def _pair_lattice_payoffs(
     profiled per axis (:func:`_count_profile`: the count kernel at each
     axis's two ends, the count steps between them); the pairs need only
     the selection, which is merged per node.  Returns shape (len low,
-    len high), in the axes' own order: each axis is sorted ascending
-    (stably) for the profile and the merge, and the output is put back
-    in place.  Nodes may come in any order; they are taken in chunks
-    whose temporaries hold about ``_CHUNK_ELEMENTS`` elements.  In each
-    chunk the nodes where neither tier's cheapest price passes the
-    kernel's ``buy`` test are dropped: no price sells there, so they
-    would add only zeros to the sequential ``np.bincount`` sums, and
-    every cell is bit-identical to keeping them.
+    len high).  Both axes must be ascending (ties allowed); an axis that
+    descends anywhere raises :class:`ValueError`.  Nodes may come in any
+    order; they are taken in chunks whose temporaries hold about
+    ``_CHUNK_ELEMENTS`` elements.  In each chunk the nodes where neither
+    tier's cheapest price passes the kernel's ``buy`` test are dropped:
+    no price sells there, so they would add only zeros to the sequential
+    ``np.bincount`` sums, and every cell is bit-identical to keeping them.
 
     At one node a tier's score, its user payoff at the optimal count
     (``-inf`` where it sells nothing), never rises as its price rises.
     The high tier wins a pair when its score is at least the low
     tier's (:func:`_prefers` with its strictly higher utility gives it
-    payoff ties).  So on the sorted axes the columns that win against a
-    row are a prefix of the columns, and the rows that win against a
+    payoff ties).  So on the ascending axes the columns that win against
+    a row are a prefix of the columns, and the rows that win against a
     column are a prefix of the rows.  A node where the high tier's
     worst score is at least the low tier's best is decided by those two
     ends: every column wins against every row.  So is a node where the
@@ -327,15 +314,14 @@ def _pair_lattice_payoffs(
     is the pairwise comparison made exactly, not approximated: the
     prefixes are read off the same float scores.
 
-    The prefix argument needs the sorted scores non-increasing along
-    each axis.  Mathematically they are; in floats a score could rise
+    The prefix argument needs the scores non-increasing along each
+    axis.  Mathematically they are; in floats a score could rise
     between two prices a few ulp apart at a count step, so a rise
     raises :class:`PromptPricingError` instead of giving wrong cells.
     """
-    order_l = np.argsort(axis_low, kind="stable")
-    order_h = np.argsort(axis_high, kind="stable")
-    p_low, p_high = axis_low[order_l], axis_high[order_h]
-    n_low, n_high = len(p_low), len(p_high)
+    if np.any(np.diff(axis_low) < 0.0) or np.any(np.diff(axis_high) < 0.0):
+        raise ValueError("pair lattice: both price axes must be ascending")
+    n_low, n_high = len(axis_low), len(axis_high)
     rows, cols = np.arange(n_low), np.arange(n_high)
 
     def profile(model: GaiModel, prices: np.ndarray, eps: np.ndarray, w: np.ndarray):
@@ -355,8 +341,8 @@ def _pair_lattice_payoffs(
 
     def merge(eps: np.ndarray, w: np.ndarray) -> None:
         """Add one node chunk's gains to ``high_from`` and ``low_from``."""
-        score_l, gain_l = profile(low, p_low, eps, w)
-        score_h, gain_h = profile(high, p_high, eps, w)
+        score_l, gain_l = profile(low, axis_low, eps, w)
+        score_h, gain_h = profile(high, axis_high, eps, w)
         # decided by the column ends: the high tier's worst meets the low tier's best, or
         # the low tier's worst beats the high tier's best
         high_wins = score_h[:, -1] >= score_l[:, 0]
@@ -378,20 +364,18 @@ def _pair_lattice_payoffs(
     for start in range(0, len(nodes), chunk):
         eps, w = nodes[start:start + chunk], weights[start:start + chunk]
         # a node where neither cheapest price passes the kernel's buy test adds only zeros
-        sells = (p_low[0] <= (1.0 - eps) * low.utility) | (p_high[0] <= (1.0 - eps) * high.utility)
+        sells = ((axis_low[0] <= (1.0 - eps) * low.utility)
+                 | (axis_high[0] <= (1.0 - eps) * high.utility))
         if sells.any():
             merge(eps[sells], w[sells])
-    out = np.empty((n_low, n_high))
-    out[np.ix_(order_l, order_h)] = (
-        np.cumsum(high_from.reshape(n_low + 1, n_high), axis=0)[:n_low]
-        + np.cumsum(low_from.reshape(n_low, n_high + 1), axis=1)[:, :n_high])
-    return out
+    return (np.cumsum(high_from.reshape(n_low + 1, n_high), axis=0)[:n_low]
+            + np.cumsum(low_from.reshape(n_low, n_high + 1), axis=1)[:, :n_high])
 
 
 def platform_payoff(
     models: ModelSet,
     schedule: PriceSchedule,
-    dist: AmbiguityDistribution,
+    dist: TabulatedAmbiguity,
     quad: QuadratureConfig = QuadratureConfig(),
 ) -> PricingOutcome:
     """Expected platform payoff of a schedule: quadrature over user decisions.
@@ -480,7 +464,7 @@ _TOPS = np.array([_curve_top(k) for k in range(_MAX_SEGMENTS + 1)])
 
 
 def _volume_from_segments(
-    model: GaiModel, prices: np.ndarray, dist: AmbiguityDistribution
+    model: GaiModel, prices: np.ndarray, dist: TabulatedAmbiguity
 ) -> np.ndarray:
     """Expected prompt volume at each price by the per-count decomposition.
 
@@ -517,7 +501,7 @@ def _volume_from_segments(
 
 def single_model_price(
     model: GaiModel,
-    dist: AmbiguityDistribution,
+    dist: TabulatedAmbiguity,
     quad: QuadratureConfig = QuadratureConfig(),
 ) -> PricingOutcome:
     """Payoff-maximizing price for a catalogue of one model.
@@ -616,9 +600,7 @@ def price_upper_bound(
     eps = check_ambiguity(eps)
     if price_m_prime <= 0.0 or not math.isfinite(price_m_prime):
         raise InvalidPrice(f"rival price must be finite and > 0, got {price_m_prime}")
-    n_rival = optimal_prompt_count(m_prime, price_m_prime, eps)
-    assert n_rival is not UNBOUNDED
-    rival_payoff = user_payoff(m_prime, price_m_prime, eps, n_rival)
+    _, rival_payoff = _decision_for(m_prime, price_m_prime, eps)
     u = m.utility
     if rival_payoff >= u:
         return 0.0
@@ -654,7 +636,7 @@ _WINDOW_ROUNDS = 4    # windows per polished step, each a quarter the size of th
 
 def opp(
     models: ModelSet,
-    dist: AmbiguityDistribution,
+    dist: TabulatedAmbiguity,
     cfg: OppConfig = OppConfig(),
     trace_sink: list | None = None,
 ) -> PricingOutcome:
@@ -686,7 +668,9 @@ def opp(
         prices = [single_model_price(m, dist).schedule.price_for(m) for m in (low, high)]
         return _best_outcome(models, [prices], [0.0], nodes, weights, method="OPP")
 
-    alpha = cfg.resolve_alpha(low.utility)
+    alpha = cfg.step_alpha if cfg.step_alpha is not None else 1e-3 * low.utility
+    if not alpha < low.utility:
+        raise ConfigError(f"step_alpha must lie in (0, U_L), got {alpha}")
     steps = int(math.floor((low.utility - low.cost) / alpha)) + 1
     low_prices = low.cost + np.arange(steps) * alpha
     if low_prices[-1] < low.utility:
@@ -732,7 +716,7 @@ def opp(
 
 def grid_oracle(
     models: ModelSet,
-    dist: AmbiguityDistribution,
+    dist: TabulatedAmbiguity,
     grid_n: int = 400,
     quad: QuadratureConfig = QuadratureConfig(),
 ) -> PricingOutcome:
@@ -746,8 +730,8 @@ def grid_oracle(
     returned (:func:`_best_outcome`), so summation order does not choose
     between cells that pay the same.
     """
-    if grid_n < 50:
-        raise ConfigError(f"grid_n must be >= 50, got {grid_n}")
+    if not isinstance(grid_n, numbers.Integral) or grid_n < 50:
+        raise ConfigError(f"grid_n must be an integer >= 50, got {grid_n}")
     low, high = models.require_pair()
     axes = []
     for m in (low, high):
@@ -767,7 +751,7 @@ def grid_oracle(
 
 def utility_based_pricing(
     models: ModelSet,
-    dist: AmbiguityDistribution,
+    dist: TabulatedAmbiguity,
     quad: QuadratureConfig = QuadratureConfig(),
 ) -> PricingOutcome:
     """Best member of the utility-proportional family p_m = beta * U_m.
@@ -786,7 +770,7 @@ def utility_based_pricing(
 
 def cost_based_pricing(
     models: ModelSet,
-    dist: AmbiguityDistribution,
+    dist: TabulatedAmbiguity,
     quad: QuadratureConfig = QuadratureConfig(),
 ) -> PricingOutcome:
     """Best member of the cost-proportional family p_m = (1 + mu) * C_m.

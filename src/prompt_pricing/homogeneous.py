@@ -98,12 +98,12 @@ def _induced(model: GaiModel, eps: float) -> int:
             f"model {model.id!r}: the first prompt's gain (1-eps)*U underflows to 0 "
             f"at ambiguity {eps}")
     threshold = model.cost / gain
-    k = 0
-    while k < _INDUCED_CAP:
-        lhs = (k + 1) * eps ** k - k * eps ** (k - 1) if k >= 1 else 1.0
-        if lhs < threshold:
+    prev = 0.0  # eps ** (k - 1), carried from the last step; k * prev is 0.0 at k = 0
+    for k in range(_INDUCED_CAP):
+        power = eps ** k
+        if (k + 1) * power - k * prev < threshold:
             return k
-        k += 1
+        prev = power
     return _INDUCED_CAP
 
 

@@ -51,7 +51,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    AmbiguityDistribution,
     GaiModel,
     ModelSet,
     PriceSchedule,
@@ -91,7 +90,7 @@ class Scenario:
     name: str
     models: ModelSet
     prices: dict[str, float]
-    dist: AmbiguityDistribution
+    dist: TabulatedAmbiguity
     opp: OppConfig
     sweep: SweepSpec | None = None
 

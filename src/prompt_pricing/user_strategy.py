@@ -188,27 +188,15 @@ def _prefers(pay, util, best_pay, best_util):
 def select_model(models: ModelSet, prices: PriceSchedule, eps: float) -> UserDecision:
     """Pick the payoff-maximizing model, or opt out entirely.
 
-    Each model is evaluated once (:func:`_options`) and the best option
-    is picked by :func:`_pick`.  Payoff ties resolve toward the
+    Each model is evaluated once (:func:`_decision_for`) and the best
+    option is picked by :func:`_pick`.  Payoff ties resolve toward the
     higher-utility model, then the lexicographically smaller id
     (:func:`_prefers`).  A tie between buying and not buying resolves
     toward buying, so indifferent users stay in the market.  A user
     whose best option is zero prompts everywhere opts out.
     """
-    return _best(_options(models, prices, check_ambiguity(eps)))
-
-
-def _options(
-    models: ModelSet, prices: PriceSchedule, eps: float
-) -> list[tuple[GaiModel, int | _UnboundedType, float]]:
-    """Each model's ``(model, count, payoff)`` in model-set order, at an
-    ``eps`` that :func:`check_ambiguity` has already accepted."""
-    return [(model, *_decision_for(model, prices.price_for(model), eps)) for model in models]
-
-
-def _best(options: list[tuple[GaiModel, int | _UnboundedType, float]]) -> UserDecision:
-    """The user's decision among :func:`_options`' offers (see :func:`select_model`)."""
-    best = _pick(options)
+    eps = check_ambiguity(eps)
+    best = _pick([(m, *_decision_for(m, prices.price_for(m), eps)) for m in models])
     if best is None:
         return UserDecision(selected_model=None, prompt_count=0, payoff=0.0)
     model, n, payoff = best

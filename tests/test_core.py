@@ -66,6 +66,14 @@ class TestTypes:
     def test_quadrature_config(self):
         with pytest.raises(ConfigError):
             QuadratureConfig(2)
+        # 2001.5 would build a 2002-node rule
+        for bad in (2001.5, 301.0, "301"):
+            with pytest.raises(ConfigError, match="node_count must be an integer"):
+                QuadratureConfig(bad)
+        dist = UniformAmbiguity(0.2, 0.9)
+        for got, want in zip(dist.quadrature(QuadratureConfig(np.int64(301))),
+                             dist.quadrature(QuadratureConfig(301))):
+            assert np.array_equal(got, want)
 
     def test_uniform_support_validation(self):
         for lo, hi in ((0.5, 0.5), (-0.1, 0.5), (0.2, 1.1), (0.7, 0.3)):

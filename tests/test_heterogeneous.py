@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from prompt_pricing import (
+    ConfigError,
     DegenerateCostBase,
     GaiModel,
     InvalidModel,
@@ -572,6 +573,20 @@ class TestOpp:
             with pytest.raises(InvalidModel, match="expected exactly two models, got 3"):
                 solve(FAMILY_SETS["three"])
 
+    @pytest.mark.parametrize("step", [1.0, 1.5])
+    def test_step_at_or_above_low_utility_is_a_config_error(self, step):
+        with pytest.raises(ConfigError, match=rf"step_alpha must lie in \(0, U_L\), got {step}"):
+            opp(PAIR, U01, OppConfig(step_alpha=step, quad=FAST))
+
+    def test_default_step_is_a_thousandth_of_low_utility(self):
+        """Without a step the sweep moves by 1e-3·U_L: 981 steps from cost to
+        utility for a low tier of utility 0.5 (491 at a step of 1e-3)."""
+        models = ModelSet([GaiModel("ml", 0.5, 0.01), GaiModel("mh", 0.9, 0.02)])
+        trace = []
+        opp(models, U01, OppConfig(quad=FAST), trace_sink=trace)
+        assert len(trace) == int(math.floor(0.49 / 5e-4)) + 1
+        assert trace[1][0] - trace[0][0] == pytest.approx(5e-4, rel=1e-9)
+
 
 class TestGridOracle:
     def test_degenerate_distribution_recovers_homogeneous(self):
@@ -585,6 +600,13 @@ class TestGridOracle:
         models = ModelSet([GaiModel("ml", 1.0, 1.5), GaiModel("mh", 1.8, 2.0)])
         out = grid_oracle(models, U01, grid_n=60, quad=FAST)
         assert out.platform_payoff == 0.0
+
+    def test_non_integral_size_is_a_config_error(self):
+        """50.5 would build 51 prices per axis, the last above the utility."""
+        with pytest.raises(ConfigError, match="grid_n must be an integer >= 50, got 50.5"):
+            grid_oracle(PAIR, U01, grid_n=50.5, quad=FAST)
+        got = grid_oracle(PAIR, U01, grid_n=np.int64(60), quad=FAST)
+        assert got == grid_oracle(PAIR, U01, grid_n=60, quad=FAST)
 
     def test_two_resolutions_agree(self):
         a = grid_oracle(PAIR, U01, grid_n=100, quad=FAST)
@@ -673,7 +695,7 @@ class TestNodePruning:
         from prompt_pricing.heterogeneous import _pair_lattice_payoffs
 
         nodes, weights = dist.quadrature(QuadratureConfig(301))
-        axis_low, axis_high = self.axes(nodes)
+        axis_low, axis_high = (sorted(axis) for axis in self.axes(nodes))  # the lattice's order
         if shuffle:
             order = np.random.default_rng(20240811).permutation(len(nodes))
             nodes, weights = nodes[order], weights[order]
@@ -694,7 +716,7 @@ class TestLatticeMerge:
     @pytest.mark.parametrize("shuffle", [False, True], ids=["sorted", "shuffled"])
     @pytest.mark.parametrize("dist", PRUNING_DISTS, ids=["uniform", "tabulated"])
     def test_cells_match_dense_reference(self, dist, shuffle):
-        """Axes out of order, each with a duplicate price and a price above
+        """Ascending axes, each with a duplicate price and a price above
         the tier's utility."""
         from prompt_pricing.heterogeneous import _pair_lattice_payoffs
 
@@ -705,8 +727,8 @@ class TestLatticeMerge:
             nodes, weights = nodes[order], weights[order]
         low, high = PAIR.require_pair()
         axis_low, axis_high = [
-            rng.permutation(np.concatenate([np.linspace(m.cost, m.utility, 60)[1:],
-                                            [0.5 * m.utility, 0.5 * m.utility, 1.3 * m.utility]]))
+            np.sort(np.concatenate([np.linspace(m.cost, m.utility, 60)[1:],
+                                    [0.5 * m.utility, 0.5 * m.utility, 1.3 * m.utility]]))
             for m in (low, high)]
         got = _pair_lattice_payoffs(low, high, axis_low, axis_high, nodes, weights)
         want = dense_pair_lattice(low, high, axis_low, axis_high, nodes, weights)
@@ -721,7 +743,7 @@ class TestLatticeMerge:
         models = ModelSet([GaiModel("a", 1.0, 0.0625), GaiModel("b", 2.0, 0.25)])
         low, high = models.require_pair()
         assert user_payoff(low, 0.125, 0.5, 3) == user_payoff(high, 0.5, 0.5, 2) == 0.5
-        axis_low, axis_high = np.array([0.25, 0.125, 0.0625]), np.array([1.0, 0.5, 0.25])
+        axis_low, axis_high = np.array([0.0625, 0.125, 0.25]), np.array([0.25, 0.5, 1.0])
         nodes, weights = np.array([0.25, 0.5, 0.75]), np.array([0.25, 0.5, 0.25])
         got = _pair_lattice_payoffs(low, high, axis_low, axis_high, nodes, weights)
         single = _pair_lattice_payoffs(low, high, axis_low, axis_high, nodes[1:2], weights[1:2])
@@ -748,6 +770,19 @@ class TestLatticeMerge:
         axes = [np.linspace(m.cost, m.utility, 50)[1:] for m in (low, high)]
         with pytest.raises(PromptPricingError):
             heterogeneous._pair_lattice_payoffs(low, high, axes[0], axes[1], nodes, weights)
+
+    @pytest.mark.parametrize("tier", [0, 1], ids=["low", "high"])
+    def test_descending_axis_raises(self, tier):
+        """The prefix merge reads both axes as ascending (ties allowed); an
+        axis that descends anywhere is an error, not wrong cells."""
+        from prompt_pricing.heterogeneous import _pair_lattice_payoffs
+
+        low, high = PAIR.require_pair()
+        nodes, weights = U01.quadrature(QuadratureConfig(101))
+        axes = [np.linspace(m.cost, m.utility, 10)[1:] for m in (low, high)]
+        axes[tier][[3, 4]] = axes[tier][[4, 3]]
+        with pytest.raises(ValueError, match="both price axes must be ascending"):
+            _pair_lattice_payoffs(low, high, axes[0], axes[1], nodes, weights)
 
     def test_sweep_column_choice_agrees_with_dense_reference(self):
         """``opp``'s sweep lattice for fig7a under Uniform(0, 1) at 501 nodes
@@ -865,10 +900,10 @@ class TestDecidedNodes:
 
     @pytest.mark.parametrize("axes, sorted_rows", [
         # the high tier's dearest price ties the low tier's cheapest: decided, no sort
-        ((np.array([0.25, 0.125]), np.array([0.5, 0.25])), 0),
+        ((np.array([0.125, 0.25]), np.array([0.25, 0.5])), 0),
         # the low tier's dearest price ties the high tier's cheapest: the high tier
         # takes that pair, so the node is mixed
-        ((np.array([0.125, 0.0625]), np.array([1.0, 0.5])), 1),
+        ((np.array([0.0625, 0.125]), np.array([0.5, 1.0])), 1),
     ], ids=["high-end-tie", "low-end-tie"])
     def test_end_ties(self, axes, sorted_rows, monkeypatch):
         """At eps = 1/2 the user pays 0.5 either way: three prompts of the

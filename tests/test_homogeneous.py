@@ -17,6 +17,7 @@ from prompt_pricing import (
     optimal_homogeneous_price,
     optimal_prompt_count,
 )
+from prompt_pricing.homogeneous import _INDUCED_CAP
 from prompt_pricing.user_strategy import _counts_vec
 
 from _helpers import is_non_decreasing, is_non_increasing, is_unimodal, shape_name
@@ -46,6 +47,31 @@ class TestInducedCount:
                 return (eps ** (j - 1) * (1 - eps) * 1.0 - cost) * j if j else 0.0
             best_j = max(range(0, 60), key=payoff_at)
             assert payoff_at(k) == pytest.approx(payoff_at(best_j), abs=1e-12)
+
+    def test_carried_power_equals_the_two_power_scan(self):
+        """The scan carries ``eps ** (k-1)`` from one step to the next.  It
+        must return the count of the scan that computes both powers at every
+        step, at random (U, C, eps): eps uniform, log-uniform down to 1e-300
+        and up to 1 - 1e-5, zero costs and costs above utility."""
+        def two_power_scan(model, eps):
+            threshold = model.cost / ((1.0 - eps) * model.utility)
+            for k in range(_INDUCED_CAP):
+                lhs = (k + 1) * eps ** k - k * eps ** (k - 1) if k >= 1 else 1.0
+                if lhs < threshold:
+                    return k
+            return _INDUCED_CAP
+
+        rng = np.random.default_rng(20240811)
+        bands = [rng.uniform(0.0, 1.0, 10000), 10.0 ** -rng.uniform(0.0, 300.0, 10000),
+                 1.0 - 10.0 ** -rng.uniform(1.0, 5.0, 400)]
+        for eps in bands:
+            n = len(eps)
+            utility = rng.choice([1.0, 1.8, 0.05, 20.0], n) * rng.uniform(0.5, 2.0, n)
+            cost = utility * np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.0, 1.5, n))
+            for e, u, c in zip(eps.tolist(), utility.tolist(), cost.tolist()):
+                if 0.0 < e < 1.0:
+                    model = GaiModel("m", u, c)
+                    assert induced_prompt_count(model, e) == two_power_scan(model, e)
 
     def test_zero_cost_grows_with_ambiguity(self):
         model = GaiModel("m", 1.0, 0.0)

@@ -443,6 +443,14 @@ price = 0.3
         assert "expected exactly two models, got 3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_step_at_low_utility_is_a_usage_error(self, tmp_path, capsys):
+        """``opp`` checks the step against the low tier's utility (1.0 in fig7a)."""
+        out = tmp_path / "x.csv"
+        assert main(["opp", "--scenario", str(SCENARIOS / "fig7a.ini"), "--out", str(out),
+                     "--alpha", "1.5"]) == 4
+        assert capsys.readouterr().err == "error: step_alpha must lie in (0, U_L), got 1.5\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--out", "--trace"])
     def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys, flag):
         scen = write_scenario(tmp_path, TWO_MODEL)
