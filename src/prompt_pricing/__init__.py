@@ -25,13 +25,12 @@ from .core import (
     UnboundedDemand,
     UniformAmbiguity,
 )
+from .evaluation import PricingOutcome, platform_payoff
 from .heterogeneous import (
     OppConfig,
-    PricingOutcome,
     cost_based_pricing,
     grid_oracle,
     opp,
-    platform_payoff,
     price_upper_bound,
     single_model_price,
     utility_based_pricing,

@@ -19,8 +19,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     GaiModel,
     InvalidPrice,
@@ -221,52 +219,3 @@ def _pick(
 def optimal_user_payoff(models: ModelSet, prices: PriceSchedule, eps: float) -> float:
     """The payoff of the user's best decision; never negative."""
     return select_model(models, prices, eps).payoff
-
-
-# --------------------------------------------------------------------------
-# Vectorized count kernel over ambiguity arrays (shared by the pricing solvers)
-# --------------------------------------------------------------------------
-
-_COUNT_STEPS = 64  # correction steps each way allowed after the closed-form estimate
-
-
-def _counts_vec(utility: float, price, eps: np.ndarray) -> np.ndarray:
-    """Optimal prompt counts over an ambiguity array; ``price`` may broadcast.
-
-    Requires every price to be strictly positive.  The closed-form
-    logarithm is pinned down by marginal-gain comparisons, matching the
-    scalar routine except possibly within a few ulp of indifference
-    boundaries where library power functions may disagree by one unit in
-    the last place.  The estimate is exact up to rounding, so the
-    comparisons move it by a step or two; needing more than
-    ``_COUNT_STEPS`` steps either way raises :class:`PromptPricingError`
-    instead of returning an uncorrected count.
-    """
-    eps = np.asarray(eps, dtype=float)
-    price = np.asarray(price, dtype=float)
-    one_minus = 1.0 - eps
-    ceiling = one_minus * utility
-    buy = price <= ceiling
-    if not buy.any():
-        return np.zeros(np.broadcast(price, eps).shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = eps * price / ceiling
-        k = np.floor(np.log(ratio) / np.log(eps))
-    k = np.where(buy & np.isfinite(k), np.maximum(k, 1.0), 1.0)
-    for step in range(_COUNT_STEPS + 1):
-        advance = buy & (eps ** k * one_minus * utility - price >= 0.0)
-        if not advance.any():
-            break
-        if step == _COUNT_STEPS:
-            raise PromptPricingError(
-                f"prompt counts still rising after {_COUNT_STEPS} correction steps")
-        k = np.where(advance, k + 1.0, k)
-    for step in range(_COUNT_STEPS + 1):
-        back = buy & (k > 1.0) & (eps ** (k - 1.0) * one_minus * utility - price < 0.0)
-        if not back.any():
-            break
-        if step == _COUNT_STEPS:
-            raise PromptPricingError(
-                f"prompt counts still falling after {_COUNT_STEPS} correction steps")
-        k = np.where(back, k - 1.0, k)
-    return np.where(buy, k, 0.0)

@@ -21,8 +21,7 @@ from prompt_pricing import (
     prompt_upper_bound,
     user_payoff,
 )
-from prompt_pricing.heterogeneous import _CHUNK_ELEMENTS, _count_profile
-from prompt_pricing.user_strategy import _counts_vec
+from prompt_pricing.evaluation import _CHUNK_ELEMENTS, _count_profile, _counts_vec
 
 
 def package_env() -> dict[str, str]:

@@ -49,7 +49,7 @@ from prompt_pricing import (
     single_model_price,
     user_payoff,
 )
-from prompt_pricing.user_strategy import _counts_vec
+from prompt_pricing.evaluation import _counts_vec
 
 from _helpers import (
     boundary_tie_count,

@@ -443,7 +443,7 @@ class TestGainDecomposition:
     def test_partition_matches_direct_payoff(self):
         """Serving everyone at the low tier plus the high-tier gain equals the
         schedule payoff, wherever no node sits on a decision boundary."""
-        from prompt_pricing.user_strategy import _counts_vec
+        from prompt_pricing.evaluation import _counts_vec
 
         low, high = PAIR.require_pair()
         p_low = 0.3
@@ -530,7 +530,7 @@ class TestOpp:
         utility of the best window score (two distinct cells for fig7a), so
         it pays at least what the window winner the lattice ranks first
         pays."""
-        from prompt_pricing import heterogeneous
+        from prompt_pricing import evaluation, heterogeneous
 
         kernel, winners, scores = heterogeneous._pair_lattice_payoffs, [], []
 
@@ -546,7 +546,7 @@ class TestOpp:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(heterogeneous, "_pair_lattice_payoffs", record)
             out = opp(models, dist, OppConfig(step_alpha=0.002, quad=QuadratureConfig()))
-        near = np.flatnonzero(heterogeneous._near_best(models, np.array(scores)))
+        near = np.flatnonzero(evaluation._near_best(models, np.array(scores)))
         best = None
         for i in near:
             got = platform_payoff(models, winners[i], dist)
@@ -560,13 +560,17 @@ class TestOpp:
 
     def test_one_sweep_rescore_and_one_outcome_evaluation(self, monkeypatch):
         """Every comparison in the polish is between lattice cells: a solve
-        evaluates schedules twice, the sweep pairs and the near-best polish
-        window winners, whose batch also gives the answer's outcome."""
-        from prompt_pricing import heterogeneous
+        evaluates schedules twice, the sweep pairs (in ``opp``) and the
+        near-best polish window winners (in ``_best_outcome``), whose batch
+        also gives the answer's outcome."""
+        from prompt_pricing import evaluation, heterogeneous
 
-        calls = _count_calls(monkeypatch, heterogeneous, "_family_volumes")
-        opp(PAIR, UniformAmbiguity(0.3, 1.0), FAST_OPP)
-        assert len(calls) == 2
+        sweep = _count_calls(monkeypatch, heterogeneous, "_family_volumes")
+        finish = _count_calls(monkeypatch, evaluation, "_family_volumes")
+        trace = []
+        opp(PAIR, UniformAmbiguity(0.3, 1.0), FAST_OPP, trace_sink=trace)
+        assert sweep == [len(trace)]
+        assert len(finish) == 1 and finish[0] < len(trace)
 
     def test_three_models_are_not_a_pair(self):
         for solve in (lambda m: opp(m, U01, FAST_OPP), lambda m: grid_oracle(m, U01, 50, FAST)):
@@ -577,6 +581,14 @@ class TestOpp:
     def test_step_at_or_above_low_utility_is_a_config_error(self, step):
         with pytest.raises(ConfigError, match=rf"step_alpha must lie in \(0, U_L\), got {step}"):
             opp(PAIR, U01, OppConfig(step_alpha=step, quad=FAST))
+
+    def test_tiny_step_is_a_config_error(self):
+        """A step of 1e-12 asks for 9.8e11 sweep steps, an allocation numpy
+        refuses outright; the sweep is capped at 100,000 steps, and the
+        message names the smallest step allowed, (U_L - C_L) / 100,000."""
+        with pytest.raises(ConfigError, match=r"more than 100,000 sweep steps; "
+                                              r"the step must be above 9\.8e-06$"):
+            opp(PAIR, U01, OppConfig(step_alpha=1e-12, quad=FAST))
 
     def test_default_step_is_a_thousandth_of_low_utility(self):
         """Without a step the sweep moves by 1e-3·U_L: 981 steps from cost to
@@ -624,7 +636,7 @@ class TestPairLattice:
         TabulatedAmbiguity((0.0, 0.2, 0.4, 0.6, 0.8, 1.0), (1.1, 0.7, 1.3, 0.6, 0.9, 1.2)),
     ], ids=["uniform", "tabulated"])
     def test_cells_match_platform_payoff(self, dist):
-        from prompt_pricing.heterogeneous import _pair_lattice_payoffs
+        from prompt_pricing.evaluation import _pair_lattice_payoffs
 
         low, high = PAIR.require_pair()
         quad = QuadratureConfig()
@@ -672,7 +684,7 @@ class TestNodePruning:
 
     @pytest.mark.parametrize("dist", PRUNING_DISTS, ids=["uniform", "tabulated"])
     def test_family_rows_match_scalar_route(self, dist, monkeypatch):
-        from prompt_pricing import heterogeneous
+        from prompt_pricing import evaluation
 
         nodes, weights = dist.quadrature(QuadratureConfig(301))
         axis_low, axis_high = self.axes(nodes)
@@ -683,8 +695,8 @@ class TestNodePruning:
                 + [[p, q] for p, q in zip(axis_low, axis_high)])
         want = [_scalar_route(PAIR, r, nodes, weights) for r in rows]
         for chunk in (1, 3, 512):  # rows per chunk
-            monkeypatch.setattr(heterogeneous, "_CHUNK_ELEMENTS", chunk * len(nodes))
-            payoffs, volumes = heterogeneous._family_volumes(PAIR, np.array(rows), nodes, weights)
+            monkeypatch.setattr(evaluation, "_CHUNK_ELEMENTS", chunk * len(nodes))
+            payoffs, volumes = evaluation._family_volumes(PAIR, np.array(rows), nodes, weights)
             for (pay, vol), got_pay, got_vol in zip(want, payoffs, volumes):
                 assert abs(got_pay - pay) <= 1e-12 * PAIR.high.utility
                 assert np.all(np.abs(got_vol - vol) <= 1e-12 * PAIR.high.utility)
@@ -692,7 +704,7 @@ class TestNodePruning:
     @pytest.mark.parametrize("shuffle", [False, True], ids=["sorted", "shuffled"])
     @pytest.mark.parametrize("dist", PRUNING_DISTS, ids=["uniform", "tabulated"])
     def test_lattice_cells_match_scalar_route(self, dist, shuffle):
-        from prompt_pricing.heterogeneous import _pair_lattice_payoffs
+        from prompt_pricing.evaluation import _pair_lattice_payoffs
 
         nodes, weights = dist.quadrature(QuadratureConfig(301))
         axis_low, axis_high = (sorted(axis) for axis in self.axes(nodes))  # the lattice's order
@@ -718,7 +730,7 @@ class TestLatticeMerge:
     def test_cells_match_dense_reference(self, dist, shuffle):
         """Ascending axes, each with a duplicate price and a price above
         the tier's utility."""
-        from prompt_pricing.heterogeneous import _pair_lattice_payoffs
+        from prompt_pricing.evaluation import _pair_lattice_payoffs
 
         nodes, weights = dist.quadrature(QuadratureConfig(301))
         rng = np.random.default_rng(20240811)
@@ -738,7 +750,7 @@ class TestLatticeMerge:
         """At eps = 1/2 the user pays 0.5 either way: three prompts of the
         low tier at 0.125 or two of the high tier at 0.5 (all values exact
         in binary).  The high tier, with the higher utility, takes the node."""
-        from prompt_pricing.heterogeneous import _pair_lattice_payoffs
+        from prompt_pricing.evaluation import _pair_lattice_payoffs
 
         models = ModelSet([GaiModel("a", 1.0, 0.0625), GaiModel("b", 2.0, 0.25)])
         low, high = models.require_pair()
@@ -756,26 +768,26 @@ class TestLatticeMerge:
     def test_rising_score_raises(self, monkeypatch):
         """The prefix merge needs each tier's user payoff non-increasing in
         its price at every node; a rise is an error, not wrong cells."""
-        from prompt_pricing import heterogeneous
+        from prompt_pricing import evaluation
 
-        profile = heterogeneous._count_profile
+        profile = evaluation._count_profile
 
         def rising(utility, prices, nodes):
             counts, pays = profile(utility, prices, nodes)
             return counts, pays + 2.0 * counts * prices
 
-        monkeypatch.setattr(heterogeneous, "_count_profile", rising)
+        monkeypatch.setattr(evaluation, "_count_profile", rising)
         low, high = PAIR.require_pair()
         nodes, weights = U01.quadrature(QuadratureConfig(101))
         axes = [np.linspace(m.cost, m.utility, 50)[1:] for m in (low, high)]
         with pytest.raises(PromptPricingError):
-            heterogeneous._pair_lattice_payoffs(low, high, axes[0], axes[1], nodes, weights)
+            evaluation._pair_lattice_payoffs(low, high, axes[0], axes[1], nodes, weights)
 
     @pytest.mark.parametrize("tier", [0, 1], ids=["low", "high"])
     def test_descending_axis_raises(self, tier):
         """The prefix merge reads both axes as ascending (ties allowed); an
         axis that descends anywhere is an error, not wrong cells."""
-        from prompt_pricing.heterogeneous import _pair_lattice_payoffs
+        from prompt_pricing.evaluation import _pair_lattice_payoffs
 
         low, high = PAIR.require_pair()
         nodes, weights = U01.quadrature(QuadratureConfig(101))
@@ -791,7 +803,8 @@ class TestLatticeMerge:
         picks a different column under the two lattices in about half the
         rows.  Each row's first column within ``_RESCORE_TOL`` of its best
         is the same under both."""
-        from prompt_pricing.heterogeneous import _INNER_GRID, _near_best, _pair_lattice_payoffs
+        from prompt_pricing.evaluation import _near_best, _pair_lattice_payoffs
+        from prompt_pricing.heterogeneous import _INNER_GRID
 
         low, high = PAIR.require_pair()
         alpha = 0.002
@@ -868,7 +881,8 @@ class TestDecidedNodes:
         winner changes inside it.  (Under Uniform(0.3, 1) fig7a's low tier
         sells under 1% of the prompts, so most windows hold no low-tier
         node.)"""
-        from prompt_pricing.heterogeneous import _POLISH_ROWS, _WINDOW_ROUNDS, _pair_lattice_payoffs
+        from prompt_pricing.evaluation import _pair_lattice_payoffs
+        from prompt_pricing.heterogeneous import _POLISH_ROWS, _WINDOW_ROUNDS
 
         windows = _polish_windows(catalogue, dist_index)
         # the step windows end at half-widths (0.01, 2 (U_H - C_H) / 250) / 4**4, the
@@ -886,7 +900,7 @@ class TestDecidedNodes:
     def test_grid_oracle_axes_equal_argsort_reference(self, dist_index):
         """``grid_oracle``'s 400 x 400 axes at 2001 nodes, where every selling
         node is mixed."""
-        from prompt_pricing.heterogeneous import _pair_lattice_payoffs
+        from prompt_pricing.evaluation import _pair_lattice_payoffs
 
         low, high = PAIR.require_pair()
         axis_low, axis_high = (m.cost + (m.utility - m.cost) * (np.arange(1, 401) / 400)
@@ -911,20 +925,20 @@ class TestDecidedNodes:
         in binary), so the two score columns' ends tie exactly.  A tie is
         the high tier's, so the first node is decided by its ends and the
         second is sorted."""
-        from prompt_pricing import heterogeneous
+        from prompt_pricing import evaluation
 
         models = ModelSet([GaiModel("a", 1.0, 0.0625), GaiModel("b", 2.0, 0.25)])
         low, high = models.require_pair()
         assert user_payoff(low, 0.125, 0.5, 3) == user_payoff(high, 0.5, 0.5, 2) == 0.5
         (axis_low, axis_high), nodes, weights = axes, np.array([0.5]), np.array([1.0])
-        rows, kernel = [], heterogeneous._prefix_lengths
+        rows, kernel = [], evaluation._prefix_lengths
 
         def counted(score_h, score_l):
             rows.append(len(score_h))
             return kernel(score_h, score_l)
 
-        monkeypatch.setattr(heterogeneous, "_prefix_lengths", counted)
-        got = heterogeneous._pair_lattice_payoffs(low, high, axis_low, axis_high, nodes, weights)
+        monkeypatch.setattr(evaluation, "_prefix_lengths", counted)
+        got = evaluation._pair_lattice_payoffs(low, high, axis_low, axis_high, nodes, weights)
         assert sum(rows) == sorted_rows
         assert np.array_equal(got, argsort_pair_lattice(low, high, axis_low, axis_high, nodes, weights))
         for i, p_low in enumerate(axis_low):
@@ -981,7 +995,7 @@ class TestCountProfile:
     @pytest.mark.parametrize("utility", PROFILE_UTILITIES)
     @pytest.mark.parametrize("dist", PROFILE_DISTS.values(), ids=PROFILE_DISTS)
     def test_equals_per_cell_kernel(self, dist, utility):
-        from prompt_pricing.heterogeneous import _count_profile
+        from prompt_pricing.evaluation import _count_profile
 
         rng = np.random.default_rng(20240811)
         nodes, _ = dist.quadrature(QuadratureConfig(1001))
@@ -1005,7 +1019,7 @@ class TestCountProfile:
         nodes change no lattice cell, bit for bit, and the cells match the
         dense comparison.  Both axes reach past the tier's utility, so their
         dearest prices sell at no node."""
-        from prompt_pricing.heterogeneous import _pair_lattice_payoffs
+        from prompt_pricing.evaluation import _pair_lattice_payoffs
 
         low, high = PAIR.require_pair()
         nodes, weights = UniformAmbiguity(0.3, 1.0).quadrature(QuadratureConfig(301))
@@ -1025,14 +1039,14 @@ class TestCountProfile:
         """Kernel counts one too high (or one too low) at both axis ends put
         a step before the first price (or past the last); the profile
         raises instead of miscounting."""
-        from prompt_pricing import heterogeneous
+        from prompt_pricing import evaluation
 
-        kernel = heterogeneous._counts_vec
-        monkeypatch.setattr(heterogeneous, "_counts_vec",
+        kernel = evaluation._counts_vec
+        monkeypatch.setattr(evaluation, "_counts_vec",
                             lambda u, p, e: np.maximum(kernel(u, p, e) + shift, 0.0))
         nodes, _ = U01.quadrature(QuadratureConfig(101))
         with pytest.raises(PromptPricingError, match="count steps"):
-            heterogeneous._count_profile(1.0, np.linspace(0.05, 0.5, 10), nodes)
+            evaluation._count_profile(1.0, np.linspace(0.05, 0.5, 10), nodes)
 
 
 class TestBenchmarks:
@@ -1136,7 +1150,7 @@ def _family(models, kind):
 def _evaluated_family(set_name, dist_name, kind, nodes, stride=1):
     """Every ``stride``-th row of a family by the schedule evaluator, and
     every row by the family scorer."""
-    from prompt_pricing.heterogeneous import _family_payoffs, _family_volumes
+    from prompt_pricing.evaluation import _family_payoffs, _family_volumes
 
     models = FAMILY_SETS[set_name]
     family = _family(models, kind)
@@ -1171,7 +1185,7 @@ class TestFamilyScorer:
         family at once, scores every row exactly as a one-row call does, so
         the rows that can rank first are among those it puts within 1e-9 of
         the top utility of its best."""
-        from prompt_pricing.heterogeneous import _family_volumes
+        from prompt_pricing.evaluation import _family_volumes
 
         models = FAMILY_SETS[set_name]
         family = _family(models, kind)
@@ -1191,7 +1205,7 @@ class TestFamilyScorer:
         """At eps = 1/2 and row 2, a user pays 0.5 either way: three prompts
         of model a or two of model b (all values exact in binary).  The
         stage-2 rule gives the user to b."""
-        from prompt_pricing.heterogeneous import _family_payoffs, _family_volumes
+        from prompt_pricing.evaluation import _family_payoffs, _family_volumes
 
         models = ModelSet([GaiModel("a", 1.0, 0.0625), GaiModel("b", 2.0, 0.25)])
         family = (np.arange(6, 11) / 8.0)[:, None] * np.array([0.125, 0.5])
@@ -1206,14 +1220,34 @@ class TestFamilyScorer:
             assert abs(pay - want) <= 1e-12
         assert np.all(np.abs(got - _family_volumes(models, family, nodes, weights)[0]) <= 1e-12)
 
+    @pytest.mark.parametrize("kind", ["utility", "cost"])
+    @pytest.mark.parametrize("dist", [U01, UniformAmbiguity(0.6, 1.0), PRUNING_DISTS[1]],
+                             ids=["uniform", "uniform-0.6", "tabulated"])
+    @pytest.mark.parametrize("set_name", ["fig7a", "fig7b", "three"])
+    def test_rows_past_the_last_buyer_score_zero(self, set_name, dist, kind):
+        """A row that prices every model above ``(1 - min node) * U``, the
+        largest gain of its first prompt, sells to no one, so it scores
+        exactly 0, with no rounding residue from the difference arrays
+        (``_live_rows``)."""
+        from prompt_pricing.evaluation import _family_payoffs
+
+        models = FAMILY_SETS[set_name]
+        family = _family(models, kind)
+        nodes, weights = dist.quadrature(QuadratureConfig())
+        dead = np.all(family > (1.0 - nodes.min()) * np.array([m.utility for m in models]), axis=1)
+        assert dead.any() or kind == "utility"  # U(0, 1) leaves every utility row a buyer
+        payoffs = _family_payoffs(models, family, nodes, weights)
+        assert np.array_equal(payoffs[dead], np.zeros(dead.sum()))
+
 
 def _count_calls(monkeypatch, module, name):
-    """Replace ``module.name`` by a wrapper that counts its calls."""
+    """Replace ``module.name`` by a wrapper that records, per call, the rows
+    of its price matrix (the second argument)."""
     calls = []
     inner = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(len(args[1]))
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -1227,7 +1261,7 @@ class TestRowIndependence:
     @pytest.mark.parametrize("dist_name", FAMILY_DISTS)
     @pytest.mark.parametrize("set_name", ["fig7a", "three"])
     def test_batch_rows_equal_one_row_calls(self, set_name, dist_name):
-        from prompt_pricing.heterogeneous import _CHUNK_ELEMENTS, _family_volumes
+        from prompt_pricing.evaluation import _CHUNK_ELEMENTS, _family_volumes
 
         models = FAMILY_SETS[set_name]
         nodes, weights = FAMILY_DISTS[dist_name].quadrature(QuadratureConfig())
@@ -1249,9 +1283,8 @@ class TestRowIndependence:
         the best.  The oracle re-scores them in one call, which also gives
         the answer's payoff and volumes, and returns what scoring each alone
         and keeping the first strictly better gives."""
-        from prompt_pricing import heterogeneous
-        from prompt_pricing.heterogeneous import (
-            _family_volumes, _near_best, _pair_lattice_payoffs)
+        from prompt_pricing import evaluation
+        from prompt_pricing.evaluation import _family_volumes, _near_best, _pair_lattice_payoffs
 
         dist, grid_n = UniformAmbiguity(0.6, 1.0), 400
         nodes, weights = dist.quadrature(QuadratureConfig())
@@ -1266,17 +1299,17 @@ class TestRowIndependence:
             if pay > best_pay:
                 best, best_pay = cells[i], pay
 
-        calls = _count_calls(monkeypatch, heterogeneous, "_family_volumes")
+        calls = _count_calls(monkeypatch, evaluation, "_family_volumes")
         out = grid_oracle(PAIR, dist, grid_n)
         assert len(calls) == 1
         assert [out.schedule.price_for(m) for m in PAIR] == list(best)
         assert out.platform_payoff == best_pay
 
     def test_no_sale_family_is_scored_in_one_batch(self, monkeypatch):
-        from prompt_pricing import heterogeneous
+        from prompt_pricing import evaluation
 
         models = ModelSet([GaiModel("ml", 1.0, 1.5), GaiModel("mh", 1.8, 2.2)])
-        calls = _count_calls(monkeypatch, heterogeneous, "_family_volumes")
+        calls = _count_calls(monkeypatch, evaluation, "_family_volumes")
         out = cost_based_pricing(models, U01)
         assert len(calls) == 1
         assert out.platform_payoff == 0.0
@@ -1284,9 +1317,9 @@ class TestRowIndependence:
     def test_utility_family_is_rescored_in_one_batch(self, monkeypatch):
         """The near-best rows are re-scored in one call, and the answer is
         read off that call: fig7a's utility family under Uniform(0, 1)."""
-        from prompt_pricing import heterogeneous
+        from prompt_pricing import evaluation
 
-        calls = _count_calls(monkeypatch, heterogeneous, "_family_volumes")
+        calls = _count_calls(monkeypatch, evaluation, "_family_volumes")
         out = utility_based_pricing(PAIR, U01)
         assert len(calls) == 1
         alone = platform_payoff(PAIR, out.schedule, U01)
@@ -1302,8 +1335,8 @@ class TestBestOutcome:
         which is within ``_RESCORE_TOL`` of the top utility of it.  Candidate 2
         pays the most of all, but its score is further below, so it is never
         evaluated."""
-        from prompt_pricing import heterogeneous
-        from prompt_pricing.heterogeneous import _RESCORE_TOL, _best_outcome
+        from prompt_pricing import evaluation
+        from prompt_pricing.evaluation import _RESCORE_TOL, _best_outcome
 
         nodes, weights = U01.quadrature(FAST)
         schedules = np.array([[0.3, 0.6], [0.35, 0.7], [0.4, 0.8]])
@@ -1313,13 +1346,13 @@ class TestBestOutcome:
         tol = _RESCORE_TOL * PAIR.high.utility
         scores = np.array([1.0, 1.0 - tol / 2, 1.0 - 2 * tol])
 
-        seen, inner = [], heterogeneous._family_volumes
+        seen, inner = [], evaluation._family_volumes
 
         def recording(models, price_matrix, *rest):
             seen.extend(np.asarray(price_matrix).tolist())
             return inner(models, price_matrix, *rest)
 
-        monkeypatch.setattr(heterogeneous, "_family_volumes", recording)
+        monkeypatch.setattr(evaluation, "_family_volumes", recording)
         out = _best_outcome(PAIR, schedules, scores, nodes, weights, method="Test")
         assert schedules[2].tolist() not in seen
         assert out.schedule == pays[1].schedule

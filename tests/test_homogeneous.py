@@ -18,7 +18,7 @@ from prompt_pricing import (
     optimal_prompt_count,
 )
 from prompt_pricing.homogeneous import _INDUCED_CAP
-from prompt_pricing.user_strategy import _counts_vec
+from prompt_pricing.evaluation import _counts_vec
 
 from _helpers import is_non_decreasing, is_non_increasing, is_unimodal, shape_name
 

@@ -451,6 +451,17 @@ price = 0.3
         assert capsys.readouterr().err == "error: step_alpha must lie in (0, U_L), got 1.5\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["opp", "compare"])
+    def test_tiny_step_is_a_usage_error(self, tmp_path, capsys, verb):
+        """A step whose sweep numpy could not allocate exits 4 before any work."""
+        out = tmp_path / "x.csv"
+        assert main([verb, "--scenario", str(SCENARIOS / "fig7a.ini"), "--out", str(out),
+                     "--alpha", "1e-12"]) == 4
+        assert capsys.readouterr().err == (
+            "error: step_alpha 1e-12 makes more than 100,000 sweep steps; "
+            "the step must be above 9.8e-06\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--out", "--trace"])
     def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys, flag):
         scen = write_scenario(tmp_path, TWO_MODEL)

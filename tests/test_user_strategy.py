@@ -23,8 +23,9 @@ from prompt_pricing import (
     select_model,
     user_payoff,
 )
-from prompt_pricing import user_strategy
-from prompt_pricing.user_strategy import _counts_vec, _prompt_count, marginal_expected_utility
+from prompt_pricing import evaluation
+from prompt_pricing.evaluation import _counts_vec
+from prompt_pricing.user_strategy import _prompt_count, marginal_expected_utility
 
 from _helpers import (
     boundary_tie_count,
@@ -281,7 +282,7 @@ class TestSelectModel:
         """Two models of equal utility, cost and price pay every user the
         same; the smaller id wins in every route that applies the rule."""
         from prompt_pricing import optimal_homogeneous_price
-        from prompt_pricing.heterogeneous import _family_volumes
+        from prompt_pricing.evaluation import _family_volumes
 
         models = ModelSet([GaiModel("b", 1.0, 0.1), GaiModel("a", 1.0, 0.1),
                            GaiModel("c", 0.5, 0.1)])
@@ -326,7 +327,7 @@ class TestVectorKernels:
         prices = eps ** (np.arange(2.0, 12.0) - 1.0) * (1.0 - eps)
         counts = _counts_vec(1.0, prices, eps)
         assert np.all(counts >= 1.0)
-        monkeypatch.setattr(user_strategy, "_COUNT_STEPS", 0)
+        monkeypatch.setattr(evaluation, "_COUNT_STEPS", 0)
         with pytest.raises(PromptPricingError, match="correction steps"):
             _counts_vec(1.0, prices, eps)
 
@@ -371,7 +372,7 @@ class TestVectorKernels:
         where it can never win.  Prices on the gain of a prompt k >= 2 are
         left out, as in the count property."""
         from prompt_pricing import price_upper_bound
-        from prompt_pricing.heterogeneous import _family_volumes
+        from prompt_pricing.evaluation import _family_volumes
 
         models = ModelSet([GaiModel("lo", utility), GaiModel("hi", ratio * utility)])
         low, high = models.require_pair()
