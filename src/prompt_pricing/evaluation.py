@@ -143,7 +143,15 @@ def _count_profile(
     is bit-identical to the count kernel and the payoff
     ``(1 - eps ** n) * U - n * p`` evaluated at that cell.
     """
-    top, bottom, at, pos = _count_steps(utility, prices, nodes)
+    return _profile_from_steps(utility, prices, nodes, _count_steps(utility, prices, nodes))
+
+
+def _profile_from_steps(
+    utility: float, prices: np.ndarray, nodes: np.ndarray, steps: tuple
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_count_profile` from the ``(top, bottom, at, pos)`` that
+    :func:`_count_steps` returned for these prices and nodes."""
+    top, bottom, at, pos = steps
     n_nodes, n_prices = len(nodes), len(prices)
     if not len(at):  # every price sells the cheapest price's counts
         counts = np.tile(top[:, None], (1, n_prices))
@@ -269,16 +277,17 @@ def _pair_lattice_payoffs(
     """Payoff of every (low price, high price) pair, exploiting separability.
 
     Counts and user payoffs depend on one price each, so they are
-    profiled per axis (:func:`_count_profile`: the count kernel at each
-    axis's two ends, the count steps between them); the pairs need only
-    the selection, which is merged per node.  Returns shape (len low,
-    len high).  Both axes must be ascending (ties allowed); an axis that
-    descends anywhere raises :class:`ValueError`.  Nodes may come in any
-    order; they are taken in chunks whose temporaries hold about
-    ``_CHUNK_ELEMENTS`` elements.  In each chunk the nodes where neither
-    tier's cheapest price passes the kernel's ``buy`` test are dropped:
-    no price sells there, so they would add only zeros to the sequential
-    ``np.bincount`` sums, and every cell is bit-identical to keeping them.
+    profiled per axis (:func:`_count_steps`, the count kernel at each
+    axis's two ends, and :func:`_profile_from_steps`, the steps between
+    them); the pairs need only the selection, which is merged per node.
+    Returns shape (len low, len high).  Both axes must be ascending
+    (ties allowed); an axis that descends anywhere raises
+    :class:`ValueError`.  Nodes may come in any order; they are taken in
+    chunks whose temporaries hold about ``_CHUNK_ELEMENTS`` elements.
+    In each chunk the nodes where neither tier's cheapest price passes
+    the kernel's ``buy`` test are dropped: no price sells there, so they
+    would add only zeros to the sequential ``np.bincount`` sums, and
+    every cell is bit-identical to keeping them.
 
     At one node a tier's score, its user payoff at the optimal count
     (``-inf`` where it sells nothing), never rises as its price rises.
@@ -286,45 +295,81 @@ def _pair_lattice_payoffs(
     tier's (:func:`_prefers` with its strictly higher utility gives it
     payoff ties).  So on the ascending axes the columns that win against
     a row are a prefix of the columns, and the rows that win against a
-    column are a prefix of the rows.  A node where the high tier's
-    worst score is at least the low tier's best is decided by those two
-    ends: every column wins against every row.  So is a node where the
-    low tier's worst score is above the high tier's best: every row
-    wins against every column.  Only the other, mixed nodes are ranked
-    one by one (:func:`_prefix_lengths`): one stable argsort per node of
-    both negated score columns, the high tier's first so that a column
-    sorts before every row it ties, gives both prefix lengths as ranks:
-    the columns sorted before a row win against it, and the rows sorted
+    column are a prefix of the rows.  Each node is decided before any
+    profile is built, from the scores at the two ends of each axis,
+    computed from the end counts ``top`` and ``bottom`` as the profile
+    computes them.  A node where the high tier's worst score is at
+    least the low tier's best is decided by those ends: every column
+    wins against every row.  So is a node where the low tier's worst
+    score is above the high tier's best: every row wins against every
+    column.  Only the other, mixed nodes are ranked one by one
+    (:func:`_prefix_lengths`): one stable argsort per node of both
+    negated score columns, the high tier's first so that a column sorts
+    before every row it ties, gives both prefix lengths as ranks: the
+    columns sorted before a row win against it, and the rows sorted
     before a column win against that.  At a decided node that argsort
     gives the same two constants, so skipping it changes no cell, bit
-    for bit; a chunk whose nodes are all mixed is ranked whole, with no
-    gather.  Cell (i, j) then collects the
-    high tier's gain at column j from the nodes where at most i rows
-    win against j, and the low tier's gain at row i from the nodes
-    where at most j columns win against i; difference arrays
-    (``np.bincount``) and one ``cumsum`` per axis give every cell.  This
-    is the pairwise comparison made exactly, not approximated: the
-    prefixes are read off the same float scores.
+    for bit; a chunk whose nodes are all mixed is profiled and ranked
+    whole, with no gather.  Cell (i, j) then collects the high tier's
+    gain at column j from the nodes where at most i rows win against j,
+    and the low tier's gain at row i from the nodes where at most j
+    columns win against i; difference arrays (``np.bincount``) and one
+    ``cumsum`` per axis give every cell.  This is the pairwise
+    comparison made exactly, not approximated: the prefixes are read
+    off the same float scores.
+
+    At a node the low tier wins outright every high-tier gain goes to
+    ``high_from`` row ``n_low``, and at a node the high tier wins
+    outright every low-tier gain goes to ``low_from`` column ``n_high``;
+    the final slices ``[:n_low]`` and ``[:, :n_high]`` discard both
+    ranges.  So each tier's gains are added only at the nodes the other
+    tier does not win outright: every bin that is read gets the same
+    addends in the same node order, and every cell is bit-identical to
+    adding them all.  At a kept node that is decided and where the
+    tier's count does not step, the count is ``top`` at every price and
+    the gains ``(p - C) * top * w`` are broadcast with no profile.
 
     The prefix argument needs the scores non-increasing along each
     axis.  Mathematically they are; in floats a score could rise
     between two prices a few ulp apart at a count step, so a rise
     raises :class:`PromptPricingError` instead of giving wrong cells.
+    At a fixed count ``n`` the score ``held - n * p`` cannot rise,
+    because rounding is monotone, so a rise can occur only where the
+    count steps.  Each tier's profile, and its check, therefore runs at
+    the mixed nodes and at every node where that tier's count steps,
+    whether its gains there are kept or not.
     """
     if np.any(np.diff(axis_low) < 0.0) or np.any(np.diff(axis_high) < 0.0):
         raise ValueError("pair lattice: both price axes must be ascending")
     n_low, n_high = len(axis_low), len(axis_high)
     rows, cols = np.arange(n_low), np.arange(n_high)
 
-    def profile(model: GaiModel, prices: np.ndarray, eps: np.ndarray, w: np.ndarray):
+    tiers = ((low, axis_low), (high, axis_high))
+
+    def profile(model: GaiModel, prices: np.ndarray, eps: np.ndarray, w: np.ndarray, steps):
         """Scores and weighted platform gains, shape (nodes, prices)."""
-        counts, pay = _count_profile(model.utility, prices, eps)
+        counts, pay = _profile_from_steps(model.utility, prices, eps, steps)
         score = np.where(counts >= 1.0, pay, -np.inf)
         if np.any(score[:, 1:] > score[:, :-1]):
             raise PromptPricingError(
                 f"pair lattice: the user payoff of {model.id!r} rises with its price at some "
                 f"node, so the winning prices are not a prefix of the axis")
         return score, (prices[None, :] - model.cost) * counts * w[:, None]
+
+    def profile_some(model, prices, eps, w, steps, keep, mixed):
+        """Scores at the ``mixed`` nodes and gains at the ``keep`` nodes.  Only
+        the mixed nodes and the nodes where the tier's count steps are
+        profiled; at any other node the count is ``top`` at every price."""
+        top, bottom, at, pos = steps
+        gain = (prices[None, :] - model.cost) * top[keep, None] * w[keep, None]
+        some = mixed | (top != bottom)
+        if not some.any():
+            return np.empty((0, len(prices))), gain
+        row = np.cumsum(some) - 1  # a profiled node's row; every stepping node is profiled
+        score, profiled = profile(model, prices, eps[some], w[some],
+                                  (top[some], bottom[some], row[at], pos))
+        gain[some[keep]] = profiled[keep[some]]
+        return score[mixed[some]], gain
 
     # high_from[b, j]: column j's high-tier gain from the nodes where b rows win against it
     high_from = np.zeros((n_low + 1) * n_high)
@@ -333,20 +378,30 @@ def _pair_lattice_payoffs(
 
     def merge(eps: np.ndarray, w: np.ndarray) -> None:
         """Add one node chunk's gains to ``high_from`` and ``low_from``."""
-        score_l, gain_l = profile(low, axis_low, eps, w)
-        score_h, gain_h = profile(high, axis_high, eps, w)
+        steps = [_count_steps(m.utility, prices, eps) for m, prices in tiers]
+        # each tier's score at its cheapest and its dearest price, as its profile has them
+        (first_l, last_l), (first_h, last_h) = (
+            [np.where(n >= 1.0, (1.0 - eps ** n) * m.utility - n * p, -np.inf)
+             for n, p in ((top, prices[0]), (bottom, prices[-1]))]
+            for (m, prices), (top, bottom, _, _) in zip(tiers, steps))
         # decided by the column ends: the high tier's worst meets the low tier's best, or
         # the low tier's worst beats the high tier's best
-        high_wins = score_h[:, -1] >= score_l[:, 0]
-        low_wins = score_l[:, -1] > score_h[:, 0]
+        high_wins = last_h >= first_l
+        low_wins = last_l > first_h
         mixed = ~(high_wins | low_wins)
         if mixed.all():
+            (score_l, gain_l), (score_h, gain_h) = (
+                profile(m, prices, eps, w, s) for (m, prices), s in zip(tiers, steps))
             beaten, beating = _prefix_lengths(score_h, score_l)
         else:
-            beaten = np.repeat(np.where(low_wins, n_low, 0)[:, None], n_high, axis=1)
-            beating = np.repeat(np.where(low_wins, 0, n_high)[:, None], n_low, axis=1)
+            # a node the other tier wins outright adds only to a bin the slices drop
+            keep_l, keep_h = ~high_wins, ~low_wins
+            score_l, gain_l = profile_some(low, axis_low, eps, w, steps[0], keep_l, mixed)
+            score_h, gain_h = profile_some(high, axis_high, eps, w, steps[1], keep_h, mixed)
+            beaten = np.zeros(gain_h.shape, dtype=np.int64)
+            beating = np.zeros(gain_l.shape, dtype=np.int64)
             if mixed.any():
-                beaten[mixed], beating[mixed] = _prefix_lengths(score_h[mixed], score_l[mixed])
+                beaten[mixed[keep_h]], beating[mixed[keep_l]] = _prefix_lengths(score_h, score_l)
         np.add(high_from, np.bincount((beaten * n_high + cols).ravel(), gain_h.ravel(),
                                       minlength=len(high_from)), out=high_from)
         np.add(low_from, np.bincount((rows * (n_high + 1) + beating).ravel(), gain_l.ravel(),

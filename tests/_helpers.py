@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import prompt_pricing
+from prompt_pricing import evaluation
 from prompt_pricing import (
     GaiModel,
     ModelSet,
@@ -21,7 +22,7 @@ from prompt_pricing import (
     prompt_upper_bound,
     user_payoff,
 )
-from prompt_pricing.evaluation import _CHUNK_ELEMENTS, _count_profile, _counts_vec
+from prompt_pricing.evaluation import _count_profile, _counts_vec
 
 
 def package_env() -> dict[str, str]:
@@ -171,8 +172,9 @@ def dense_pair_lattice(low: GaiModel, high: GaiModel, axis_low, axis_high, nodes
 
 def argsort_pair_lattice(low: GaiModel, high: GaiModel, axis_low, axis_high, nodes, weights):
     """The pair lattice with one stable argsort at every selling node: the
-    package's profiles, node chunks and difference arrays, and no node
-    decided by the ends of its score columns.  Same cells, bit for bit."""
+    package's dense profiles, node chunks (``_CHUNK_ELEMENTS`` as patched at
+    call time) and difference arrays, and no node decided by the ends of its
+    score columns.  Same cells, bit for bit."""
     order_l = np.argsort(axis_low, kind="stable")
     order_h = np.argsort(axis_high, kind="stable")
     p_low, p_high = axis_low[order_l], axis_high[order_h]
@@ -199,7 +201,7 @@ def argsort_pair_lattice(low: GaiModel, high: GaiModel, axis_low, axis_high, nod
         np.add(low_from, np.bincount((rows * (n_high + 1) + beating).ravel(), gain_l.ravel(),
                                      minlength=len(low_from)), out=low_from)
 
-    chunk = max(1, _CHUNK_ELEMENTS // (n_low + n_high))
+    chunk = max(1, evaluation._CHUNK_ELEMENTS // (n_low + n_high))
     for start in range(0, len(nodes), chunk):
         eps, w = nodes[start:start + chunk], weights[start:start + chunk]
         sells = (p_low[0] <= (1.0 - eps) * low.utility) | (p_high[0] <= (1.0 - eps) * high.utility)
@@ -212,18 +214,26 @@ def argsort_pair_lattice(low: GaiModel, high: GaiModel, axis_low, axis_high, nod
     return out
 
 
-def node_kinds(low: GaiModel, high: GaiModel, axis_low, axis_high, nodes):
-    """How many selling nodes each tier wins at every price pair, and how
-    many are mixed: (high wins all, low wins all, mixed).  Scores come from
-    the count kernel at every cell; a node where no price sells is left out."""
+def node_classes(low: GaiModel, high: GaiModel, axis_low, axis_high, nodes):
+    """Per node, whether some price sells there, whether the high tier wins
+    every price pair there and whether the low tier does: boolean arrays
+    (sells, high wins all, low wins all), the last two only where something
+    sells.  Scores come from the count kernel at every cell."""
     score_l, score_h = (np.where(counts >= 1.0, pay, -np.inf) for counts, pay in
                         (per_cell_profile(m.utility, axis, nodes)
                          for m, axis in ((low, axis_low), (high, axis_high))))
     sells = np.isfinite(np.maximum(score_l.max(axis=1), score_h.max(axis=1)))
     high_all = score_h.min(axis=1) >= score_l.max(axis=1)
     low_all = score_l.min(axis=1) > score_h.max(axis=1)
-    return (int(np.sum(sells & high_all)), int(np.sum(sells & low_all)),
-            int(np.sum(sells & ~high_all & ~low_all)))
+    return sells, sells & high_all, sells & low_all
+
+
+def node_kinds(low: GaiModel, high: GaiModel, axis_low, axis_high, nodes):
+    """How many selling nodes each tier wins at every price pair, and how
+    many are mixed: (high wins all, low wins all, mixed), from
+    :func:`node_classes`."""
+    sells, high_all, low_all = node_classes(low, high, axis_low, axis_high, nodes)
+    return int(high_all.sum()), int(low_all.sum()), int(np.sum(sells & ~high_all & ~low_all))
 
 
 def scalar_mass(dist, a, b):

@@ -39,6 +39,7 @@ from _helpers import (
     argsort_pair_lattice,
     decimal_volume,
     dense_pair_lattice,
+    node_classes,
     node_kinds,
     per_cell_profile,
     scalar_mass,
@@ -770,17 +771,42 @@ class TestLatticeMerge:
         its price at every node; a rise is an error, not wrong cells."""
         from prompt_pricing import evaluation
 
-        profile = evaluation._count_profile
+        profile = evaluation._profile_from_steps
 
-        def rising(utility, prices, nodes):
-            counts, pays = profile(utility, prices, nodes)
+        def rising(utility, prices, nodes, steps):
+            counts, pays = profile(utility, prices, nodes, steps)
             return counts, pays + 2.0 * counts * prices
 
-        monkeypatch.setattr(evaluation, "_count_profile", rising)
+        monkeypatch.setattr(evaluation, "_profile_from_steps", rising)
         low, high = PAIR.require_pair()
         nodes, weights = U01.quadrature(QuadratureConfig(101))
         axes = [np.linspace(m.cost, m.utility, 50)[1:] for m in (low, high)]
         with pytest.raises(PromptPricingError):
+            evaluation._pair_lattice_payoffs(low, high, axes[0], axes[1], nodes, weights)
+
+    def test_rising_score_at_a_decided_node_raises(self, monkeypatch):
+        """The rise is planted only in the low tier's profile at eps = 1/2,
+        where the high tier wins every pair and the low tier's count steps.
+        No cell reads the low tier's gains there, but a rise can occur only
+        where a count steps, so that node is profiled and raises."""
+        from prompt_pricing import evaluation
+
+        low, high = PAIR.require_pair()
+        nodes, weights = np.array([0.3, 0.5, 0.7]), np.full(3, 1.0 / 3.0)
+        axes = [np.array([0.2, 0.25, 0.3]), np.array([0.05, 0.055, 0.06])]
+        assert node_kinds(low, high, *axes, nodes) == (3, 0, 0)
+        counts, _ = per_cell_profile(low.utility, axes[0], nodes[1:2])
+        assert counts[0, 0] > counts[0, -1] >= 1.0
+        evaluation._pair_lattice_payoffs(low, high, axes[0], axes[1], nodes, weights)
+        profile = evaluation._profile_from_steps
+
+        def rising(utility, prices, eps, steps):
+            counts, pays = profile(utility, prices, eps, steps)
+            planted = (utility == low.utility) & (eps == 0.5)
+            return counts, pays + planted[:, None] * np.arange(len(prices))
+
+        monkeypatch.setattr(evaluation, "_profile_from_steps", rising)
+        with pytest.raises(PromptPricingError, match="rises with its price"):
             evaluation._pair_lattice_payoffs(low, high, axes[0], axes[1], nodes, weights)
 
     @pytest.mark.parametrize("tier", [0, 1], ids=["low", "high"])
@@ -843,7 +869,8 @@ class TestLatticeMerge:
         assert got.platform_payoff == want.platform_payoff
 
 
-def _polish_windows(catalogue: str, dist_index: int) -> list:
+@functools.lru_cache(maxsize=None)  # shared by the window tests; none of them writes to an array
+def _polish_windows(catalogue: str, dist_index: int) -> tuple:
     """The polish windows ``opp`` scores at 2001 nodes for one fig7 catalogue
     and density: (low, high, axis_low, axis_high, nodes, weights) each."""
     from prompt_pricing import heterogeneous
@@ -858,7 +885,7 @@ def _polish_windows(catalogue: str, dist_index: int) -> list:
         mp.setattr(heterogeneous, "_pair_lattice_payoffs", record)
         opp(FAMILY_SETS[catalogue], PRUNING_DISTS[dist_index],
             OppConfig(step_alpha=0.01, quad=QuadratureConfig()))
-    return [c for c in calls if len(c[2]) == len(c[3]) == heterogeneous._WINDOW_POINTS]
+    return tuple(c for c in calls if len(c[2]) == len(c[3]) == heterogeneous._WINDOW_POINTS)
 
 
 class TestDecidedNodes:
@@ -871,30 +898,92 @@ class TestDecidedNodes:
         order = np.random.default_rng(20240811).permutation(len(nodes))
         return nodes[order], weights[order]
 
-    @pytest.mark.parametrize("dist_index", [0, 1], ids=["uniform-0.3", "tabulated"])
-    @pytest.mark.parametrize("catalogue", ["fig7a", "fig7b"])
-    def test_polish_windows_equal_argsort_reference(self, catalogue, dist_index):
+    @staticmethod
+    def decided_and_stepless(low, high, axis_low, axis_high, nodes, weights) -> bool:
+        """Every selling node of the window is won outright by one tier, and
+        neither tier's count steps along its axis at any node."""
+        sells, high_all, low_all = node_classes(low, high, axis_low, axis_high, nodes)
+        return bool(np.all(high_all | low_all | ~sells)) and not any(
+            np.any(np.diff(per_cell_profile(m.utility, axis, nodes)[0], axis=1) != 0.0)
+            for m, axis in ((low, axis_low), (high, axis_high)))
+
+    @pytest.mark.parametrize("catalogue, dist_index, windows", [
+        pytest.param(catalogue, dist_index, windows, id="-".join(
+            [catalogue, ("uniform-0.3", "tabulated")[dist_index]] + [windows] * (windows != "polish")))
+        for windows in ("polish", "three-chunks", "decided")
+        for dist_index in (0, 1) for catalogue in ("fig7a", "fig7b")])
+    def test_polish_windows_equal_argsort_reference(self, catalogue, dist_index, windows,
+                                                    monkeypatch):
         """The 38 polish windows of ``opp`` (33 x 33 at 2001 nodes): 32
         around the strongest sweep steps, then 6 around the best pair.  Every
         window has nodes the high tier wins at every pair, and some window
         also has nodes the low tier wins at every pair and nodes where the
         winner changes inside it.  (Under Uniform(0.3, 1) fig7a's low tier
         sells under 1% of the prompts, so most windows hold no low-tier
-        node.)"""
-        from prompt_pricing.evaluation import _pair_lattice_payoffs
-        from prompt_pricing.heterogeneous import _POLISH_ROWS, _WINDOW_ROUNDS
+        node.)  ``three-chunks`` scores the same windows in node chunks of an
+        eighth of the nodes, at least three of which sell.  ``decided`` is one
+        window 2e-9 wide at the last window's cheapest corner: each tier wins
+        some selling nodes outright and the other tier the rest, and no count
+        steps, so no node is profiled."""
+        from prompt_pricing import evaluation
+        from prompt_pricing.heterogeneous import _POLISH_ROWS, _WINDOW_POINTS, _WINDOW_ROUNDS
 
-        windows = _polish_windows(catalogue, dist_index)
+        found = _polish_windows(catalogue, dist_index)
         # the step windows end at half-widths (0.01, 2 (U_H - C_H) / 250) / 4**4, the
         # wider 5.5e-5 (fig7a) or 4.5e-5 (fig7b); 6 more quarters bring it under 1e-8·U_H
-        assert len(windows) == _POLISH_ROWS * _WINDOW_ROUNDS + 6
-        kinds = np.array([node_kinds(*c[:5]) for c in windows])
-        assert np.all(kinds[:, 0] > 0)
-        assert np.any(np.all(kinds > 0, axis=1))
-        for low, high, axis_low, axis_high, nodes, weights in windows:
+        assert len(found) == _POLISH_ROWS * _WINDOW_ROUNDS + 6
+        if windows == "polish":
+            kinds = np.array([node_kinds(*c[:5]) for c in found])
+            assert np.all(kinds[:, 0] > 0)
+            assert np.any(np.all(kinds > 0, axis=1))
+        elif windows == "three-chunks":
+            n_nodes = len(found[0][4])
+            monkeypatch.setattr(evaluation, "_CHUNK_ELEMENTS", 2 * _WINDOW_POINTS * (n_nodes // 8))
+        elif windows == "decided":
+            low, high, axis_low, axis_high, nodes, weights = found[-1]
+            axes = [np.linspace(axis[0] - 1e-9, axis[0] + 1e-9, _WINDOW_POINTS)
+                    for axis in (axis_low, axis_high)]
+            found = [(low, high, *axes, nodes, weights)]
+            assert self.decided_and_stepless(*found[0])
+            assert min(node_kinds(*found[0][:5])[:2]) > 0
+        for low, high, axis_low, axis_high, nodes, weights in found:
             for eps, w in ((nodes, weights), self.shuffled(nodes, weights)):
-                got = _pair_lattice_payoffs(low, high, axis_low, axis_high, eps, w)
+                got = evaluation._pair_lattice_payoffs(low, high, axis_low, axis_high, eps, w)
                 assert np.array_equal(got, argsort_pair_lattice(low, high, axis_low, axis_high, eps, w))
+
+    def test_profiles_only_mixed_and_stepping_nodes(self, monkeypatch):
+        """In a fig7b polish window under Uniform(0.3, 1), the first with
+        mixed nodes and, for each tier, nodes where its count steps and the
+        other tier wins every pair, each tier's count profile runs at
+        exactly the mixed nodes and the nodes where its own count steps: a
+        minority of the selling nodes.  The expected sets come from the
+        count kernel at every cell."""
+        from prompt_pricing import evaluation
+
+        for window in _polish_windows("fig7b", 0):
+            low, high, axis_low, axis_high, nodes, weights = window
+            sells, high_all, low_all = node_classes(low, high, axis_low, axis_high, nodes)
+            mixed = sells & ~high_all & ~low_all
+            steps = {m.utility: np.diff(per_cell_profile(m.utility, axis, nodes)[0]).any(axis=1)
+                     for m, axis in ((low, axis_low), (high, axis_high))}
+            if mixed.any() and np.any(steps[low.utility] & high_all) and np.any(
+                    steps[high.utility] & low_all):
+                break
+        else:
+            pytest.fail("no window with mixed nodes and steps where the other tier wins")
+        profiled = {low.utility: [], high.utility: []}
+        seam = evaluation._profile_from_steps
+
+        def counted(utility, prices, eps, steps):
+            profiled[utility].append(eps)
+            return seam(utility, prices, eps, steps)
+
+        monkeypatch.setattr(evaluation, "_profile_from_steps", counted)
+        evaluation._pair_lattice_payoffs(low, high, axis_low, axis_high, nodes, weights)
+        for utility, stepping in steps.items():
+            want = np.sort(nodes[mixed | stepping])
+            assert np.array_equal(np.sort(np.concatenate(profiled[utility])), want)
+            assert len(want) < sells.sum() / 2
 
     @pytest.mark.parametrize("dist_index", [0, 1], ids=["uniform-0.3", "tabulated"])
     def test_grid_oracle_axes_equal_argsort_reference(self, dist_index):
