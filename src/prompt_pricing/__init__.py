@@ -31,7 +31,6 @@ from .heterogeneous import (
     cost_based_pricing,
     grid_oracle,
     opp,
-    price_upper_bound,
     single_model_price,
     utility_based_pricing,
 )
@@ -51,6 +50,7 @@ from .user_strategy import (
     classify_prompt_shape,
     optimal_prompt_count,
     optimal_user_payoff,
+    price_upper_bound,
     prompt_upper_bound,
     select_model,
     user_payoff,

@@ -1,18 +1,14 @@
 """Stage-1 pricing under a distribution of user ambiguity.
 
-The solvers search price schedules and score them with the quadrature
-evaluators of :mod:`~prompt_pricing.evaluation`.  This module provides:
+The solvers here search price schedules and score them with the
+evaluators of :mod:`~prompt_pricing.evaluation`.  This module holds
+only the searches:
 
-* the single-model piecewise optimizer built on the per-count root
-  structure of the demand curve (:func:`single_model_price`): every
-  (price, count) root of a batch of prices in one monotone Newton
-  iteration in log space (:func:`_segment_bounds`), exact interval
-  masses summed per price (:func:`_volume_from_segments`), and one
-  shrinking 9-point grid per smooth piece, all pieces in one batch per
-  round, after dropping the pieces whose volume bound cannot reach the
-  best first-round price,
-* the preference price bound that separates the two tiers of a
-  two-model set (:func:`price_upper_bound`),
+* the single-model piecewise optimizer (:func:`single_model_price`):
+  one shrinking 9-point grid per smooth piece of the demand curve, all
+  pieces in one batch per round of exact segment masses
+  (:func:`_volume_from_segments`), after dropping the pieces whose
+  volume bound cannot reach the best first-round price,
 * the two-model optimizer that sweeps the low-tier price and, for each
   value, takes the best high-tier price from a separable price-pair
   lattice, then polishes it with shrinking lattice windows (:func:`opp`),
@@ -33,24 +29,23 @@ from .core import (
     ConfigError,
     DegenerateCostBase,
     GaiModel,
-    InvalidPrice,
     ModelSet,
     PriceSchedule,
-    PromptPricingError,
     QuadratureConfig,
     TabulatedAmbiguity,
-    check_ambiguity,
 )
 from .evaluation import (
+    _MAX_SEGMENTS,
     _RESCORE_TOL,
+    _TOPS,
     PricingOutcome,
     _best_outcome,
     _family_payoffs,
     _family_volumes,
     _near_best,
     _pair_lattice_payoffs,
+    _volume_from_segments,
 )
-from .user_strategy import _curve_top, _decision_for
 
 
 @dataclass(frozen=True)
@@ -68,106 +63,6 @@ class OppConfig:
         if self.step_alpha is not None and not (
                 math.isfinite(self.step_alpha) and self.step_alpha > 0.0):
             raise ConfigError(f"step_alpha must be finite and > 0, got {self.step_alpha}")
-
-
-
-_ROOT_STEPS = 100  # Newton steps allowed per root
-
-
-def _segment_bounds(ratio: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both roots of ``eps**(k-1) * (1-eps) = ratio`` for every (ratio, k) pair.
-
-    ``ratio`` and ``k`` are equal-length arrays (k >= 2), each pair with
-    ``ratio`` at most the curve's top ``_curve_top(k - 1)``.  Each root is
-    the zero of the concave ``f(x) = a*x + b*log(-expm1(x)) - log(ratio)``,
-    in ``x = log(eps)`` with ``(a, b) = (k-1, 1)`` for the lower root and in
-    ``x = log(1-eps)`` with ``(a, b) = (1, k-1)`` for the upper one; ``f``
-    peaks at ``x = log(a/(a+b))``, the curve's peak ``(k-1)/k``.  All roots
-    run one Newton iteration, ``f' = a - b/expm1(-x)``, from ``x =
-    log(ratio)/a``, where ``f <= 0`` left of the peak, so the iterates rise
-    to the root without passing it: 4-5 steps at half the top, 8-9 at 0.99
-    of it, up to 26 at a tangency, where the root is double.  An element
-    stops once ``f >= 0`` or its next iterate is not larger (an iterate
-    past the peak is cut to it; one that is nan, where ``f = f' = 0``,
-    stops it), and only the moving elements are iterated.  At a tangency a
-    root that rounding puts past the peak is taken to be the peak, so the
-    interval there is empty.  Returns
-    ``(lower, upper)``.  A k below 2, an element still moving after
-    ``_ROOT_STEPS`` steps, or roots that do not bracket the peak inside the
-    unit interval (``0 < lower <= (k-1)/k <= upper < 1``), raise
-    :class:`PromptPricingError`.
-    """
-    power = np.asarray(k, dtype=float) - 1.0
-    if np.any(power < 1.0):
-        raise PromptPricingError("segment roots do not bracket the peak (k-1)/k inside (0, 1)")
-    one = np.ones_like(power)
-    a, b = np.concatenate([power, one]), np.concatenate([one, power])
-    log_r = np.log(np.concatenate([ratio, ratio]).astype(float))
-    x_peak = np.log(a / (a + b))
-    x = np.minimum(log_r / a, x_peak)
-    live = np.arange(len(x))
-    for step in range(_ROOT_STEPS + 1):
-        xs, a_s, b_s = x[live], a[live], b[live]
-        f = a_s * xs + b_s * np.log(-np.expm1(xs)) - log_r[live]
-        with np.errstate(divide="ignore", invalid="ignore"):  # f' = 0 at the peak
-            nxt = np.minimum(xs - f / (a_s - b_s / np.expm1(-xs)), x_peak[live])
-        move = (f < 0.0) & (nxt > xs)
-        live = live[move]
-        if not live.size:
-            break
-        if step == _ROOT_STEPS:
-            raise PromptPricingError(
-                f"segment roots: {live.size} roots still moving after "
-                f"{_ROOT_STEPS} Newton steps")
-        x[live] = nxt[move]
-    half = len(power)
-    peak = power / (power + 1.0)
-    lower = np.minimum(np.exp(x[:half]), peak)
-    upper = np.maximum(-np.expm1(x[half:]), peak)
-    if not np.all((0.0 < lower) & (lower <= peak) & (peak <= upper) & (upper < 1.0)):
-        raise PromptPricingError("segment roots do not bracket the peak (k-1)/k inside (0, 1)")
-    return lower, upper
-
-
-_MAX_SEGMENTS = 512
-# _TOPS[k] = k**k / (k+1)**(k+1): a price above U * _TOPS[k] sells at most k prompts
-_TOPS = np.array([_curve_top(k) for k in range(_MAX_SEGMENTS + 1)])
-
-
-def _volume_from_segments(
-    model: GaiModel, prices: np.ndarray, dist: TabulatedAmbiguity
-) -> np.ndarray:
-    """Expected prompt volume at each price by the per-count decomposition.
-
-    At price ``p`` a user buys prompt k exactly where its gain
-    ``eps**(k-1) * (1-eps) * U`` covers ``p``: below ``1 - p/U`` for k =
-    1, between the two roots of :func:`_segment_bounds` for k >= 2, up to
-    the price's top count, the first k with ``U * _TOPS[k] <= p``.  At a
-    tangency ``p = U * _TOPS[k]`` prompt k + 1 pays only at the single
-    point ``k/(k+1)``, which has no mass, so it adds no interval.  The
-    volume is the sum of the exact masses ``dist.mass`` of those
-    intervals.  Every (price, k) pair is solved in one
-    :func:`_segment_bounds` call; the pairs are laid out k-major, so
-    ``np.add.at`` adds each price's masses in ascending k.  Away from the
-    tangencies each root is within about an ulp of the true one, so the
-    volume is within about 1e-15 (relative) of the volume from exact
-    roots.  A price below ``U * _TOPS[-1]``, whose top count is past the
-    table, raises :class:`PromptPricingError` instead of dropping
-    segments.
-    """
-    ratio = np.asarray(prices, dtype=float) / model.utility
-    sells = ratio < 1.0
-    if np.any(sells & (ratio < _TOPS[-1])):
-        raise PromptPricingError(
-            f"prices below {_TOPS[-1]:.6g} * U support more than {_MAX_SEGMENTS} prompts")
-    total = np.where(sells, dist.mass(0.0, 1.0 - ratio), 0.0)
-    # top count: how many table entries (from k = 0) lie above the ratio
-    top = np.where(sells, len(_TOPS) - np.searchsorted(_TOPS[::-1], ratio, side="right"), 1)
-    ks = np.arange(2, top.max() + 1)
-    at_k, at_price = np.nonzero(ks[:, None] <= top[None, :])
-    lower, upper = _segment_bounds(ratio[at_price], ks[at_k])
-    np.add.at(total, at_price, dist.mass(lower, upper))
-    return total
 
 
 def single_model_price(
@@ -246,43 +141,6 @@ def single_model_price(
         prompt_volume={model.id: volume},
         method="SingleModel",
     )
-
-
-_TAU_CAP = 1_000_000
-
-
-def price_upper_bound(
-    m: GaiModel, m_prime: GaiModel, price_m_prime: float, eps: float
-) -> float:
-    """Highest price of ``m`` at which a user still prefers it over ``m_prime``.
-
-    The user's best payoff from ``m_prime`` is compared against the
-    payoff ``m`` can deliver at its own per-count indifference prices;
-    the first prompt count that beats the rival pins the indifference
-    price.  Returns 0 when ``m`` can never beat the rival at this
-    ambiguity (empty demand).  Raises :class:`PromptPricingError` when
-    that count lies beyond ``_TAU_CAP`` prompts (ambiguity within about
-    1e-6 of one against a nearly free rival).
-    """
-    eps = check_ambiguity(eps)
-    if price_m_prime <= 0.0 or not math.isfinite(price_m_prime):
-        raise InvalidPrice(f"rival price must be finite and > 0, got {price_m_prime}")
-    _, rival_payoff = _decision_for(m_prime, price_m_prime, eps)
-    u = m.utility
-    if rival_payoff >= u:
-        return 0.0
-    k = 1
-    while k <= _TAU_CAP:
-        own = (1.0 - eps ** k) * u - k * (eps ** k) * (1.0 - eps) * u
-        if rival_payoff < own:
-            break
-        k += 1
-    else:
-        raise PromptPricingError(
-            f"price_upper_bound: no prompt count up to the cap of {_TAU_CAP} beats the rival "
-            f"at eps={eps}")
-    bound = ((1.0 - eps ** k) * u - rival_payoff) / k
-    return max(0.0, bound)
 
 
 _INNER_GRID = 250     # high-tier prices, cost to utility, scored against every sweep step

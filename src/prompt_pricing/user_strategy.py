@@ -11,6 +11,10 @@ that marginal gain covers the price.  At an exact indifference boundary
 (marginal gain equal to the price) the user accepts the extra prompt;
 the stage-1 pricing results rely on this convention, since the
 platform's optimal price sits exactly on such a boundary.
+
+Besides the user's decision, the module gives the preference price
+bound that separates the two tiers of a two-model set
+(:func:`price_upper_bound`).
 """
 
 from __future__ import annotations
@@ -123,20 +127,36 @@ def _prompt_count(utility: float, price: float, eps: float) -> int | _UnboundedT
     return k
 
 
+_BOUND_STEPS = 64  # correction steps allowed after the closed-form start
+
+
 def prompt_upper_bound(model: GaiModel, price: float) -> int:
     """Smallest ``k`` with ``k**k / (k+1)**(k+1) < price/utility``.
 
     No user, at any ambiguity level, sends more than this many prompts at
     the given price.  The bound is infinite at zero price, which is
-    rejected.
+    rejected.  The search starts where the curve top, about ``1/(e*(k +
+    1/2))``, meets the ratio, and steps to the answer as
+    :func:`_prompt_count` corrects its closed form.  A ratio that
+    underflows, or more than ``_BOUND_STEPS`` steps, raises
+    :class:`PromptPricingError` instead of scanning without end.
     """
     if price <= 0.0 or not math.isfinite(price):
         raise InvalidPrice(f"price must be finite and > 0, got {price}")
     ratio = price / model.utility
-    k = 1
-    while _curve_top(k) >= ratio:
-        k += 1
-    return k
+    try:
+        k = max(1, int(1.0 / (math.e * ratio) - 0.5))
+    except (ZeroDivisionError, OverflowError):  # a zero or subnormal ratio
+        raise PromptPricingError(f"prompt bound: price/utility {ratio} is too small") from None
+    for _ in range(_BOUND_STEPS + 1):
+        top = _curve_top(k)
+        if k > 1 and _curve_top(k - 1) < ratio:
+            k -= 1
+        elif top >= ratio:
+            k += 1
+        elif top < ratio:  # neither holds where the logarithmic form overflows to nan
+            return k
+    raise PromptPricingError(f"prompt bound: {_BOUND_STEPS} steps at price/utility {ratio}")
 
 
 def _curve_top(k: int) -> float:
@@ -219,3 +239,40 @@ def _pick(
 def optimal_user_payoff(models: ModelSet, prices: PriceSchedule, eps: float) -> float:
     """The payoff of the user's best decision; never negative."""
     return select_model(models, prices, eps).payoff
+
+
+_TAU_CAP = 1_000_000
+
+
+def price_upper_bound(
+    m: GaiModel, m_prime: GaiModel, price_m_prime: float, eps: float
+) -> float:
+    """Highest price of ``m`` at which a user still prefers it over ``m_prime``.
+
+    The user's best payoff from ``m_prime`` is compared against the
+    payoff ``m`` can deliver at its own per-count indifference prices;
+    the first prompt count that beats the rival pins the indifference
+    price.  Returns 0 when ``m`` can never beat the rival at this
+    ambiguity (empty demand).  Raises :class:`PromptPricingError` when
+    that count lies beyond ``_TAU_CAP`` prompts (ambiguity within about
+    1e-6 of one against a nearly free rival).
+    """
+    eps = check_ambiguity(eps)
+    if price_m_prime <= 0.0 or not math.isfinite(price_m_prime):
+        raise InvalidPrice(f"rival price must be finite and > 0, got {price_m_prime}")
+    _, rival_payoff = _decision_for(m_prime, price_m_prime, eps)
+    u = m.utility
+    if rival_payoff >= u:
+        return 0.0
+    k = 1
+    while k <= _TAU_CAP:
+        own = (1.0 - eps ** k) * u - k * (eps ** k) * (1.0 - eps) * u
+        if rival_payoff < own:
+            break
+        k += 1
+    else:
+        raise PromptPricingError(
+            f"price_upper_bound: no prompt count up to the cap of {_TAU_CAP} beats the rival "
+            f"at eps={eps}")
+    bound = ((1.0 - eps ** k) * u - rival_payoff) / k
+    return max(0.0, bound)

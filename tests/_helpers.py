@@ -22,7 +22,7 @@ from prompt_pricing import (
     prompt_upper_bound,
     user_payoff,
 )
-from prompt_pricing.evaluation import _count_profile, _counts_vec
+from prompt_pricing.evaluation import _count_profile, _count_steps, _counts_vec
 
 
 def package_env() -> dict[str, str]:
@@ -182,7 +182,8 @@ def argsort_pair_lattice(low: GaiModel, high: GaiModel, axis_low, axis_high, nod
     rows, cols = np.arange(n_low), np.arange(n_high)
 
     def profile(model, prices, eps, w):
-        counts, pay = _count_profile(model.utility, prices, eps)
+        steps = _count_steps(model.utility, prices, eps)
+        counts, pay = _count_profile(model.utility, prices, eps, steps)
         return np.where(counts >= 1.0, pay, -np.inf), (prices[None, :] - model.cost) * counts * w[:, None]
 
     high_from = np.zeros((n_low + 1) * n_high)

@@ -150,21 +150,21 @@ class TestSegmentRoots:
 
     def test_no_roots_above_curve_maximum(self):
         """Above the top of prompt 2's curve only the first prompt sells."""
-        from prompt_pricing.heterogeneous import _TOPS, _volume_from_segments
+        from prompt_pricing.evaluation import _TOPS, _volume_from_segments
 
         assert _TOPS[1] < 0.3
         got = _volume_from_segments(GaiModel("m", 1.0), np.array([0.3]), U01)
         assert got[0] == U01.mass(0.0, 0.7)
 
     def test_quadratic_case(self):
-        from prompt_pricing.heterogeneous import _segment_bounds
+        from prompt_pricing.evaluation import _segment_bounds
 
         lower, upper = _segment_bounds(np.array([0.1]), np.array([2]))
         assert lower[0] == pytest.approx((1 - math.sqrt(0.6)) / 2, abs=1e-9)
         assert upper[0] == pytest.approx((1 + math.sqrt(0.6)) / 2, abs=1e-9)
 
     def test_tangency_collapses_to_peak(self):
-        from prompt_pricing.heterogeneous import _TOPS, _segment_bounds
+        from prompt_pricing.evaluation import _TOPS, _segment_bounds
 
         assert _TOPS[2] == 2 ** 2 / 3 ** 3  # curve maximum for three prompts
         lower, upper = _segment_bounds(np.array([_TOPS[2]]), np.array([3]))
@@ -172,7 +172,7 @@ class TestSegmentRoots:
         assert upper[0] == pytest.approx(2 / 3, abs=1e-6)
 
     def test_roots_satisfy_equation(self):
-        from prompt_pricing.heterogeneous import _segment_bounds
+        from prompt_pricing.evaluation import _segment_bounds
 
         ratio, k = np.array([0.05, 0.1, 0.02]), np.array([2, 3, 5])
         lower, upper = _segment_bounds(ratio, k)
@@ -184,7 +184,7 @@ class TestSegmentRoots:
     def test_tangency_adds_no_interval(self, k):
         """At ``_TOPS[k]`` prompt k + 1 pays only at the single point
         k/(k+1): the volume there is the volume one ulp above."""
-        from prompt_pricing.heterogeneous import _TOPS, _volume_from_segments
+        from prompt_pricing.evaluation import _TOPS, _volume_from_segments
 
         prices = np.array([_TOPS[k], np.nextafter(_TOPS[k], np.inf)])
         at, above = _volume_from_segments(GaiModel("m", 1.0), prices, U01)
@@ -251,7 +251,7 @@ class TestSingleModelPrice:
         pays at least the best of 33 prices in every smooth piece, kept or
         dropped, minus 1e-12 of U.  At cost 1e-4 the best piece is not the
         one with the best round-0 point."""
-        from prompt_pricing.heterogeneous import _MAX_SEGMENTS, _TOPS, _volume_from_segments
+        from prompt_pricing.evaluation import _MAX_SEGMENTS, _TOPS, _volume_from_segments
 
         u, c = model.utility, model.cost
         floor = max(c, u / _MAX_SEGMENTS)
@@ -291,7 +291,7 @@ class TestBatchedSegments:
         adds no interval for it, while the scalar route places the double
         root only to about the square root of machine epsilon and adds an
         interval about that wide, so there the volumes agree within 1e-7."""
-        from prompt_pricing.heterogeneous import _MAX_SEGMENTS, _TOPS, _volume_from_segments
+        from prompt_pricing.evaluation import _MAX_SEGMENTS, _TOPS, _volume_from_segments
 
         dist = SEGMENT_DISTS[dist_name]
         u = self.MODEL.utility
@@ -314,7 +314,7 @@ class TestBatchedSegments:
         the tangencies, where every root is simple.  The Newton roots sit
         within about an ulp of the true ones; a bisection bracket frozen at
         1e-14 misses this by more than ten times."""
-        from prompt_pricing.heterogeneous import _MAX_SEGMENTS, _TOPS, _volume_from_segments
+        from prompt_pricing.evaluation import _MAX_SEGMENTS, _TOPS, _volume_from_segments
 
         dist = SEGMENT_DISTS[dist_name]
         u = self.MODEL.utility
@@ -326,7 +326,7 @@ class TestBatchedSegments:
 
     @pytest.mark.parametrize("dist_name", sorted(SEGMENT_DISTS))
     def test_volume_matches_fine_quadrature(self, dist_name):
-        from prompt_pricing.heterogeneous import _volume_from_segments
+        from prompt_pricing.evaluation import _volume_from_segments
 
         dist = SEGMENT_DISTS[dist_name]
         u = self.MODEL.utility
@@ -352,7 +352,7 @@ class TestBatchedSegments:
     def test_tops_bound_the_counts(self):
         """The top count of a price between U * _TOPS[k] and U * _TOPS[k-1] is k;
         a price below the table's last entry raises."""
-        from prompt_pricing.heterogeneous import _TOPS, _volume_from_segments
+        from prompt_pricing.evaluation import _TOPS, _volume_from_segments
 
         for k in (1, 2, 5, 64, 65, 120):
             price = self.MODEL.utility * 0.5 * (_TOPS[k] + _TOPS[k - 1])
@@ -361,11 +361,11 @@ class TestBatchedSegments:
             _volume_from_segments(self.MODEL, np.array([0.5, 0.5 * _TOPS[-1] * 1.8]), U01)
 
     def test_root_step_cap_raises(self, monkeypatch):
-        from prompt_pricing import heterogeneous
+        from prompt_pricing import evaluation
 
-        monkeypatch.setattr(heterogeneous, "_ROOT_STEPS", 3)  # these roots take 4 and 5 steps
+        monkeypatch.setattr(evaluation, "_ROOT_STEPS", 3)  # these roots take 4 and 5 steps
         with pytest.raises(PromptPricingError, match="Newton steps"):
-            heterogeneous._segment_bounds(np.array([0.1]), np.array([3]))
+            evaluation._segment_bounds(np.array([0.1]), np.array([3]))
         with pytest.raises(PromptPricingError, match="Newton steps"):
             single_model_price(GaiModel("m", 1.0, 0.1), U01)
 
@@ -373,7 +373,7 @@ class TestBatchedSegments:
     def test_roots_that_miss_the_peak_raise(self):
         """k = 1 has its peak at eps = 0, where no lower root lies in (0, 1);
         it is rejected before any logarithm or division, without a warning."""
-        from prompt_pricing.heterogeneous import _segment_bounds
+        from prompt_pricing.evaluation import _segment_bounds
 
         with pytest.raises(PromptPricingError, match="bracket"):
             _segment_bounds(np.array([0.1, 0.1]), np.array([3, 1]))
@@ -771,13 +771,13 @@ class TestLatticeMerge:
         its price at every node; a rise is an error, not wrong cells."""
         from prompt_pricing import evaluation
 
-        profile = evaluation._profile_from_steps
+        profile = evaluation._count_profile
 
         def rising(utility, prices, nodes, steps):
             counts, pays = profile(utility, prices, nodes, steps)
             return counts, pays + 2.0 * counts * prices
 
-        monkeypatch.setattr(evaluation, "_profile_from_steps", rising)
+        monkeypatch.setattr(evaluation, "_count_profile", rising)
         low, high = PAIR.require_pair()
         nodes, weights = U01.quadrature(QuadratureConfig(101))
         axes = [np.linspace(m.cost, m.utility, 50)[1:] for m in (low, high)]
@@ -798,14 +798,14 @@ class TestLatticeMerge:
         counts, _ = per_cell_profile(low.utility, axes[0], nodes[1:2])
         assert counts[0, 0] > counts[0, -1] >= 1.0
         evaluation._pair_lattice_payoffs(low, high, axes[0], axes[1], nodes, weights)
-        profile = evaluation._profile_from_steps
+        profile = evaluation._count_profile
 
         def rising(utility, prices, eps, steps):
             counts, pays = profile(utility, prices, eps, steps)
             planted = (utility == low.utility) & (eps == 0.5)
             return counts, pays + planted[:, None] * np.arange(len(prices))
 
-        monkeypatch.setattr(evaluation, "_profile_from_steps", rising)
+        monkeypatch.setattr(evaluation, "_count_profile", rising)
         with pytest.raises(PromptPricingError, match="rises with its price"):
             evaluation._pair_lattice_payoffs(low, high, axes[0], axes[1], nodes, weights)
 
@@ -972,13 +972,13 @@ class TestDecidedNodes:
         else:
             pytest.fail("no window with mixed nodes and steps where the other tier wins")
         profiled = {low.utility: [], high.utility: []}
-        seam = evaluation._profile_from_steps
+        seam = evaluation._count_profile
 
         def counted(utility, prices, eps, steps):
             profiled[utility].append(eps)
             return seam(utility, prices, eps, steps)
 
-        monkeypatch.setattr(evaluation, "_profile_from_steps", counted)
+        monkeypatch.setattr(evaluation, "_count_profile", counted)
         evaluation._pair_lattice_payoffs(low, high, axis_low, axis_high, nodes, weights)
         for utility, stepping in steps.items():
             want = np.sort(nodes[mixed | stepping])
@@ -1069,7 +1069,7 @@ class TestCountProfile:
         1-6 at eight nodes, each a price the kernel's comparison meets
         exactly; the tangency prices ``U * _TOPS[k]``; U and a price above
         it; three duplicates; then random prices up to 1.2 U."""
-        from prompt_pricing.heterogeneous import _TOPS
+        from prompt_pricing.evaluation import _TOPS
 
         tangency = utility * _TOPS[[1, 2, 5, 20]]
         if size == 1:
@@ -1084,7 +1084,10 @@ class TestCountProfile:
     @pytest.mark.parametrize("utility", PROFILE_UTILITIES)
     @pytest.mark.parametrize("dist", PROFILE_DISTS.values(), ids=PROFILE_DISTS)
     def test_equals_per_cell_kernel(self, dist, utility):
-        from prompt_pricing.evaluation import _count_profile
+        from prompt_pricing.evaluation import _count_profile, _count_steps
+
+        def profile(prices):
+            return _count_profile(utility, prices, nodes, _count_steps(utility, prices, nodes))
 
         rng = np.random.default_rng(20240811)
         nodes, _ = dist.quadrature(QuadratureConfig(1001))
@@ -1092,14 +1095,14 @@ class TestCountProfile:
         for size in self.SIZES:
             prices = self.axis(utility, nodes, size, rng)
             assert size == 1 or len(np.unique(prices)) < size
-            counts, pays = _count_profile(utility, prices, nodes)
+            counts, pays = profile(prices)
             want_counts, want_pays = per_cell_profile(utility, prices, nodes)
             assert counts.shape == pays.shape == (len(nodes), size)
             assert np.array_equal(counts, want_counts)
             assert np.array_equal(pays, want_pays)
         # axes with no count step: one price three times, and prices nobody pays
         for prices in (np.full(3, 0.3 * utility), np.linspace(1.0, 2.0, 5) * utility):
-            got = _count_profile(utility, prices, nodes)
+            got = profile(prices)
             for a, b in zip(got, per_cell_profile(utility, prices, nodes)):
                 assert a.shape == b.shape and np.array_equal(a, b)
 
@@ -1126,7 +1129,7 @@ class TestCountProfile:
     @pytest.mark.parametrize("shift", [1.0, -1.0], ids=["one-above", "one-below"])
     def test_steps_that_disagree_with_the_kernel_raise(self, shift, monkeypatch):
         """Kernel counts one too high (or one too low) at both axis ends put
-        a step before the first price (or past the last); the profile
+        a step before the first price (or past the last); the step list
         raises instead of miscounting."""
         from prompt_pricing import evaluation
 
@@ -1135,7 +1138,7 @@ class TestCountProfile:
                             lambda u, p, e: np.maximum(kernel(u, p, e) + shift, 0.0))
         nodes, _ = U01.quadrature(QuadratureConfig(101))
         with pytest.raises(PromptPricingError, match="count steps"):
-            evaluation._count_profile(1.0, np.linspace(0.05, 0.5, 10), nodes)
+            evaluation._count_steps(1.0, np.linspace(0.05, 0.5, 10), nodes)
 
 
 class TestBenchmarks:
@@ -1327,6 +1330,58 @@ class TestFamilyScorer:
         assert dead.any() or kind == "utility"  # U(0, 1) leaves every utility row a buyer
         payoffs = _family_payoffs(models, family, nodes, weights)
         assert np.array_equal(payoffs[dead], np.zeros(dead.sum()))
+
+    @staticmethod
+    def lines(models):
+        """Price lines ``p0 + t * d``, ``d >= 0``, t in [0, 1] over 400 rows:
+        one per model in which only that model's price moves (cost to 1.2
+        U, the others held at 0.4 U), and three seeded diagonals with p0
+        above zero, one of them with a zero direction for the first model."""
+        t = np.linspace(0.0, 1.0, 400)[:, None]
+        utils = np.array([m.utility for m in models])
+        costs = np.array([m.cost for m in models])
+        rng = np.random.default_rng(20240919)
+        out = []
+        for j in range(len(models)):
+            d = np.zeros(len(models))
+            d[j] = 1.2 * utils[j] - costs[j]
+            out.append(np.where(np.arange(len(models)) == j, costs, 0.4 * utils) + t * d)
+        for zero_first in (False, False, True):
+            p0 = utils * rng.uniform(0.03, 0.3, len(models))
+            d = utils * rng.uniform(0.0, 1.0, len(models))
+            d[0] *= not zero_first
+            out.append(p0 + t * d)
+        return out
+
+    @pytest.mark.parametrize("dist_name", FAMILY_DISTS)
+    @pytest.mark.parametrize("set_name", ["fig7a", "fig7b", "three"])
+    def test_any_line_with_ascending_columns_matches_schedule_evaluation(self, set_name,
+                                                                        dist_name):
+        """The envelope argument needs only rows ``p0 + t * d`` with ``d >= 0``
+        and ``t`` ascending: coordinate lines (every other column constant)
+        and diagonals that miss the origin score as the schedule evaluator
+        scores them."""
+        from prompt_pricing.evaluation import _family_payoffs, _family_volumes
+
+        models = FAMILY_SETS[set_name]
+        nodes, weights = FAMILY_DISTS[dist_name].quadrature(QuadratureConfig(301))
+        for family in self.lines(models):
+            want, _ = _family_volumes(models, family, nodes, weights)
+            got = _family_payoffs(models, family, nodes, weights)
+            assert np.all(np.abs(got - want) <= 1e-11 * models.high.utility)
+
+    @pytest.mark.parametrize("dip", [False, True], ids=["descending", "dipping"])
+    def test_descending_column_raises(self, dip):
+        """A column that falls anywhere breaks the envelope argument, even
+        one whose ends are equal (``dipping``), which has no count steps."""
+        from prompt_pricing.evaluation import _family_payoffs
+
+        models = FAMILY_SETS["fig7a"]
+        high = np.array([0.9, 0.5, 0.9]) if dip else np.array([0.9, 0.7, 0.5])
+        family = np.column_stack([np.array([0.2, 0.3, 0.4]), high])
+        nodes, weights = U01.quadrature(QuadratureConfig(101))
+        with pytest.raises(ValueError, match="ascend"):
+            _family_payoffs(models, family, nodes, weights)
 
 
 def _count_calls(monkeypatch, module, name):

@@ -58,3 +58,9 @@ def test_user_strategy_does_not_import_numpy():
     an ulp on some (eps, k) pairs, which would move counts at indifference
     boundaries and so the CSV bytes."""
     assert "numpy" not in _imports("user_strategy")[1]
+
+
+def test_heterogeneous_holds_only_searches():
+    """The solvers reach the count rule and the user's payoff only through
+    ``evaluation``: ``heterogeneous`` imports no stage-2 formula."""
+    assert _imports("heterogeneous")[0] == {"core", "evaluation"}

@@ -1,6 +1,7 @@
 """Stage-2 user strategy against brute-force enumeration."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from prompt_pricing import (
 )
 from prompt_pricing import evaluation
 from prompt_pricing.evaluation import _counts_vec
-from prompt_pricing.user_strategy import _prompt_count, marginal_expected_utility
+from prompt_pricing.user_strategy import _curve_top, _prompt_count, marginal_expected_utility
 
 from _helpers import (
     boundary_tie_count,
@@ -192,6 +193,49 @@ class TestPromptUpperBound:
             assert k ** k / (k + 1) ** (k + 1) < price
             if k > 1:
                 assert (k - 1) ** (k - 1) / k ** k >= price
+
+    @staticmethod
+    def scan(ratios):
+        """The bound by the scan ``k = 1, 2, ...`` to the first ``k`` whose
+        curve top is below the ratio, run once for all ratios: taken in
+        descending order, each stops where the one before it stopped or
+        later."""
+        got, k = {}, 1
+        for r in sorted(set(ratios), reverse=True):
+            while _curve_top(k) >= r:
+                k += 1
+            got[r] = k
+        return got
+
+    def test_matches_the_scan(self):
+        """3,000 log-uniform ratios in [1e-6, 1), every curve top
+        ``_curve_top(k)`` for k < 3,000 (a ratio there sits exactly on the
+        boundary) and both float neighbours of each."""
+        tops = np.array([_curve_top(k) for k in range(1, 3000)])
+        ratios = np.concatenate([
+            10.0 ** np.random.default_rng(20240920).uniform(-6.0, 0.0, 3000),
+            tops, np.nextafter(tops, 0.0), np.nextafter(tops, 1.0)]).tolist()
+        want = self.scan(ratios)
+        assert [prompt_upper_bound(UNIT, r) for r in ratios] == [want[r] for r in ratios]
+
+    @pytest.mark.parametrize("ratio", [1e-12, 1e-15, 1e-18, 1e-20, 1e-100, 1e-300,
+                                       2.2250738585072014e-308, 1e-310, 5e-324])
+    def test_tiny_ratios_end_quickly(self, ratio):
+        """The scan takes about ``1/(e*ratio)`` steps, and never ends at a
+        ratio of 0; the bound returns a count that brackets the ratio, or
+        raises, within a second."""
+        start = time.perf_counter()
+        try:
+            k = prompt_upper_bound(UNIT, ratio)
+        except PromptPricingError:
+            k = None
+        assert time.perf_counter() - start < 1.0
+        if k is not None:
+            assert _curve_top(k) < ratio <= _curve_top(k - 1)
+
+    def test_ratio_that_underflows_raises(self):
+        with pytest.raises(PromptPricingError, match="too small"):
+            prompt_upper_bound(GaiModel("m", 1e300), 1e-300)
 
 
 class TestPromptShape:
