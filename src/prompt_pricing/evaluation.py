@@ -9,7 +9,7 @@ The solvers of :mod:`~prompt_pricing.heterogeneous` score schedules here:
   of a sorted price axis (:func:`_count_steps`) and every other count
   read off the steps between them (:func:`_count_profile`),
 * every cell of a price-pair lattice (:func:`_pair_lattice_payoffs`),
-* every row of a one-parameter price family (:func:`_family_payoffs`),
+* every point of a price line ``origin + t * d`` (:func:`_family_payoffs`),
 * the finish of every quadrature solver (:func:`_best_outcome`),
 * the exact single-model volume at a batch of prices
   (:func:`_volume_from_segments`): every (price, count) root in one
@@ -440,30 +440,24 @@ def platform_payoff(
                    schedule=schedule)
 
 
-def _live_rows(models: ModelSet, family: np.ndarray, nodes: np.ndarray) -> int:
-    """How many leading rows of an ascending family sell at some node.
-
-    A price sells only if it is at most the first prompt's gain
-    ``(1 - eps) * U`` (the count kernel's ``buy`` test), so from the
-    returned row on every price is above that gain at every node.
-    """
-    return max(int(np.searchsorted(family[:, j], ((1.0 - nodes) * m.utility).max(), side="right"))
-               for j, m in enumerate(models))
-
-
 def _family_payoffs(
     models: ModelSet,
-    family: np.ndarray,
+    origin: np.ndarray | float,
+    direction: np.ndarray,
+    factors: np.ndarray,
     nodes: np.ndarray,
     weights: np.ndarray,
-) -> np.ndarray:
-    """Full-resolution quadrature payoff of every row of a price family.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full-resolution quadrature payoff of every point of a price line.
 
-    ``family`` has one row per schedule and one column per model in set
-    order, any number of models.  The rows must be points ``p0 + t * d``
-    of one line, every ``d_j >= 0`` and ``t`` ascending down the rows
-    (both benchmark families have ``p0 = 0``); a column that descends
-    raises :class:`ValueError`.  The work is per node, not per (row, node):
+    Returns ``(family, payoffs)``: row ``i`` of ``family`` is the
+    schedule ``origin + factors[i] * direction``, one price per model in
+    set order, any number of models.  A ``direction`` of the wrong
+    length or with a negative entry, or ``factors`` that descend
+    anywhere (ties are allowed), raise :class:`ValueError`, so the rows
+    lie on one line and every price column ascends down them, rounding
+    included, as the envelope argument below needs.  The work is per
+    node, not per (row, node):
 
     * Count steps.  At node ``eps`` model ``m`` keeps prompt ``k``
       exactly on the rows whose price is at most its marginal gain
@@ -483,24 +477,27 @@ def _family_payoffs(
       from its first row to its last, through difference arrays
       (``np.bincount``) and one ``cumsum`` per model.
 
-    The rows from :func:`_live_rows` on sell to no one and score exactly
-    0.  A row agrees with a :func:`_family_volumes` evaluation of it up
-    to summation order (within 1e-11 of the top utility in the tests).
+    A price sells only if it is at most the first prompt's gain ``(1 -
+    eps) * U`` (the count kernel's ``buy`` test), so the rows past the
+    last that sells at some node are not scored and pay exactly 0.  A
+    row agrees with a :func:`_family_volumes` evaluation of it up to
+    summation order (within 1e-11 of the top utility in the tests).
     The one exception is a pair of user payoffs within an ulp of each
     other over a run of rows, where rounding, not the affine trend,
     decides the float comparison; :func:`_best_outcome` re-scores the
     rows it chooses between.
     """
-    family = np.asarray(family, dtype=float)
-    n_rows, n_models = family.shape
-    if n_models != len(models):
-        raise ValueError("price matrix columns must match the model set")
-    if np.any(np.diff(family, axis=0) < 0.0):
-        raise ValueError("price family: every column must ascend down the rows")
-    payoffs = np.zeros(n_rows)
-    live = _live_rows(models, family, nodes)
+    direction = np.asarray(direction, dtype=float)
+    factors = np.asarray(factors, dtype=float)
+    if (direction.shape != (len(models),) or np.any(direction < 0.0)
+            or np.any(np.diff(factors) < 0.0)):
+        raise ValueError("price line: every model's price must ascend with the factor")
+    family = origin + factors[:, None] * direction
+    payoffs = np.zeros(len(factors))
+    live = max(int(np.searchsorted(family[:, j], ((1.0 - nodes) * m.utility).max(), side="right"))
+               for j, m in enumerate(models))
     if live == 0:
-        return payoffs
+        return family, payoffs
     cols = family[:live].T
     utils = [m.utility for m in models]
     stride = live + 1  # a (node, row) key is node * stride + row
@@ -562,7 +559,7 @@ def _family_payoffs(
         delta = np.where(after == j, gain, 0.0) - np.where(before == j, gain, 0.0)
         volume = np.cumsum(np.bincount(row, delta, minlength=stride))[:live]
         payoffs[:live] += (cols[j] - m.cost) * volume
-    return payoffs
+    return family, payoffs
 
 
 _RESCORE_TOL = 1e-10  # times the top utility: re-scored rows' distance from the best score

@@ -13,8 +13,8 @@ only the searches:
   value, takes the best high-tier price from a separable price-pair
   lattice, then polishes it with shrinking lattice windows (:func:`opp`),
 * an exhaustive two-dimensional lattice oracle (:func:`grid_oracle`),
-* the utility- and cost-proportional benchmark mechanisms, each scoring
-  its one-parameter price family in one :func:`_family_payoffs` pass.
+* the utility- and cost-proportional benchmark mechanisms, which share
+  one ray search (:func:`_best_on_ray`): one :func:`_family_payoffs` pass.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def opp(
         trace_sink.extend(
             (float(p_low), float(p_high), float(v)) for (p_low, p_high), v in zip(sweep, payoffs))
 
-    span = (high.utility - high.cost) / _INNER_GRID
+    high_step = (high.utility - high.cost) / _INNER_GRID
     limits = [(low_prices[0], low.utility), (high_grid[0], high.utility)]
     winners, scores = [], []
 
@@ -226,7 +226,7 @@ def opp(
         return winners[-1]
 
     for row in np.argsort(-payoffs, kind="stable")[:_POLISH_ROWS]:
-        centre, half = sweep[row], np.array([alpha, 2 * span])
+        centre, half = sweep[row], np.array([alpha, 2 * high_step])
         for _ in range(_WINDOW_ROUNDS):
             centre, half = window(centre, half), half / 4
     # the best pair's window keeps shrinking until it is within 1e-8·U_H either way
@@ -268,6 +268,16 @@ def grid_oracle(
     return _best_outcome(models, cells, payoffs.ravel(), nodes, weights, method="GridOracle")
 
 
+def _best_on_ray(models: ModelSet, dist: TabulatedAmbiguity, quad: QuadratureConfig,
+                 direction: np.ndarray, factors: np.ndarray, method: str) -> PricingOutcome:
+    """Best price ``factors[i] * direction`` of a ray from the origin: every
+    point scored at full resolution by :func:`_family_payoffs`, and the
+    points within rounding of the best re-scored (:func:`_best_outcome`)."""
+    nodes, weights = dist.quadrature(quad)
+    family, payoffs = _family_payoffs(models, 0.0, direction, factors, nodes, weights)
+    return _best_outcome(models, family, payoffs, nodes, weights, method=method)
+
+
 def utility_based_pricing(
     models: ModelSet,
     dist: TabulatedAmbiguity,
@@ -275,16 +285,11 @@ def utility_based_pricing(
 ) -> PricingOutcome:
     """Best member of the utility-proportional family p_m = beta * U_m.
 
-    The shared factor beta is swept over (0, 1) in steps of 1e-3.  Every
-    row is scored at full resolution by :func:`_family_payoffs`, and the
-    rows within rounding of the best are re-scored (:func:`_best_outcome`).
+    The shared factor beta is swept over (0, 1) in steps of 1e-3
+    (:func:`_best_on_ray`).
     """
-    betas = np.arange(1, 1000) / 1000.0
-    utils = np.array([m.utility for m in models])
-    family = betas[:, None] * utils[None, :]
-    nodes, weights = dist.quadrature(quad)
-    return _best_outcome(models, family, _family_payoffs(models, family, nodes, weights),
-                         nodes, weights, method="UtilityBased")
+    return _best_on_ray(models, dist, quad, np.array([m.utility for m in models]),
+                        np.arange(1, 1000) / 1000.0, "UtilityBased")
 
 
 def cost_based_pricing(
@@ -296,19 +301,15 @@ def cost_based_pricing(
 
     The shared markup mu is swept over [0, max U / min C] in steps of
     1e-3; zero cost anywhere makes the family degenerate.  Every row
-    (90,001 in the fig7a catalogue) is scored at full resolution in one
-    pass of :func:`_family_payoffs`, whose work grows with the count
-    steps per node, not with the rows; the rows that price every model
-    above its utility (about half of them there) sell to no one and
-    score exactly 0.  The best rows are then re-scored
-    (:func:`_best_outcome`).
+    (90,001 in the fig7a catalogue) is scored in one pass of
+    :func:`_family_payoffs` (:func:`_best_on_ray`), whose work grows with
+    the count steps per node, not with the rows; the rows that price
+    every model above its utility (about half of them there) sell to no
+    one and score exactly 0.
     """
     costs = np.array([m.cost for m in models])
     if np.any(costs <= 0.0):
         raise DegenerateCostBase("cost-proportional pricing needs every cost > 0")
     mu_max = max(m.utility for m in models) / costs.min()
     mus = np.arange(0, int(math.floor(mu_max / 1e-3)) + 1) * 1e-3
-    family = (1.0 + mus)[:, None] * costs[None, :]
-    nodes, weights = dist.quadrature(quad)
-    return _best_outcome(models, family, _family_payoffs(models, family, nodes, weights),
-                         nodes, weights, method="CostBased")
+    return _best_on_ray(models, dist, quad, costs, 1.0 + mus, "CostBased")

@@ -241,9 +241,6 @@ def optimal_user_payoff(models: ModelSet, prices: PriceSchedule, eps: float) -> 
     return select_model(models, prices, eps).payoff
 
 
-_TAU_CAP = 1_000_000
-
-
 def price_upper_bound(
     m: GaiModel, m_prime: GaiModel, price_m_prime: float, eps: float
 ) -> float:
@@ -252,10 +249,11 @@ def price_upper_bound(
     The user's best payoff from ``m_prime`` is compared against the
     payoff ``m`` can deliver at its own per-count indifference prices;
     the first prompt count that beats the rival pins the indifference
-    price.  Returns 0 when ``m`` can never beat the rival at this
-    ambiguity (empty demand).  Raises :class:`PromptPricingError` when
-    that count lies beyond ``_TAU_CAP`` prompts (ambiguity within about
-    1e-6 of one against a nearly free rival).
+    price.  That payoff rises with the count to ``U`` of ``m``, so the
+    count is found by doubling, then bisecting the last doubling; by
+    ``2**63`` prompts ``eps**k`` has underflowed for every ``eps < 1``.
+    Returns 0 when ``m`` can never beat the rival at this ambiguity
+    (empty demand).
     """
     eps = check_ambiguity(eps)
     if price_m_prime <= 0.0 or not math.isfinite(price_m_prime):
@@ -264,15 +262,18 @@ def price_upper_bound(
     u = m.utility
     if rival_payoff >= u:
         return 0.0
-    k = 1
-    while k <= _TAU_CAP:
-        own = (1.0 - eps ** k) * u - k * (eps ** k) * (1.0 - eps) * u
-        if rival_payoff < own:
-            break
-        k += 1
-    else:
-        raise PromptPricingError(
-            f"price_upper_bound: no prompt count up to the cap of {_TAU_CAP} beats the rival "
-            f"at eps={eps}")
+
+    def beats(k: int) -> bool:  # the payoff at count k's indifference price beats the rival
+        return rival_payoff < (1.0 - eps ** k) * u - k * (eps ** k) * (1.0 - eps) * u
+
+    lo, k = 0, 1  # beats(k) is first true in (lo, k]
+    while not beats(k):
+        if k >= 2 ** 64:
+            raise PromptPricingError(
+                f"price_upper_bound: no prompt count up to 2**64 beats the rival at eps={eps}")
+        lo, k = k, 2 * k
+    while k - lo > 1:
+        mid = (lo + k) // 2
+        lo, k = (lo, mid) if beats(mid) else (mid, k)
     bound = ((1.0 - eps ** k) * u - rival_payoff) / k
     return max(0.0, bound)

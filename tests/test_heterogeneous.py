@@ -2,6 +2,7 @@
 
 import functools
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -431,13 +432,56 @@ class TestPriceUpperBound:
         with pytest.raises(InvalidPrice):
             price_upper_bound(self.HIGH, self.LOW, 0.0, 0.5)
 
-    def test_count_cap_raises_instead_of_empty_demand(self):
-        """Near eps = 1 a nearly free rival is beaten only after about 1.7e7
-        prompts, past the search cap; the true bound is about 3e-8, not 0."""
-        from prompt_pricing import PromptPricingError
+    @staticmethod
+    def own(u, eps, k):
+        """The payoff ``m`` delivers at its count-``k`` indifference price,
+        as the bound's search computes it."""
+        return (1.0 - eps ** k) * u - k * (eps ** k) * (1.0 - eps) * u
+
+    def test_far_count_is_found_quickly(self):
+        """Near eps = 1 a nearly free rival is beaten only after about 1.76e7
+        prompts.  The bound, about 3.1e-8, not 0, comes back at once, sits
+        at the first count that beats the rival and flips the user's
+        choice."""
         high, low = GaiModel("h", 1.8), GaiModel("l", 1.0)
-        with pytest.raises(PromptPricingError, match="cap"):
-            price_upper_bound(high, low, 1e-9, 0.9999999)
+        eps, p_low = 0.9999999, 1e-9
+        start = time.perf_counter()
+        bound = price_upper_bound(high, low, p_low, eps)
+        assert time.perf_counter() - start < 0.1
+        assert bound == pytest.approx(3.104e-8, rel=1e-3)
+        k = optimal_prompt_count(high, bound, eps)
+        rival = user_payoff(low, p_low, eps, optimal_prompt_count(low, p_low, eps))
+        assert bound == ((1.0 - eps ** k) * high.utility - rival) / k
+        assert self.own(1.8, eps, k - 1) <= rival < self.own(1.8, eps, k)
+        models = ModelSet([low, high])
+        for scale, pick in ((0.999999, "h"), (1.000001, "l")):
+            prices = PriceSchedule({"l": p_low, "h": scale * bound})
+            assert select_model(models, prices, eps).selected_model == pick
+
+    def test_matches_a_count_by_count_scan(self):
+        """The doubling search returns what scanning k = 1, 2, ... returns, on
+        seeded inputs whose first beating count stays below 10^4."""
+        from prompt_pricing.user_strategy import _decision_for
+
+        rng = np.random.default_rng(20241020)
+        checked = 0
+        for i in range(3000):
+            eps = [rng.uniform(0.0, 1.0), 1.0 - 10.0 ** -rng.uniform(0.0, 3.0),
+                   10.0 ** -rng.uniform(0.0, 12.0)][i % 3]
+            u_high, u_low = rng.uniform(0.1, 3.0, 2)
+            p_low = rng.uniform(0.0, u_low) if i % 2 else u_low * 10.0 ** -rng.uniform(0.0, 9.0)
+            high, low = GaiModel("h", u_high), GaiModel("l", u_low)
+            _, rival = _decision_for(low, p_low, eps)
+            if rival >= u_high:
+                want = 0.0
+            else:
+                k = next((k for k in range(1, 10_000) if rival < self.own(u_high, eps, k)), None)
+                if k is None:
+                    continue
+                want = max(0.0, ((1.0 - eps ** k) * u_high - rival) / k)
+            checked += 1
+            assert price_upper_bound(high, low, p_low, eps) == want
+        assert checked > 2900
 
 
 class TestGainDecomposition:
@@ -1230,12 +1274,20 @@ FAMILY_IDS = ["-".join(case) for case in FAMILY_CASES]
 
 
 def _family(models, kind):
-    """The benchmark mechanisms' families, as their docstrings define them."""
+    """The benchmark mechanisms' rays, as their docstrings define them: the
+    ``direction`` and the ascending ``factors`` of the prices
+    ``factors[i] * direction``."""
     if kind == "utility":
-        return (np.arange(1, 1000) / 1000.0)[:, None] * np.array([m.utility for m in models])
+        return np.array([m.utility for m in models]), np.arange(1, 1000) / 1000.0
     costs = np.array([m.cost for m in models])
     top = int(math.floor(max(m.utility for m in models) / costs.min() / 1e-3))
-    return (1.0 + np.arange(top + 1) * 1e-3)[:, None] * costs
+    return costs, 1.0 + np.arange(top + 1) * 1e-3
+
+
+def _family_matrix(models, kind):
+    """The mechanism's prices, one row per factor."""
+    direction, factors = _family(models, kind)
+    return factors[:, None] * direction
 
 
 @functools.lru_cache(maxsize=None)
@@ -1245,10 +1297,9 @@ def _evaluated_family(set_name, dist_name, kind, nodes, stride=1):
     from prompt_pricing.evaluation import _family_payoffs, _family_volumes
 
     models = FAMILY_SETS[set_name]
-    family = _family(models, kind)
     nodes, weights = FAMILY_DISTS[dist_name].quadrature(QuadratureConfig(nodes))
-    want, _ = _family_volumes(models, family[::stride], nodes, weights)
-    return want, _family_payoffs(models, family, nodes, weights)
+    want, _ = _family_volumes(models, _family_matrix(models, kind)[::stride], nodes, weights)
+    return want, _family_payoffs(models, 0.0, *_family(models, kind), nodes, weights)[1]
 
 
 class TestFamilyScorer:
@@ -1280,7 +1331,7 @@ class TestFamilyScorer:
         from prompt_pricing.evaluation import _family_volumes
 
         models = FAMILY_SETS[set_name]
-        family = _family(models, kind)
+        family = _family_matrix(models, kind)
         dist = FAMILY_DISTS[dist_name]
         quad = QuadratureConfig(301)
         nodes, weights = dist.quadrature(quad)
@@ -1300,13 +1351,13 @@ class TestFamilyScorer:
         from prompt_pricing.evaluation import _family_payoffs, _family_volumes
 
         models = ModelSet([GaiModel("a", 1.0, 0.0625), GaiModel("b", 2.0, 0.25)])
-        family = (np.arange(6, 11) / 8.0)[:, None] * np.array([0.125, 0.5])
+        direction, factors = np.array([0.125, 0.5]), np.arange(6, 11) / 8.0
         nodes, weights = UniformAmbiguity(0.125, 0.875).quadrature(QuadratureConfig(3))
         assert nodes.tolist() == [0.25, 0.5, 0.75]
         tied = PriceSchedule({"a": 0.125, "b": 0.5})
         assert user_payoff(models["a"], 0.125, 0.5, 3) == user_payoff(models["b"], 0.5, 0.5, 2)
         assert select_model(models, tied, 0.5).selected_model == "b"
-        got = _family_payoffs(models, family, nodes, weights)
+        family, got = _family_payoffs(models, 0.0, direction, factors, nodes, weights)
         for row, pay in zip(family, got):
             want, _ = _scalar_route(models, row, nodes, weights)
             assert abs(pay - want) <= 1e-12
@@ -1319,25 +1370,24 @@ class TestFamilyScorer:
     def test_rows_past_the_last_buyer_score_zero(self, set_name, dist, kind):
         """A row that prices every model above ``(1 - min node) * U``, the
         largest gain of its first prompt, sells to no one, so it scores
-        exactly 0, with no rounding residue from the difference arrays
-        (``_live_rows``)."""
+        exactly 0, with no rounding residue from the difference arrays (the
+        scorer's live-row cut)."""
         from prompt_pricing.evaluation import _family_payoffs
 
         models = FAMILY_SETS[set_name]
-        family = _family(models, kind)
         nodes, weights = dist.quadrature(QuadratureConfig())
+        family, payoffs = _family_payoffs(models, 0.0, *_family(models, kind), nodes, weights)
         dead = np.all(family > (1.0 - nodes.min()) * np.array([m.utility for m in models]), axis=1)
         assert dead.any() or kind == "utility"  # U(0, 1) leaves every utility row a buyer
-        payoffs = _family_payoffs(models, family, nodes, weights)
         assert np.array_equal(payoffs[dead], np.zeros(dead.sum()))
 
     @staticmethod
     def lines(models):
-        """Price lines ``p0 + t * d``, ``d >= 0``, t in [0, 1] over 400 rows:
+        """Price lines ``(p0, d, t)``, ``d >= 0``, t in [0, 1] over 400 rows:
         one per model in which only that model's price moves (cost to 1.2
         U, the others held at 0.4 U), and three seeded diagonals with p0
         above zero, one of them with a zero direction for the first model."""
-        t = np.linspace(0.0, 1.0, 400)[:, None]
+        t = np.linspace(0.0, 1.0, 400)
         utils = np.array([m.utility for m in models])
         costs = np.array([m.cost for m in models])
         rng = np.random.default_rng(20240919)
@@ -1345,12 +1395,12 @@ class TestFamilyScorer:
         for j in range(len(models)):
             d = np.zeros(len(models))
             d[j] = 1.2 * utils[j] - costs[j]
-            out.append(np.where(np.arange(len(models)) == j, costs, 0.4 * utils) + t * d)
+            out.append((np.where(np.arange(len(models)) == j, costs, 0.4 * utils), d, t))
         for zero_first in (False, False, True):
             p0 = utils * rng.uniform(0.03, 0.3, len(models))
             d = utils * rng.uniform(0.0, 1.0, len(models))
             d[0] *= not zero_first
-            out.append(p0 + t * d)
+            out.append((p0, d, t))
         return out
 
     @pytest.mark.parametrize("dist_name", FAMILY_DISTS)
@@ -1365,23 +1415,39 @@ class TestFamilyScorer:
 
         models = FAMILY_SETS[set_name]
         nodes, weights = FAMILY_DISTS[dist_name].quadrature(QuadratureConfig(301))
-        for family in self.lines(models):
-            want, _ = _family_volumes(models, family, nodes, weights)
-            got = _family_payoffs(models, family, nodes, weights)
+        for origin, direction, t in self.lines(models):
+            want, _ = _family_volumes(models, origin + t[:, None] * direction, nodes, weights)
+            _, got = _family_payoffs(models, origin, direction, t, nodes, weights)
             assert np.all(np.abs(got - want) <= 1e-11 * models.high.utility)
 
-    @pytest.mark.parametrize("dip", [False, True], ids=["descending", "dipping"])
-    def test_descending_column_raises(self, dip):
-        """A column that falls anywhere breaks the envelope argument, even
-        one whose ends are equal (``dipping``), which has no count steps."""
+    @pytest.mark.parametrize("set_name", ["fig7a", "three"])
+    def test_family_is_the_line_bit_for_bit(self, set_name):
+        """The returned rows are ``origin + factors * direction`` exactly, so
+        the rows ``_best_outcome`` re-scores are the very rows that were
+        ranked: the mechanisms' rays (origin 0) and every test line."""
         from prompt_pricing.evaluation import _family_payoffs
 
-        models = FAMILY_SETS["fig7a"]
-        high = np.array([0.9, 0.5, 0.9]) if dip else np.array([0.9, 0.7, 0.5])
-        family = np.column_stack([np.array([0.2, 0.3, 0.4]), high])
+        models = FAMILY_SETS[set_name]
+        nodes, weights = U01.quadrature(QuadratureConfig(101))
+        lines = [(0.0, *_family(models, kind)) for kind in ("utility", "cost")]
+        for origin, direction, factors in lines + self.lines(models):
+            family, _ = _family_payoffs(models, origin, direction, factors, nodes, weights)
+            assert np.array_equal(family, origin + factors[:, None] * direction)
+
+    @pytest.mark.parametrize("direction,factors", [
+        ([0.5, -0.1], [0.2, 0.3, 0.4]),
+        ([0.5, 0.9], [0.2, 0.4, 0.3]),
+        ([0.5, 0.9, 1.0], [0.2, 0.3, 0.4]),
+    ], ids=["negative-direction", "descending-factors", "wrong-length"])
+    def test_line_that_does_not_ascend_raises(self, direction, factors):
+        """A price that falls anywhere along the line breaks the envelope
+        argument, and a direction must give one price per model."""
+        from prompt_pricing.evaluation import _family_payoffs
+
         nodes, weights = U01.quadrature(QuadratureConfig(101))
         with pytest.raises(ValueError, match="ascend"):
-            _family_payoffs(models, family, nodes, weights)
+            _family_payoffs(FAMILY_SETS["fig7a"], 0.0, np.array(direction), np.array(factors),
+                            nodes, weights)
 
 
 def _count_calls(monkeypatch, module, name):
