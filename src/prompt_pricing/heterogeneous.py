@@ -31,6 +31,7 @@ from .core import (
     GaiModel,
     ModelSet,
     PriceSchedule,
+    PromptPricingError,
     QuadratureConfig,
     TabulatedAmbiguity,
 )
@@ -76,7 +77,10 @@ def single_model_price(
     price, with kinks exactly where the attainable prompt count steps
     (at ``U * _TOPS[k]``).  The search domain is (C, U], floored at
     U/MAX_SEGMENTS when the cost is tiny so the per-count decomposition
-    stays bounded.  Each smooth piece is searched by shrinking 9-point
+    stays bounded.  A floor that binds (the answer is its own probe, or
+    nothing sells above it though the first prompt at the support's low
+    end pays more than C) raises :class:`PromptPricingError`.
+    Each smooth piece is searched by shrinking 9-point
     grids: round 0 spans the piece, and each later round spans the two
     grid steps either side of the piece's best point of the last round,
     a quarter of its width, until every such bracket is within 1e-10 of
@@ -133,6 +137,9 @@ def single_model_price(
     # and rounding does not pick between equal maxima
     j = int(np.argmax(_near_best(ModelSet([model]), best_v)))
     price = float(best_p[j]) if best_v[j] > 0.0 else u  # the price U sells nothing
+    if floor > c and (price == np.nextafter(floor, u) or
+                      price == u and (1.0 - dist.knots[0]) * u > c):  # the floor binds
+        raise PromptPricingError(f"model {model.id!r}: the best price is below U/{_MAX_SEGMENTS}")
 
     volume = float(_volume_from_segments(model, np.array([price]), dist)[0])
     return PricingOutcome(

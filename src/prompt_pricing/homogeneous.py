@@ -1,7 +1,7 @@
 """Stage-1 pricing when every user shares one ambiguity level.
 
 With a single ambiguity value the platform's problem has a closed form:
-for each model, scan for the profit-maximizing induced prompt count and
+for each model, search for the profit-maximizing induced prompt count and
 quote the price that makes the user exactly indifferent at that count
 (the user accepts the marginal prompt at indifference, so the platform
 extracts the full marginal surplus).  Non-served models are priced at
@@ -22,9 +22,7 @@ from .core import (
     PromptPricingError,
     check_ambiguity,
 )
-from .user_strategy import UNBOUNDED, _prefers, _prompt_count, marginal_expected_utility
-
-_INDUCED_CAP = 10_000  # induced counts scanned per model
+from .user_strategy import UNBOUNDED, _first_count, _prefers, _prompt_count, marginal_expected_utility
 
 
 class CostShape(enum.Enum):
@@ -43,8 +41,7 @@ class HomogeneousSolution:
     ``best_model`` is the payoff-maximizing candidate; ``served_model``
     equals it when trade actually happens (induced count >= 1) and is
     None otherwise.  ``cost_free_unbounded`` flags a zero-cost winner,
-    whose induced count grows without bound as ambiguity approaches one
-    (and is capped if the scan limit is ever reached).
+    whose induced count grows without bound as ambiguity approaches one.
     """
 
     schedule: PriceSchedule
@@ -78,13 +75,14 @@ class CurvePoint:
 def induced_prompt_count(model: GaiModel, eps: float) -> int:
     """Profit-maximizing prompt count for one model at ambiguity ``eps``.
 
-    Ascending scan for the first ``k`` where the marginal induced profit
-    drops below zero, i.e. ``(k+1)*eps**k - k*eps**(k-1) < C/((1-eps)*U)``.
-    The left side decreases and eventually turns negative, so the scan
-    terminates even at zero cost; ``_INDUCED_CAP`` guards ambiguity values
-    within about 1e-4 of one, where the count grows like ``1/(1-eps)``.
-    A first-prompt gain ``(1-eps)*U`` that underflows to zero raises
-    :class:`PromptPricingError`.
+    The first ``k`` where the marginal induced profit drops below zero,
+    i.e. ``(k+1)*eps**k - k*eps**(k-1) < C/((1-eps)*U)`` (the left side
+    is 1 at k = 0).  The left side falls while it is positive and turns
+    negative past ``eps/(1-eps)``, so the test stays true once true and
+    passes even at zero cost, where the count grows like ``1/(1-eps)`` as
+    ambiguity approaches one; :func:`_first_count` finds it in about
+    ``2 * log2(k)`` tests.  A first-prompt gain ``(1-eps)*U`` that
+    underflows to zero raises :class:`PromptPricingError`.
     """
     return _induced(model, check_ambiguity(eps))
 
@@ -98,13 +96,10 @@ def _induced(model: GaiModel, eps: float) -> int:
             f"model {model.id!r}: the first prompt's gain (1-eps)*U underflows to 0 "
             f"at ambiguity {eps}")
     threshold = model.cost / gain
-    prev = 0.0  # eps ** (k - 1), carried from the last step; k * prev is 0.0 at k = 0
-    for k in range(_INDUCED_CAP):
-        power = eps ** k
-        if (k + 1) * power - k * prev < threshold:
-            return k
-        prev = power
-    return _INDUCED_CAP
+    if 1.0 < threshold:
+        return 0
+    return _first_count(lambda k: (k + 1) * eps ** k - k * eps ** (k - 1) < threshold,
+                        lambda: f"model {model.id!r}: induced count at ambiguity {eps}")
 
 
 def classify_cost_shape(model: GaiModel) -> CostShape:
@@ -136,7 +131,7 @@ def optimal_homogeneous_price(models: ModelSet, eps: float) -> HomogeneousSoluti
         served_model=winner.id if k >= 1 else None,
         induced_count=k,
         platform_payoff=payoff if k >= 1 else 0.0,
-        cost_free_unbounded=(winner.cost == 0.0 or k >= _INDUCED_CAP),
+        cost_free_unbounded=winner.cost == 0.0,
     )
 
 

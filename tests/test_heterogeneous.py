@@ -262,6 +262,48 @@ class TestSingleModelPrice:
         out = single_model_price(model, dist)
         assert out.platform_payoff >= best - 1e-12 * u
 
+    @pytest.mark.parametrize("lo", [0.99, 0.995, 0.999])
+    def test_floor_that_binds_raises(self, lo):
+        """Zero cost on U(lo, 1): the search floor U/512 binds.  On U(0.99,
+        1) and U(0.995, 1) the best price found is the floor's own probe,
+        and on U(0.999, 1) nothing sells above the floor although the first
+        prompt pays (1 - lo) * U > 0.  A quadrature price grid below the
+        floor pays more than 0.27 on each, so each raises instead of
+        answering."""
+        from prompt_pricing.evaluation import _MAX_SEGMENTS
+
+        model, dist = GaiModel("m", 1.0, 0.0), UniformAmbiguity(lo, 1.0)
+        below = max(platform_payoff(ModelSet([model]), PriceSchedule({"m": float(p)}), dist,
+                                    QuadratureConfig(2001)).platform_payoff
+                    for p in np.geomspace(1e-5, 1.0 / _MAX_SEGMENTS, 40))
+        assert below > 0.27
+        with pytest.raises(PromptPricingError, match="below U/512"):
+            single_model_price(model, dist)
+
+    @pytest.mark.parametrize("lo,cost,price,payoff", [
+        (0.0, 0.0, 0.2071067809679166, 0.25000000000000006),
+        (0.0, 1e-4, 0.5000499999150634, 0.24995000250000002),
+        (0.0, 0.0019, 0.500950001180172, 0.2490509025),
+        (0.98, 0.006, 0.009570072254570919, 0.0490488685828424),
+        (0.98, 0.01, 0.012918245594121077, 0.014338783262736046),
+    ])
+    def test_floor_that_does_not_bind_keeps_the_answer(self, lo, cost, price, payoff):
+        """Answers the floor check leaves alone, by ``repr``: costs below the
+        floor U/512 on U(0, 1), where the answer is far above it, and costs
+        above it on U(0.98, 1)."""
+        out = single_model_price(GaiModel("m", 1.0, cost), UniformAmbiguity(lo, 1.0))
+        assert (repr(out.schedule.price_for("m")), repr(out.platform_payoff)) == (
+            repr(price), repr(payoff))
+
+    def test_zero_cost_past_count_64(self):
+        """Zero cost on U(0.98, 1): the floor binds, but the best price,
+        about 0.0027, lies above it, in the piece where users buy up to 136
+        prompts, whose edges come from ``_curve_top`` above k = 64; the
+        search brackets it within 1e-10 of U."""
+        out = single_model_price(GaiModel("m", 1.0, 0.0), UniformAmbiguity(0.98, 1.0))
+        assert out.schedule.price_for("m") == pytest.approx(0.0027087217771135435, abs=1e-10)
+        assert out.platform_payoff == pytest.approx(0.27032715519665457, abs=1e-15)
+
 
 SEGMENT_DISTS = {
     "u01": U01,

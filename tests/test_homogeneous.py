@@ -1,5 +1,7 @@
 """Closed-form pricing for a shared ambiguity level, certified by a price-grid oracle."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from prompt_pricing import (
     optimal_homogeneous_price,
     optimal_prompt_count,
 )
-from prompt_pricing.homogeneous import _INDUCED_CAP
 from prompt_pricing.evaluation import _counts_vec
 
 from _helpers import is_non_decreasing, is_non_increasing, is_unimodal, shape_name
@@ -48,18 +49,18 @@ class TestInducedCount:
             best_j = max(range(0, 60), key=payoff_at)
             assert payoff_at(k) == pytest.approx(payoff_at(best_j), abs=1e-12)
 
-    def test_carried_power_equals_the_two_power_scan(self):
-        """The scan carries ``eps ** (k-1)`` from one step to the next.  It
-        must return the count of the scan that computes both powers at every
-        step, at random (U, C, eps): eps uniform, log-uniform down to 1e-300
-        and up to 1 - 1e-5, zero costs and costs above utility."""
+    def test_matches_the_uncapped_two_power_scan(self):
+        """The count is searched, not scanned.  It must equal the count of
+        the scan ``k = 0, 1, ...`` that computes both powers at every step
+        and runs until its test passes, at random (U, C, eps): eps uniform,
+        log-uniform down to 1e-300 and up to 1 - 1e-5, zero costs and costs
+        above utility."""
         def two_power_scan(model, eps):
             threshold = model.cost / ((1.0 - eps) * model.utility)
-            for k in range(_INDUCED_CAP):
-                lhs = (k + 1) * eps ** k - k * eps ** (k - 1) if k >= 1 else 1.0
-                if lhs < threshold:
-                    return k
-            return _INDUCED_CAP
+            k = 0
+            while ((k + 1) * eps ** k - k * eps ** (k - 1) if k >= 1 else 1.0) >= threshold:
+                k += 1
+            return k
 
         rng = np.random.default_rng(20240811)
         bands = [rng.uniform(0.0, 1.0, 10000), 10.0 ** -rng.uniform(0.0, 300.0, 10000),
@@ -72,6 +73,36 @@ class TestInducedCount:
                 if 0.0 < e < 1.0:
                     model = GaiModel("m", u, c)
                     assert induced_prompt_count(model, e) == two_power_scan(model, e)
+
+    def test_zero_cost_count_past_ten_thousand(self):
+        """At zero cost the count is the first k above ``eps/(1-eps)``
+        (19,999 at eps = 0.99995), well past 10,000."""
+        assert induced_prompt_count(GaiModel("m", 1.0, 0.0), 0.99995) == 20_000
+
+    def test_count_near_one_is_found_quickly(self):
+        """At eps = 1 - 1e-12 the count is about 1e12: found in well under a
+        millisecond (best of three runs), near ``eps/(1-eps)``."""
+        model, eps = GaiModel("m", 1.0, 0.0), 1.0 - 1e-12
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            k = induced_prompt_count(model, eps)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 1e-3
+        assert k == pytest.approx(eps / (1.0 - eps), rel=1e-2)
+
+    def test_tiny_cost_is_not_cost_free(self):
+        """Cost 1e-9 at eps = 0.99995: the induced count 19,998 maximizes
+        ``(price_k - C) * k`` over every count up to 40,000, and the
+        solution is not flagged cost-free."""
+        model, eps = GaiModel("m", 1.0, 1e-9), 0.99995
+        sol = optimal_homogeneous_price(ModelSet([model]), eps)
+        k = np.arange(1, 40_001)
+        payoffs = (eps ** (k - 1) * (1.0 - eps) - model.cost) * k
+        assert sol.induced_count == 19_998 == int(k[np.argmax(payoffs)])
+        assert sol.platform_payoff == pytest.approx(payoffs.max(), rel=1e-12)
+        assert sol.platform_payoff == pytest.approx(0.3679, abs=1e-4)
+        assert sol.cost_free_unbounded is False
 
     def test_zero_cost_grows_with_ambiguity(self):
         model = GaiModel("m", 1.0, 0.0)

@@ -2,6 +2,7 @@
 
 import math
 import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -26,7 +27,12 @@ from prompt_pricing import (
 )
 from prompt_pricing import evaluation
 from prompt_pricing.evaluation import _counts_vec
-from prompt_pricing.user_strategy import _curve_top, _prompt_count, marginal_expected_utility
+from prompt_pricing.user_strategy import (
+    _curve_top,
+    _first_count,
+    _prompt_count,
+    marginal_expected_utility,
+)
 
 from _helpers import (
     boundary_tie_count,
@@ -236,6 +242,82 @@ class TestPromptUpperBound:
     def test_ratio_that_underflows_raises(self):
         with pytest.raises(PromptPricingError, match="too small"):
             prompt_upper_bound(GaiModel("m", 1e300), 1e-300)
+
+    @staticmethod
+    def decimal_top(k):
+        """``k**k / (k+1)**(k+1)`` to 60 digits."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+            k = Decimal(k)
+            return (k * k.ln() - (k + 1) * (k + 1).ln()).exp()
+
+    def decimal_bound(self, ratio):
+        """The first k whose 60-digit curve top is below the ratio."""
+        r, lo, k = Decimal(ratio), 0, 1
+        while not self.decimal_top(k) < r:
+            lo, k = k, 2 * k
+        while k - lo > 1:
+            mid = (lo + k) // 2
+            lo, k = (lo, mid) if self.decimal_top(mid) < r else (mid, k)
+        return k
+
+    def test_brackets_the_ratio_under_a_decimal_curve_top(self):
+        """From 1e-8 to 1e-15 the bound brackets the ratio under the
+        60-digit curve top: ``top(k) < ratio <= top(k-1)``; at 1e-12 that
+        is 367,879,441,171.  Below about 1e-16 neighbouring tops differ by less than an ulp, so
+        there the count is within a relative 1e-15 of the decimal one."""
+        assert prompt_upper_bound(UNIT, 1e-12) == 367_879_441_171
+        for e in range(8, 19):
+            for ratio in (10.0 ** -e, 1.2345 * 10.0 ** -e, 7.77 * 10.0 ** -e):
+                k = prompt_upper_bound(UNIT, ratio)
+                if e <= 15:
+                    assert self.decimal_top(k) < Decimal(ratio) <= self.decimal_top(k - 1)
+                else:
+                    assert k == pytest.approx(self.decimal_bound(ratio), rel=1e-15)
+
+
+class TestCurveTop:
+    def test_within_three_ulp_of_the_exact_ratio(self):
+        """Above k = 64 the top is computed in floats; it stays within 3
+        ulp of the correctly rounded ``k**k / (k+1)**(k+1)``."""
+        for k in range(65, 2001):
+            want = k ** k / (k + 1) ** (k + 1)
+            assert abs(_curve_top(k) - want) <= 3 * math.ulp(want), k
+
+    def test_falls_with_the_count(self):
+        """The bisection in ``prompt_upper_bound`` needs a falling top: it
+        falls strictly from k to k + 1 at seeded k up to 1e15, and across
+        seeded samples sorted up to 2**64."""
+        rng = np.random.default_rng(20241020)
+        near = sorted({int(x) for x in 10.0 ** rng.uniform(0.0, 15.0, 20000)})
+        assert all(_curve_top(k + 1) < _curve_top(k) for k in near)
+        far = sorted({int(x) for x in 2.0 ** rng.uniform(0.0, 64.0, 50000)} - {2 ** 64})
+        tops = [_curve_top(k) for k in far]
+        assert all(b < a for a, b in zip(tops, tops[1:]))
+
+
+class TestFirstCount:
+    @pytest.mark.parametrize("first", [1, 2, 3, 7, 8, 9, 1000, 2 ** 40 + 1, 2 ** 64])
+    def test_finds_the_first_passing_count(self, first):
+        assert _first_count(lambda k: k >= first, lambda: "never") == first
+
+    def test_never_passing_raises_after_few_calls(self):
+        """A test that never passes raises past 2**64 after at most 130
+        calls, and the message is built once, at the raise."""
+        calls, messages = [], []
+
+        def never(k):
+            calls.append(k)
+            return False
+
+        def what():
+            messages.append(1)
+            return "nothing passes"
+
+        with pytest.raises(PromptPricingError, match="nothing passes: no prompt count up to 2"):
+            _first_count(never, what)
+        assert len(calls) <= 130
+        assert len(messages) == 1
 
 
 class TestPromptShape:
