@@ -4,17 +4,17 @@ The platform's payoff is the margin-weighted expected prompt volume over
 users who each pick a model and a prompt budget by the stage-2 rules.
 The solvers of :mod:`~prompt_pricing.heterogeneous` score schedules here:
 
-* one schedule (:func:`platform_payoff`) or many (:func:`_family_volumes`),
-  by quadrature: the count kernel (:func:`_counts_vec`) at the two ends
-  of a sorted price axis (:func:`_count_steps`) and every other count
-  read off the steps between them (:func:`_count_profile`),
+* many schedules by quadrature (:func:`_family_volumes`): the count
+  kernel (:func:`_counts_vec`) at the two ends of a sorted price axis
+  (:func:`_count_steps`) and every other count read off the steps
+  between them (:func:`_count_profile`),
 * every cell of a price-pair lattice (:func:`_pair_lattice_payoffs`),
 * every point of a price line ``origin + t * d`` (:func:`_family_payoffs`),
-* the finish of every quadrature solver (:func:`_best_outcome`),
-* the exact single-model volume at a batch of prices
-  (:func:`_volume_from_segments`): every (price, count) root in one
-  Newton iteration in log space (:func:`_segment_bounds`), then exact
-  interval masses.
+* the finish of every quadrature solver and of :func:`platform_payoff`
+  (:func:`_best_outcome`), the one caller of :func:`_family_volumes`,
+* exact single-model volumes (:func:`_volume_from_segments`): every
+  (price, count) root in one Newton iteration in log space
+  (:func:`_segment_bounds`), then exact interval masses.
 """
 
 from __future__ import annotations

@@ -42,7 +42,6 @@ from .evaluation import (
     PricingOutcome,
     _best_outcome,
     _family_payoffs,
-    _family_volumes,
     _near_best,
     _pair_lattice_payoffs,
     _volume_from_segments,
@@ -171,9 +170,9 @@ def opp(
     one lattice on a reduced quadrature, and each step keeps the cheapest
     high-tier price within ``_RESCORE_TOL`` of the top utility of its
     best, so rounding does not choose between columns that pay the same
-    (:func:`_near_best`).  Those pairs are re-scored by full-resolution
-    schedule evaluation, which ranks the steps.  The polish compares
-    full-resolution lattice cells only: a few shrinking price-pair
+    (:func:`_near_best`).  Each step's pair is ranked by its own cell
+    of the full-resolution lattice of the chosen columns.  The polish
+    compares such lattice cells only: a few shrinking price-pair
     lattices around each of the strongest steps (the first spans one
     sweep step and two high-tier grid steps either way), then around the
     first best window cell of all until the window is within 1e-8·U_H
@@ -211,9 +210,10 @@ def opp(
     s_nodes, s_weights = dist.quadrature(QuadratureConfig(min(full, max(501, full // 4))))
     lattice = _pair_lattice_payoffs(low, high, low_prices, high_grid, s_nodes, s_weights)
     # each step takes its cheapest column near the best, not the one rounding ranks first
-    best_col = np.argmax(_near_best(models, lattice), axis=1)
-    sweep = np.column_stack([low_prices, high_grid[best_col]])
-    payoffs, _ = _family_volumes(models, sweep, nodes, weights)
+    cols, col_of = np.unique(np.argmax(_near_best(models, lattice), axis=1), return_inverse=True)
+    sweep = np.column_stack([low_prices, high_grid[cols][col_of]])
+    payoffs = _pair_lattice_payoffs(low, high, low_prices, high_grid[cols], nodes,
+                                    weights)[np.arange(len(low_prices)), col_of]
     if trace_sink is not None:
         trace_sink.extend(
             (float(p_low), float(p_high), float(v)) for (p_low, p_high), v in zip(sweep, payoffs))

@@ -76,13 +76,13 @@ def induced_prompt_count(model: GaiModel, eps: float) -> int:
     """Profit-maximizing prompt count for one model at ambiguity ``eps``.
 
     The first ``k`` where the marginal induced profit drops below zero,
-    i.e. ``(k+1)*eps**k - k*eps**(k-1) < C/((1-eps)*U)`` (the left side
-    is 1 at k = 0).  The left side falls while it is positive and turns
-    negative past ``eps/(1-eps)``, so the test stays true once true and
-    passes even at zero cost, where the count grows like ``1/(1-eps)`` as
-    ambiguity approaches one; :func:`_first_count` finds it in about
-    ``2 * log2(k)`` tests.  A first-prompt gain ``(1-eps)*U`` that
-    underflows to zero raises :class:`PromptPricingError`.
+    ``eps**(k-1) * (eps - k*(1-eps)) < C/((1-eps)*U)`` (1 at k = 0; the
+    uncancelled ``(k+1)*eps**k - k*eps**(k-1)``).  It falls while it is
+    positive and turns negative past ``eps/(1-eps)``, so the test stays
+    true once true and passes even at zero cost, where the count grows
+    like ``1/(1-eps)`` as ambiguity approaches one; :func:`_first_count`
+    finds it in about ``2 * log2(k)`` tests.  A first-prompt gain
+    ``(1-eps)*U`` that underflows to zero raises :class:`PromptPricingError`.
     """
     return _induced(model, check_ambiguity(eps))
 
@@ -98,7 +98,7 @@ def _induced(model: GaiModel, eps: float) -> int:
     threshold = model.cost / gain
     if 1.0 < threshold:
         return 0
-    return _first_count(lambda k: (k + 1) * eps ** k - k * eps ** (k - 1) < threshold,
+    return _first_count(lambda k: eps ** (k - 1) * (eps - k * (1.0 - eps)) < threshold,
                         lambda: f"model {model.id!r}: induced count at ambiguity {eps}")
 
 

@@ -18,6 +18,7 @@ from prompt_pricing import (
     GaiModel,
     ModelSet,
     PriceSchedule,
+    TabulatedAmbiguity,
     UniformAmbiguity,
     prompt_upper_bound,
     user_payoff,
@@ -60,6 +61,26 @@ def csv_writer_outputs(out_path, columns, rows, as_json: bool, command: str, nam
         with open(path.with_suffix(".json"), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=False)
             fh.write("\n")
+
+
+def seeded_catalogues(count: int = 40) -> list[tuple[ModelSet, TabulatedAmbiguity]]:
+    """Seeded two-tier problems for auditing ``opp`` away from fig7, drawn
+    from ``numpy.random.default_rng(2026)``: U_L 1, U_H in U(1.1, 3), each
+    cost in U(0, 0.3)·U; even cases a tabulated density on the knots 0,
+    1/3, 2/3 and 1 with values in U(0.2, 2), odd cases U(lo, 1) with lo
+    in U(0, 0.7).  Case i is the same whatever ``count`` is."""
+    rng = np.random.default_rng(2026)
+    cases = []
+    for i in range(count):
+        u_high = float(rng.uniform(1.1, 3.0))
+        c_low, c_high = (float(c) for c in rng.uniform(0.0, 0.3, 2) * (1.0, u_high))
+        models = ModelSet([GaiModel("ml", 1.0, c_low), GaiModel("mh", u_high, c_high)])
+        if i % 2 == 0:
+            dist = TabulatedAmbiguity((0.0, 1 / 3, 2 / 3, 1.0), rng.uniform(0.2, 2.0, 4).tolist())
+        else:
+            dist = UniformAmbiguity(float(rng.uniform(0.0, 0.7)), 1.0)
+        cases.append((models, dist))
+    return cases
 
 
 def brute_force_count(model: GaiModel, price: float, eps: float, cap: int = 200) -> int:

@@ -1,0 +1,76 @@
+"""``opp`` audited on seeded catalogues, not only on the bundled fig7 points.
+
+Twelve cases of :func:`_helpers.seeded_catalogues` are solved once, at the
+fig7 setting (step 0.002, 2001 nodes).  The gates are what holds today:
+``opp`` pays at least each single-tier schedule and at least
+``grid_oracle(400)`` within criterion 08's 1e-3·U_H.  The shortfalls the
+searches still leave are printed as a report (run with ``-s``), not pinned
+as passing numbers.  The cases: 26 is the one of 40 where the oracle beats
+``opp``; 15 and 5 are the closest single-tier schedules to ``opp`` (the
+high and the low tier); 13 the closest oracle; 21 and 30 the widest oracle
+margins; the rest span both densities and both kinds of answer (the low
+tier selling nothing, or most of the volume).
+"""
+
+import pytest
+
+from prompt_pricing import (
+    OppConfig,
+    PriceSchedule,
+    QuadratureConfig,
+    grid_oracle,
+    opp,
+    platform_payoff,
+    single_model_price,
+)
+
+from _helpers import seeded_catalogues
+
+CASES = (0, 3, 5, 11, 13, 15, 21, 22, 26, 30, 31, 34)
+CFG = OppConfig(step_alpha=0.002, quad=QuadratureConfig(2001))
+OPT_TOL = 1e-3  # criterion 08's tolerance on the two-model optimum, times U_H
+
+
+@pytest.fixture(scope="module")
+def solved() -> dict:
+    """Per case: (models, opp's answer, grid_oracle(400)'s, and the two
+    single-tier schedules' outcomes, low tier alone first)."""
+    catalogues = seeded_catalogues(max(CASES) + 1)
+    out = {}
+    for case in CASES:
+        models, dist = catalogues[case]
+        low, high = models.require_pair()
+        singles = []
+        for tier, other in ((low, high), (high, low)):
+            price = single_model_price(tier, dist).schedule.price_for(tier)
+            schedule = PriceSchedule({tier.id: price, other.id: other.utility})
+            singles.append(platform_payoff(models, schedule, dist, CFG.quad))
+        out[case] = (models, opp(models, dist, CFG), grid_oracle(models, dist, 400, CFG.quad),
+                     singles)
+    return out
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_opp_pays_at_least_each_single_tier_schedule(solved, case):
+    """A tier at ``single_model_price``'s price with the other priced at its
+    utility, where nobody buys it, is a schedule ``opp`` can reach."""
+    _, got, _, singles = solved[case]
+    for single in singles:
+        assert got.platform_payoff >= single.platform_payoff, single.schedule
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_opp_is_within_criterion_08_of_the_oracle(solved, case):
+    models, got, oracle, _ = solved[case]
+    assert got.platform_payoff >= oracle.platform_payoff - OPT_TOL * models.high.utility
+
+
+def test_report(solved):
+    """One row per case, in U_H: the oracle's and each single-tier
+    schedule's payoff minus ``opp``'s (positive where ``opp`` is short)."""
+    print("\ncase  U_H    low volume  oracle-opp  low alone-opp  high alone-opp")
+    for case, (models, got, oracle, singles) in solved.items():
+        u_high = models.high.utility
+        gaps = [(o.platform_payoff - got.platform_payoff) / u_high for o in (oracle, *singles)]
+        print(f"{case:4d}  {u_high:.3f}  {got.prompt_volume[models.low.id]:10.4f}  "
+              + "  ".join(f"{g:+.2e}".rjust(w) for g, w in zip(gaps, (10, 13, 14))))

@@ -646,18 +646,47 @@ class TestOpp:
         assert out.platform_payoff >= lattice_pick.platform_payoff
 
     def test_one_sweep_rescore_and_one_outcome_evaluation(self, monkeypatch):
-        """Every comparison in the polish is between lattice cells: a solve
-        evaluates schedules twice, the sweep pairs (in ``opp``) and the
-        near-best polish window winners (in ``_best_outcome``), whose batch
-        also gives the answer's outcome."""
+        """A solve evaluates schedules once: the near-best polish window
+        winners, in ``_best_outcome``, whose batch also gives the answer's
+        outcome.  The sweep is ranked on two lattices: every step against
+        every grid column at the reduced rule (501 of 2001 nodes), then
+        every step against the distinct columns the steps chose, at the
+        full rule; every later lattice is a polish window."""
         from prompt_pricing import evaluation, heterogeneous
 
-        sweep = _count_calls(monkeypatch, heterogeneous, "_family_volumes")
+        assert not hasattr(heterogeneous, "_family_volumes")
         finish = _count_calls(monkeypatch, evaluation, "_family_volumes")
+        kernel, lattices = heterogeneous._pair_lattice_payoffs, []
+
+        def record(low, high, axis_low, axis_high, nodes, weights):
+            lattices.append((len(axis_low), len(axis_high), len(nodes)))
+            return kernel(low, high, axis_low, axis_high, nodes, weights)
+
+        monkeypatch.setattr(heterogeneous, "_pair_lattice_payoffs", record)
         trace = []
-        opp(PAIR, UniformAmbiguity(0.3, 1.0), FAST_OPP, trace_sink=trace)
-        assert sweep == [len(trace)]
+        opp(PAIR, UniformAmbiguity(0.3, 1.0), OppConfig(step_alpha=0.01, quad=QuadratureConfig()),
+            trace_sink=trace)
         assert len(finish) == 1 and finish[0] < len(trace)
+        chosen = len({p_high for _, p_high, _ in trace})
+        assert 1 < chosen < heterogeneous._INNER_GRID
+        assert lattices[:2] == [(len(trace), heterogeneous._INNER_GRID, 501),
+                                (len(trace), chosen, 2001)]
+        window = heterogeneous._WINDOW_POINTS
+        assert lattices[2:] and set(lattices[2:]) == {(window, window, 2001)}
+
+    @pytest.mark.parametrize("eps_min", [0.0, 0.3, 0.6])
+    @pytest.mark.parametrize("name", ["fig7a", "fig7b"])
+    def test_trace_payoff_is_the_pair_payoff(self, name, eps_min):
+        """Each sweep step's payoff, read off its own cell of the lattice of
+        the chosen columns, is the payoff ``platform_payoff`` gives its pair
+        alone, up to summation order."""
+        models, dist = FAMILY_SETS[name], UniformAmbiguity(eps_min, 1.0)
+        trace = []
+        opp(models, dist, FAST_OPP, trace_sink=trace)
+        u_high = models.high.utility
+        for p_low, p_high, payoff in trace:
+            want = platform_payoff(models, PriceSchedule({"ml": p_low, "mh": p_high}), dist, FAST)
+            assert abs(payoff - want.platform_payoff) <= 1e-14 * u_high, (p_low, p_high)
 
     def test_three_models_are_not_a_pair(self):
         for solve in (lambda m: opp(m, U01, FAST_OPP), lambda m: grid_oracle(m, U01, 50, FAST)):

@@ -1,6 +1,8 @@
 """Closed-form pricing for a shared ambiguity level, certified by a price-grid oracle."""
 
+import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,6 +80,17 @@ class TestInducedCount:
         """At zero cost the count is the first k above ``eps/(1-eps)``
         (19,999 at eps = 0.99995), well past 10,000."""
         assert induced_prompt_count(GaiModel("m", 1.0, 0.0), 0.99995) == 20_000
+
+    @pytest.mark.parametrize("u", range(3, 13))
+    def test_zero_cost_count_is_the_exact_first_count(self, u):
+        """At zero cost and eps = 1 - 10**-u the count is the first k above
+        ``eps/(1-eps)`` for the float eps, taken exactly with
+        ``fractions.Fraction``.  The two-power form ``(k+1)*eps**k -
+        k*eps**(k-1)`` cancels there: it was off by 1 at u = 3, 20 at u = 9
+        and 135,248,224 at u = 12."""
+        eps = 1.0 - 10.0 ** -u
+        exact = Fraction(eps) / (1 - Fraction(eps))
+        assert induced_prompt_count(GaiModel("m", 1.0, 0.0), eps) == math.floor(exact) + 1
 
     def test_count_near_one_is_found_quickly(self):
         """At eps = 1 - 1e-12 the count is about 1e12: found in well under a

@@ -64,3 +64,21 @@ def test_heterogeneous_holds_only_searches():
     """The solvers reach the count rule and the user's payoff only through
     ``evaluation``: ``heterogeneous`` imports no stage-2 formula."""
     assert _imports("heterogeneous")[0] == {"core", "evaluation"}
+
+
+def test_only_best_outcome_evaluates_schedules():
+    """Every solve evaluates schedules once, in ``_best_outcome``: no other
+    function in the package names ``_family_volumes``, and no module but
+    ``evaluation``, where it is defined, imports it.  The searches rank
+    with the pair lattice or the line scorer."""
+    users = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom):
+                    assert "_family_volumes" not in {a.name for a in node.names}, path.stem
+                elif (isinstance(node, ast.Name) and node.id == "_family_volumes"
+                      or isinstance(node, ast.Attribute) and node.attr == "_family_volumes"):
+                    users.add((path.stem, getattr(top, "name", None)))
+    assert users == {("evaluation", "_best_outcome")}

@@ -2,9 +2,11 @@
 
 import csv
 import json
+import math
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -363,8 +365,11 @@ class TestHomogPriceRows:
         rows = self.run_case(tmp_path, "zero-cost")
         assert {row[3] for row in rows[1:]} == {"ml"}
         counts = [int(row[2]) for row in rows[1:]]
-        # the induced count of a free model grows like 1/(1-eps)
-        assert all(b >= a for a, b in zip(counts, counts[1:])) and counts[-1] == 1000
+        # the induced count of a free model grows like 1/(1-eps); at the last eps it is the
+        # first count above eps/(1-eps), 999: the float 0.999 lies below 0.999
+        eps = Fraction(float(rows[-1][0]))
+        assert all(b >= a for a, b in zip(counts, counts[1:]))
+        assert counts[-1] == math.floor(eps / (1 - eps)) + 1 == 999
 
     def test_payoff_tie_goes_to_higher_utility_then_smaller_id(self, tmp_path):
         rows = self.run_case(tmp_path, "utility-tie")
