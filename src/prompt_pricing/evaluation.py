@@ -9,6 +9,7 @@ The solvers of :mod:`~prompt_pricing.heterogeneous` score schedules here:
   (:func:`_count_steps`) and every other count read off the steps
   between them (:func:`_count_profile`),
 * every cell of a price-pair lattice (:func:`_pair_lattice_payoffs`),
+  each node chunk profiling only the prices that sell in it,
 * every point of a price line ``origin + t * d`` (:func:`_family_payoffs`),
 * the finish of every quadrature solver and of :func:`platform_payoff`
   (:func:`_best_outcome`), the one caller of :func:`_family_volumes`,
@@ -284,7 +285,15 @@ def _pair_lattice_payoffs(
     In each chunk the nodes where neither tier's cheapest price passes
     the kernel's ``buy`` test are dropped: no price sells there, so they
     would add only zeros to the sequential ``np.bincount`` sums, and
-    every cell is bit-identical to keeping them.
+    every cell is bit-identical to keeping them.  For the same reason
+    each tier's axis is trimmed per chunk to its live prefix, the prices
+    ``p <= (1 - eps) * U`` at the chunk's smallest eps, the ``buy`` test
+    at its most generous node (at least one price is kept).  Past that
+    prefix the count is 0 at every node of the chunk, so the score is
+    ``-inf`` and the gain exactly zero: such a price beats nothing and
+    adds only zeros.  The prefix lengths, count steps and monotonicity
+    check below are those of the full axis on the kept prices, and only
+    the kept prices are profiled; "the axis" below is the live prefix.
 
     At one node a tier's score, its user payoff at the optimal count
     (``-inf`` where it sells nothing), never rises as its price rises.
@@ -315,14 +324,17 @@ def _pair_lattice_payoffs(
     comparison made exactly, not approximated: the prefixes are read
     off the same float scores.
 
-    At a node the low tier wins outright every high-tier gain goes to
-    ``high_from`` row ``n_low``, and at a node the high tier wins
-    outright every low-tier gain goes to ``low_from`` column ``n_high``;
-    the final slices ``[:n_low]`` and ``[:, :n_high]`` discard both
-    ranges.  So each tier's gains are added only at the nodes the other
-    tier does not win outright: every bin that is read gets the same
-    addends in the same node order, and every cell is bit-identical to
-    adding them all.  At a kept node that is decided and where the
+    At a node the low tier wins outright on its ``nl`` live rows, every
+    high-tier gain goes to ``high_from`` row ``nl``, and at a node the
+    high tier wins outright on its ``nh`` live columns, every low-tier
+    gain goes to ``low_from`` column ``nh``.  When that axis was trimmed
+    the bin is a real row or column, the first trimmed price, against
+    which the winner sells nothing, so those gains are added.  When it
+    was not, the bin is the sink ``n_low`` or ``n_high`` that the final
+    slices ``[:n_low]`` and ``[:, :n_high]`` discard, so those gains are
+    not computed.  Every bin that is read gets the same addends in the
+    same node order, up to exact zeros, and every cell is bit-identical
+    to adding them all.  At a kept node that is decided and where the
     tier's count does not step, the count is ``top`` at every price and
     the gains ``(p - C) * top * w`` are broadcast with no profile.
 
@@ -375,12 +387,18 @@ def _pair_lattice_payoffs(
 
     def merge(eps: np.ndarray, w: np.ndarray) -> None:
         """Add one node chunk's gains to ``high_from`` and ``low_from``."""
-        steps = [_count_steps(m.utility, prices, eps) for m, prices in tiers]
-        # each tier's score at its cheapest and its dearest price, as its profile has them
+        # each tier's live prefix: the prices that pass the kernel's buy test at the chunk's
+        # smallest eps, its largest ceiling (at least one price); past it every gain is 0
+        one_minus = 1.0 - eps.min()
+        nl, nh = (max(1, int(np.searchsorted(prices, one_minus * m.utility, side="right")))
+                  for m, prices in tiers)
+        live = ((low, axis_low[:nl]), (high, axis_high[:nh]))
+        steps = [_count_steps(m.utility, prices, eps) for m, prices in live]
+        # each tier's score at its cheapest and its dearest live price, as its profile has them
         (first_l, last_l), (first_h, last_h) = (
             [np.where(n >= 1.0, (1.0 - eps ** n) * m.utility - n * p, -np.inf)
              for n, p in ((top, prices[0]), (bottom, prices[-1]))]
-            for (m, prices), (top, bottom, _, _) in zip(tiers, steps))
+            for (m, prices), (top, bottom, _, _) in zip(live, steps))
         # decided by the column ends: the high tier's worst meets the low tier's best, or
         # the low tier's worst beats the high tier's best
         high_wins = last_h >= first_l
@@ -388,21 +406,24 @@ def _pair_lattice_payoffs(
         mixed = ~(high_wins | low_wins)
         if mixed.all():
             (score_l, gain_l), (score_h, gain_h) = (
-                profile(m, prices, eps, w, s) for (m, prices), s in zip(tiers, steps))
+                profile(m, prices, eps, w, s) for (m, prices), s in zip(live, steps))
             beaten, beating = _prefix_lengths(score_h, score_l)
         else:
-            # a node the other tier wins outright adds only to a bin the slices drop
-            keep_l, keep_h = ~high_wins, ~low_wins
-            score_l, gain_l = profile_some(low, axis_low, eps, w, steps[0], keep_l, mixed)
-            score_h, gain_h = profile_some(high, axis_high, eps, w, steps[1], keep_h, mixed)
+            # at a node the other tier wins outright a tier's gains go to the bin just past
+            # the other's live prefix: a trimmed row or column, or else the sink the slices
+            # drop, and then they are not computed
+            keep_l, keep_h = ~high_wins | (nh < n_high), ~low_wins | (nl < n_low)
+            score_l, gain_l = profile_some(*live[0], eps, w, steps[0], keep_l, mixed)
+            score_h, gain_h = profile_some(*live[1], eps, w, steps[1], keep_h, mixed)
             beaten = np.zeros(gain_h.shape, dtype=np.int64)
             beating = np.zeros(gain_l.shape, dtype=np.int64)
+            beaten[low_wins[keep_h]], beating[high_wins[keep_l]] = nl, nh
             if mixed.any():
                 beaten[mixed[keep_h]], beating[mixed[keep_l]] = _prefix_lengths(score_h, score_l)
-        np.add(high_from, np.bincount((beaten * n_high + cols).ravel(), gain_h.ravel(),
+        np.add(high_from, np.bincount((beaten * n_high + cols[:nh]).ravel(), gain_h.ravel(),
                                       minlength=len(high_from)), out=high_from)
-        np.add(low_from, np.bincount((rows * (n_high + 1) + beating).ravel(), gain_l.ravel(),
-                                     minlength=len(low_from)), out=low_from)
+        np.add(low_from, np.bincount((rows[:nl] * (n_high + 1) + beating).ravel(),
+                                     gain_l.ravel(), minlength=len(low_from)), out=low_from)
 
     chunk = max(1, _CHUNK_ELEMENTS // (n_low + n_high))
     for start in range(0, len(nodes), chunk):

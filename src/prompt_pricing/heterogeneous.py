@@ -154,6 +154,7 @@ _MAX_SWEEP_STEPS = 100_000  # sweep steps allowed, each a row of _INNER_GRID cel
 _POLISH_ROWS = 8      # strongest sweep steps the polish refines
 _WINDOW_POINTS = 33   # prices per axis of one polish window
 _WINDOW_ROUNDS = 4    # windows per polished step, each a quarter the size of the last
+_MAX_MARKUPS = 1_000_000  # rows of cost_based_pricing's markup grid, 11 times fig7a's
 
 
 def opp(
@@ -312,11 +313,18 @@ def cost_based_pricing(
     :func:`_family_payoffs` (:func:`_best_on_ray`), whose work grows with
     the count steps per node, not with the rows; the rows that price
     every model above its utility (about half of them there) sell to no
-    one and score exactly 0.
+    one and score exactly 0.  A cost so small against the top utility
+    that the grid would exceed ``_MAX_MARKUPS`` rows raises
+    :class:`DegenerateCostBase` before the grid is built.
     """
     costs = np.array([m.cost for m in models])
     if np.any(costs <= 0.0):
         raise DegenerateCostBase("cost-proportional pricing needs every cost > 0")
-    mu_max = max(m.utility for m in models) / costs.min()
+    top = float(max(m.utility for m in models))
+    mu_max = top / float(costs.min())  # Python floats: inf, not a numpy overflow warning
+    if not mu_max / 1e-3 < _MAX_MARKUPS:  # the grid's floor(mu_max / 1e-3) + 1 rows; inf too
+        raise DegenerateCostBase(
+            f"cost-proportional pricing would sweep more than {_MAX_MARKUPS:,} markups; "
+            f"every cost must be above {top / (_MAX_MARKUPS * 1e-3):.6g} (max U / 1000)")
     mus = np.arange(0, int(math.floor(mu_max / 1e-3)) + 1) * 1e-3
     return _best_on_ray(models, dist, quad, costs, 1.0 + mus, "CostBased")

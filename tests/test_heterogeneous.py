@@ -984,10 +984,12 @@ class TestLatticeMerge:
         assert got.platform_payoff == want.platform_payoff
 
 
-@functools.lru_cache(maxsize=None)  # shared by the window tests; none of them writes to an array
-def _polish_windows(catalogue: str, dist_index: int) -> tuple:
-    """The polish windows ``opp`` scores at 2001 nodes for one fig7 catalogue
-    and density: (low, high, axis_low, axis_high, nodes, weights) each."""
+@functools.lru_cache(maxsize=None)  # shared by the lattice tests; none of them writes to an array
+def _opp_lattices(catalogue: str, dist_index: int) -> tuple:
+    """Every lattice ``opp`` scores at step 0.01 and 2001 nodes for one fig7
+    catalogue and density, in order: the sweep (501 nodes), its re-score,
+    then the polish windows.  (low, high, axis_low, axis_high, nodes,
+    weights) each."""
     from prompt_pricing import heterogeneous
 
     calls, kernel = [], heterogeneous._pair_lattice_payoffs
@@ -1000,7 +1002,15 @@ def _polish_windows(catalogue: str, dist_index: int) -> tuple:
         mp.setattr(heterogeneous, "_pair_lattice_payoffs", record)
         opp(FAMILY_SETS[catalogue], PRUNING_DISTS[dist_index],
             OppConfig(step_alpha=0.01, quad=QuadratureConfig()))
-    return tuple(c for c in calls if len(c[2]) == len(c[3]) == heterogeneous._WINDOW_POINTS)
+    return tuple(calls)
+
+
+def _polish_windows(catalogue: str, dist_index: int) -> tuple:
+    """The polish windows of :func:`_opp_lattices`."""
+    from prompt_pricing.heterogeneous import _WINDOW_POINTS
+
+    return tuple(c for c in _opp_lattices(catalogue, dist_index)
+                 if len(c[2]) == len(c[3]) == _WINDOW_POINTS)
 
 
 class TestDecidedNodes:
@@ -1100,16 +1110,18 @@ class TestDecidedNodes:
             assert np.array_equal(np.sort(np.concatenate(profiled[utility])), want)
             assert len(want) < sells.sum() / 2
 
-    @pytest.mark.parametrize("dist_index", [0, 1], ids=["uniform-0.3", "tabulated"])
-    def test_grid_oracle_axes_equal_argsort_reference(self, dist_index):
+    @pytest.mark.parametrize("dist", [*PRUNING_DISTS, UniformAmbiguity(0.6, 1.0)],
+                             ids=["uniform-0.3", "tabulated", "uniform-0.6"])
+    def test_grid_oracle_axes_equal_argsort_reference(self, dist):
         """``grid_oracle``'s 400 x 400 axes at 2001 nodes, where every selling
-        node is mixed."""
+        node is mixed.  Every axis ends at its tier's utility, so each node
+        chunk trims both."""
         from prompt_pricing.evaluation import _pair_lattice_payoffs
 
         low, high = PAIR.require_pair()
         axis_low, axis_high = (m.cost + (m.utility - m.cost) * (np.arange(1, 401) / 400)
                                for m in (low, high))
-        nodes, weights = PRUNING_DISTS[dist_index].quadrature(QuadratureConfig())
+        nodes, weights = dist.quadrature(QuadratureConfig())
         high_all, low_all, mixed = node_kinds(low, high, axis_low, axis_high, nodes)
         assert high_all == low_all == 0 < mixed
         for eps, w in ((nodes, weights), self.shuffled(nodes, weights)):
@@ -1163,6 +1175,86 @@ class TestDecidedNodes:
         want = opp(PAIR, dist, FAST_OPP, trace_sink=want_trace)
         assert got == want
         assert trace == want_trace
+
+
+def _trim_case(name: str) -> tuple:
+    """(low, high, axis_low, axis_high, nodes, weights) of one lattice in
+    which some tier's dearest prices sell at no node.  The ``narrow-`` cases
+    put every node within 1e-4 of eps = 1/2, where one tier's live prices
+    all beat the other tier's: there the gains that tier loses belong in
+    the first trimmed row or column, where the winner sells nothing."""
+    low, high = PAIR.require_pair()
+    if name.startswith("narrow-"):
+        nodes, weights = UniformAmbiguity(0.5 - 1e-4, 0.5 + 1e-4).quadrature(QuadratureConfig())
+        # live up to (1 - eps) U: 0.5 for the low tier, 0.9 for the high tier
+        cheap, dear, unsold = (np.linspace(0.1, 0.3, 20), np.linspace(0.3, 0.45, 30),
+                               np.linspace(1.0, 2.0, 10))
+        if name == "narrow-high-wins":
+            return low, high, dear, np.concatenate([cheap, unsold]), nodes, weights
+        return low, high, np.concatenate([cheap / 4, unsold]), 2 * dear, nodes, weights
+    dist_index = int(name.endswith("tabulated"))
+    lattice = _opp_lattices("fig7a", dist_index)[int(name.startswith("rescore"))]
+    if name == "sweep-tied":
+        # 40 high-tier prices twice around 0.7 U_H, and each tier's cut at the smallest
+        # node, (1 - eps) U, where one prompt leaves the user exactly 0: twice on the high axis
+        low, high, axis_low, axis_high, nodes, weights = lattice
+        cut_l, cut_h = ((1.0 - nodes.min()) * m.utility for m in (low, high))
+        lattice = (low, high, np.sort(np.append(axis_low, cut_l)),
+                   np.sort(np.concatenate([axis_high, axis_high[155:195], [cut_h, cut_h]])),
+                   nodes, weights)
+    return lattice
+
+
+TRIM_CASES = ["sweep-501", "rescore-2001", "sweep-tied", "sweep-tabulated",
+              "narrow-high-wins", "narrow-low-wins"]
+
+
+class TestTrimmedAxes:
+    """In each node chunk the pair lattice profiles a tier only at its live
+    prices, those that pass the count kernel's ``buy`` test at the chunk's
+    smallest eps; past them every cell adds exact zeros.  At a node the
+    other tier wins outright on the live prices, a tier's gains go to the
+    trimmed row or column just past them, where that other tier sells
+    nothing.  Cells must equal, bit for bit, the lattice that profiles every
+    price and sorts every selling node."""
+
+    @pytest.mark.parametrize("name", TRIM_CASES)
+    def test_equals_argsort_reference(self, name):
+        from prompt_pricing.evaluation import _pair_lattice_payoffs
+
+        low, high, axis_low, axis_high, nodes, weights = _trim_case(name)
+        live = [np.sum(axis <= (1.0 - nodes.min()) * m.utility)
+                for m, axis in ((low, axis_low), (high, axis_high))]
+        assert live[0] < len(axis_low) or live[1] < len(axis_high)
+        assert name != "sweep-tied" or len(np.unique(axis_high)) < len(axis_high)
+        for eps, w in ((nodes, weights), TestDecidedNodes.shuffled(nodes, weights)):
+            got = _pair_lattice_payoffs(low, high, axis_low, axis_high, eps, w)
+            assert np.array_equal(got, argsort_pair_lattice(low, high, axis_low, axis_high, eps, w))
+        if name.startswith("narrow-"):  # one tier wins every live pair at every node
+            assert node_kinds(low, high, axis_low[:live[0]], axis_high[:live[1]], nodes)[2] == 0
+            assert np.all(got[live[0]:, live[1]:] == 0.0)
+            assert np.all(got[:live[0], live[1]:] > 0.0) and np.all(got[live[0]:, :live[1]] > 0.0)
+
+    def test_profiles_only_live_prefixes(self, monkeypatch):
+        """On ``opp``'s sweep lattice under Uniform(0.3, 1) each profiled
+        price axis is a prefix of its tier's axis that stops at or below
+        0.7 U, above which no price sells at any node."""
+        from prompt_pricing import evaluation
+
+        low, high, axis_low, axis_high, nodes, weights = _trim_case("sweep-501")
+        profiled, seam = [], evaluation._count_profile
+
+        def counted(utility, prices, eps, steps):
+            profiled.append((utility, prices))
+            return seam(utility, prices, eps, steps)
+
+        monkeypatch.setattr(evaluation, "_count_profile", counted)
+        evaluation._pair_lattice_payoffs(low, high, axis_low, axis_high, nodes, weights)
+        axes = {low.utility: axis_low, high.utility: axis_high}
+        assert profiled
+        for utility, prices in profiled:
+            assert np.array_equal(prices, axes[utility][:len(prices)])
+            assert prices[-1] <= 0.7 * utility < axes[utility][-1]
 
 
 PROFILE_DISTS = {"uniform": U01, "uniform-0.3": PRUNING_DISTS[0], "tabulated": PRUNING_DISTS[1]}
@@ -1308,6 +1400,14 @@ class TestBenchmarks:
     def test_cost_based_needs_positive_costs(self):
         models = ModelSet([GaiModel("ml", 1.0, 0.0), GaiModel("mh", 1.8, 0.04)])
         with pytest.raises(DegenerateCostBase):
+            cost_based_pricing(models, U01, FAST)
+
+    def test_cost_based_markup_grid_is_capped(self):
+        """A cost of 5e-324 makes max U / C infinite; the markup grid's size
+        is checked before ``math.floor`` or numpy sees it."""
+        models = ModelSet([GaiModel("ml", 1.0, 5e-324), GaiModel("mh", 1.8, 0.04)])
+        with pytest.raises(DegenerateCostBase, match=r"more than 1,000,000 markups; "
+                                                     r"every cost must be above 0\.0018 "):
             cost_based_pricing(models, U01, FAST)
 
     def test_proportional_families_cannot_beat_free_pricing(self):

@@ -467,6 +467,20 @@ price = 0.3
             "the step must be above 9.8e-06\n")
         assert not out.exists()
 
+    def test_tiny_cost_is_a_numerical_failure(self, tmp_path, capsys):
+        """A low-tier cost just under max U / 1000 (1.8 / 1000 here) would
+        give the cost-proportional markup grid 1,000,056 rows, just past its
+        1,000,000-row cap: ``compare`` exits 3 before building it, so a
+        missing cap costs megabytes here, not the gigabytes of a cost of 1e-6."""
+        body = COMPARE_ONE_POINT.replace("cost = 0.02", "cost = 0.0017999")
+        scen = write_scenario(tmp_path, body)
+        out = tmp_path / "x.csv"
+        assert main(["compare", "--scenario", str(scen), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: cost-proportional pricing would sweep more than 1,000,000 "
+            "markups; every cost must be above 0.0018 (max U / 1000)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--out", "--trace"])
     def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys, flag):
         scen = write_scenario(tmp_path, TWO_MODEL)
