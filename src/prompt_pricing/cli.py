@@ -26,18 +26,19 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .core import (
     ConfigError,
     InvalidDistribution,
     InvalidModel,
-    PriceSchedule,
     PromptPricingError,
+    QuadratureConfig,
     UniformAmbiguity,
     check_ambiguity,
 )
-from .heterogeneous import cost_based_pricing, grid_oracle, opp, utility_based_pricing
+from .heterogeneous import OppConfig, cost_based_pricing, grid_oracle, opp, utility_based_pricing
 from .homogeneous import _curve_rows
 from .scenario import Scenario, ScenarioError, load_scenario
 from .user_strategy import UNBOUNDED, _decision_for, _pick
@@ -65,16 +66,13 @@ class _Quoted(dict):
         return cell
 
 
-def _write_outputs(
-    out_path: str, columns: list[str], rows: list[list], as_json: bool, command: str, name: str
-) -> None:
+def _write_outputs(out_path: str, columns: list[str], rows: list[list]) -> None:
     """Stream ``rows`` to a CSV file through one ``%``-format line made from the
     first row's cell kinds (every verb keeps one kind per column; counts mix ints
     and "inf"): floats, ``np.float64`` too, at 12 significant digits, text quoted
     as ``csv.writer`` quotes it, ints and "inf" as they print."""
-    path = Path(out_path)
     quoted = _Quoted()
-    with open(path, "w", newline="") as fh:
+    with open(out_path, "w", newline="") as fh:
         fh.write(",".join(quoted[c] for c in columns) + "\n")
         if rows:
             line = ",".join("%.12g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
@@ -84,15 +82,13 @@ def _write_outputs(
                 for i in text:
                     cells[i] = quoted[cells[i]]
                 fh.write(line % tuple(cells))
-    if as_json:
-        _write_json(path, command, name)
 
 
-def _write_json(path: Path, command: str, name: str) -> None:
+def _write_json(out_path: str, command: str, name: str) -> None:
     """The CSV's JSON mirror in ``json.dump(..., indent=2)``'s layout, for a CSV
     of one row or more; its cells are the CSV's as ``csv.reader`` reads them."""
     enc = json.encoder.encode_basestring_ascii
-    with open(path, newline="") as fh, open(path.with_suffix(".json"), "w") as out:
+    with open(out_path, newline="") as fh, open(Path(out_path).with_suffix(".json"), "w") as out:
         reader = csv.reader(fh)
         columns = next(reader)
         keys = [f"\n      {enc(c)}: " for c in columns]
@@ -102,6 +98,16 @@ def _write_json(path: Path, command: str, name: str) -> None:
             out.write((",\n    {" if i else "\n    {")
                       + ",".join(map(str.__add__, keys, map(enc, cells))) + "\n    }")
         out.write("\n  ]\n}\n")
+
+
+def _solver_config(scenario: Scenario, args: argparse.Namespace) -> OppConfig:
+    """The scenario's ``opp`` settings with ``--nodes`` and ``--alpha`` applied."""
+    cfg = scenario.opp
+    if args.nodes is not None:
+        cfg = replace(cfg, quad=QuadratureConfig(args.nodes))
+    if args.alpha is not None:
+        cfg = replace(cfg, step_alpha=args.alpha)
+    return cfg
 
 
 def _require_sweep(scenario: Scenario, variable: str, command: str) -> None:
@@ -117,8 +123,7 @@ def cmd_user_strategy(scenario: Scenario, args: argparse.Namespace) -> tuple[lis
     if missing:
         raise ScenarioError(
             scenario.name, [f"[model.{mid}] price: required by user-strategy" for mid in missing])
-    schedule = PriceSchedule(scenario.prices)
-    priced = [(model, schedule.price_for(model)) for model in models]
+    priced = [(model, scenario.prices[model.id]) for model in models]
     columns = ["eps"] + [f"n_star_{m.id}" for m in models] + ["selected_model", "user_payoff"]
     rows = []
     for eps in scenario.sweep.values().tolist():
@@ -141,7 +146,7 @@ def cmd_homog_price(scenario: Scenario, args: argparse.Namespace) -> tuple[list[
 def cmd_opp(scenario: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list]]:
     models = scenario.models
     dist = scenario.dist
-    cfg = scenario.opp_config(nodes_override=args.nodes, alpha_override=args.alpha)
+    cfg = _solver_config(scenario, args)
     trace: list | None = [] if args.trace else None
     outcome = opp(models, dist, cfg, trace_sink=trace)
     columns = [f"price_{m.id}" for m in models] + ["platform_payoff"] + \
@@ -154,7 +159,7 @@ def cmd_opp(scenario: Scenario, args: argparse.Namespace) -> tuple[list[str], li
         row.append(oracle.platform_payoff)
     if args.trace:
         _write_outputs(args.trace, ["step", "price_low", "price_high", "platform_payoff"],
-                       [[i, *step] for i, step in enumerate(trace)], False, "opp", scenario.name)
+                       [[i, *step] for i, step in enumerate(trace)])
     return columns, [row]
 
 
@@ -164,7 +169,7 @@ def cmd_compare(scenario: Scenario, args: argparse.Namespace) -> tuple[list[str]
         raise ScenarioError(
             scenario.name, ["[distribution] kind: compare sweeps eps_min of a uniform distribution"])
     models = scenario.models
-    cfg = scenario.opp_config(nodes_override=args.nodes, alpha_override=args.alpha)
+    cfg = _solver_config(scenario, args)
     columns = ["eps_min", "payoff_opp", "payoff_utility", "payoff_cost"]
     rows = []
     for eps_min in scenario.sweep.values().tolist():
@@ -212,7 +217,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         columns, rows = _COMMANDS[args.command][0](scenario, args)
-        _write_outputs(args.out, columns, rows, args.json, args.command, scenario.name)
+        _write_outputs(args.out, columns, rows)
+        if args.json:
+            _write_json(args.out, args.command, scenario.name)
     except ScenarioError as exc:
         print(exc, file=sys.stderr)
         return EXIT_SCENARIO

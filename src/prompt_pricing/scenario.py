@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -93,16 +93,6 @@ class Scenario:
     dist: TabulatedAmbiguity
     opp: OppConfig
     sweep: SweepSpec | None = None
-
-    def opp_config(
-        self, nodes_override: int | None = None, alpha_override: float | None = None
-    ) -> OppConfig:
-        cfg = self.opp
-        if nodes_override is not None:
-            cfg = replace(cfg, quad=QuadratureConfig(nodes_override))
-        if alpha_override is not None:
-            cfg = replace(cfg, step_alpha=alpha_override)
-        return cfg
 
 
 _KINDS = {"float": "a decimal number", "int": "an integer", "floats": "a list of decimal numbers"}

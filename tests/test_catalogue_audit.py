@@ -10,18 +10,30 @@ as passing numbers.  The cases: 26 is the one of 40 where the oracle beats
 high and the low tier); 13 the closest oracle; 21 and 30 the widest oracle
 margins; the rest span both densities and both kinds of answer (the low
 tier selling nothing, or most of the volume).
+
+fig7a's tiers with one tier dead (its cost raised to its utility, so it
+can sell only at a loss) are audited the same way, under U(0, 1) and a
+tabulated density.  There ``opp`` returns ``single_model_price``'s exact
+answer for the live tier, and the 2001-node rule can rank a benchmark
+mechanism above it; the report re-scores every answer at 200,001 nodes.
 """
 
 import pytest
 
 from prompt_pricing import (
+    GaiModel,
+    ModelSet,
     OppConfig,
     PriceSchedule,
     QuadratureConfig,
+    TabulatedAmbiguity,
+    UniformAmbiguity,
+    cost_based_pricing,
     grid_oracle,
     opp,
     platform_payoff,
     single_model_price,
+    utility_based_pricing,
 )
 
 from _helpers import seeded_catalogues
@@ -74,3 +86,51 @@ def test_report(solved):
         gaps = [(o.platform_payoff - got.platform_payoff) / u_high for o in (oracle, *singles)]
         print(f"{case:4d}  {u_high:.3f}  {got.prompt_volume[models.low.id]:10.4f}  "
               + "  ".join(f"{g:+.2e}".rjust(w) for g, w in zip(gaps, (10, 13, 14))))
+
+
+# fig7a's (low, high) tier costs with one tier's cost raised to its utility
+DEAD_TIERS = {"low": (1.0, 0.04), "high": (0.02, 1.8)}
+DEAD_DISTS = {"uniform": UniformAmbiguity(0.0, 1.0),
+              "tabulated": TabulatedAmbiguity((0.1, 0.5, 0.9), (1.0, 3.0, 0.5))}
+DEAD_CASES = [(tier, dist) for tier in DEAD_TIERS for dist in DEAD_DISTS]
+FINE = QuadratureConfig(200_001)
+
+
+@pytest.fixture(scope="module")
+def dead_tier() -> dict:
+    """Per (dead tier, density): the models, the density, and the outcomes
+    of ``opp``, ``grid_oracle(400)`` and both mechanisms at 2001 nodes."""
+    out = {}
+    for tier, dist_name in DEAD_CASES:
+        c_low, c_high = DEAD_TIERS[tier]
+        models = ModelSet([GaiModel("ml", 1.0, c_low), GaiModel("mh", 1.8, c_high)])
+        dist = DEAD_DISTS[dist_name]
+        out[tier, dist_name] = models, dist, {
+            "opp": opp(models, dist, CFG),
+            "oracle": grid_oracle(models, dist, 400, CFG.quad),
+            "utility": utility_based_pricing(models, dist, CFG.quad),
+            "cost": cost_based_pricing(models, dist, CFG.quad)}
+    return out
+
+
+@pytest.mark.parametrize("case", DEAD_CASES, ids=lambda case: "-".join(case))
+def test_dead_tier_opp_is_within_criterion_08_of_the_oracle(dead_tier, case):
+    models, _, got = dead_tier[case]
+    assert got["opp"].platform_payoff >= \
+        got["oracle"].platform_payoff - OPT_TOL * models.high.utility
+
+
+def test_dead_tier_report(dead_tier):
+    """One row per answer: its payoff under the 2001-node rule that
+    ``compare`` reports and re-scored at 200,001 nodes, then each minus
+    ``opp``'s in U_H (positive where the answer pays more than ``opp``)."""
+    print("\ndead  density    answer   2001 nodes  200,001 nodes  gap 2001  gap 200,001")
+    for (tier, dist_name), (models, dist, got) in dead_tier.items():
+        u_high = models.high.utility
+        fine = {name: platform_payoff(models, out.schedule, dist, FINE).platform_payoff
+                for name, out in got.items()}
+        for name, out in got.items():
+            coarse_gap = (out.platform_payoff - got["opp"].platform_payoff) / u_high
+            fine_gap = (fine[name] - fine["opp"]) / u_high
+            print(f"{tier:4s}  {dist_name:9s}  {name:7s}  {out.platform_payoff:10.7f}  "
+                  f"{fine[name]:13.7f}  {coarse_gap:+8.2e}  {fine_gap:+11.2e}")

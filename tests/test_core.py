@@ -40,6 +40,12 @@ class TestTypes:
         assert [m.id for m in ms] == ["a", "b"]
         assert ms.low.id == "a" and ms.high.id == "b"
 
+    def test_model_set_looks_models_up_by_id(self):
+        ms = ModelSet([GaiModel("b", 2.0), GaiModel("a", 1.0)])
+        assert ms["b"] is ms.high
+        with pytest.raises(KeyError):
+            ms["missing"]
+
     def test_model_set_rejects_duplicates_and_equal_pair(self):
         with pytest.raises(InvalidModel):
             ModelSet([GaiModel("a", 1.0), GaiModel("a", 2.0)])
@@ -94,6 +100,17 @@ class TestTypes:
             TabulatedAmbiguity([0.0, 1.0], [-1.0, 1.0])
         with pytest.raises(InvalidDistribution):
             TabulatedAmbiguity([0.0, 1.0], [0.0, 0.0])
+
+    @pytest.mark.parametrize("knots, values, message", [
+        ([0.0, math.nan], [1.0, 1.0], "knots and values must be finite"),
+        ([0.0, 1.0], [1.0, math.inf], "knots and values must be finite"),
+        ([-0.1, 1.0], [1.0, 1.0], "support must lie inside [0, 1]"),
+        ([0.0, 1.5], [1.0, 1.0], "support must lie inside [0, 1]"),
+    ], ids=["nan-knot", "inf-value", "below-0", "above-1"])
+    def test_tabulated_rejects_bad_knots_and_values(self, knots, values, message):
+        with pytest.raises(InvalidDistribution) as exc:
+            TabulatedAmbiguity(knots, values)
+        assert str(exc.value) == message
 
     def test_too_narrow_support_is_rejected(self):
         """A support narrower than 1 / DBL_MAX has a density that overflows:

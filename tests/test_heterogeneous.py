@@ -16,6 +16,7 @@ from prompt_pricing import (
     ModelSet,
     OppConfig,
     PriceSchedule,
+    PricingOutcome,
     PromptPricingError,
     QuadratureConfig,
     TabulatedAmbiguity,
@@ -124,6 +125,12 @@ class TestPlatformPayoff:
         mc_volume = float(np.mean(draws < 0.4))
         assert out.prompt_volume["m"] == pytest.approx(mc_volume, abs=1e-3)
         assert out.platform_payoff == pytest.approx(0.4 * mc_volume, abs=1e-3)
+
+    @pytest.mark.parametrize("volume", [-1e-9, math.nan, math.inf])
+    def test_outcome_rejects_a_bad_volume(self, volume):
+        with pytest.raises(ValueError) as exc:
+            PricingOutcome(PriceSchedule({"ml": 0.3}), 0.0, {"ml": volume}, "test")
+        assert str(exc.value) == f"prompt volume for 'ml' must be finite and >= 0, got {volume}"
 
     def test_returns_the_given_schedule(self):
         """The schedule comes back as given, a price for a model outside the
@@ -605,8 +612,7 @@ class TestOpp:
         golden-section passes after its windows paid."""
         scenario = load_scenario(SCENARIOS / f"{name}.ini")
         eps_min = float(scenario.sweep.values()[point])
-        got = opp(scenario.models, UniformAmbiguity(eps_min, scenario.dist.hi),
-                  scenario.opp_config())
+        got = opp(scenario.models, UniformAmbiguity(eps_min, scenario.dist.hi), scenario.opp)
         assert got.platform_payoff >= FIG7_OPP_FLOORS[name][point]
 
     @pytest.mark.parametrize("name", ["fig7a", "fig7b"])
@@ -1658,6 +1664,14 @@ class TestRowIndependence:
             one_pay, one_vol = _family_volumes(models, row[None, :], nodes, weights)
             assert pay == one_pay[0]
             assert np.array_equal(vol, one_vol[0])
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_price_columns_must_match_the_model_set(self, columns):
+        from prompt_pricing.evaluation import _family_volumes
+
+        nodes, weights = U01.quadrature(FAST)
+        with pytest.raises(ValueError, match="price matrix columns must match the model set"):
+            _family_volumes(PAIR, np.full((2, columns), 0.5), nodes, weights)
 
     def test_grid_oracle_tie_is_scored_in_one_batch(self, monkeypatch):
         """fig7a under Uniform(0.6, 1) at 2001 nodes: 370 lattice cells tie

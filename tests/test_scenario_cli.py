@@ -153,6 +153,38 @@ points = 5
             "[opp] alhpa: unknown key", "[opp] refinement: unknown key", "[extra]: unknown section"]
         assert main(["opp", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("sweep, message", [
+        ("variable = eps_max\nstart = 0.05\nstop = 0.95\npoints = 7",
+         "variable: must be 'eps' or 'eps_min', got 'eps_max'"),
+        ("variable = eps\nstart = 0.05\nstop = 0.95\npoints = 0", "points: must be >= 1, got 0"),
+        ("variable = eps\nstart = 0.0\nstop = 0.5\npoints = 7",
+         "start/stop: eps sweep must stay inside (0, 1), got [0.0, 0.5]"),
+        ("variable = eps\nstart = 0.5\nstop = 1.0\npoints = 7",
+         "start/stop: eps sweep must stay inside (0, 1), got [0.5, 1.0]"),
+        ("variable = eps_min\nstart = -0.1\nstop = 0.5\npoints = 7",
+         "start/stop: eps_min sweep must stay inside [0, hi), got [-0.1, 0.5] with hi=1.0"),
+        ("variable = eps_min\nstart = 0.5\nstop = 1.0\npoints = 7",
+         "start/stop: eps_min sweep must stay inside [0, hi), got [0.5, 1.0] with hi=1.0"),
+    ], ids=["variable", "points", "eps-at-0", "eps-at-1", "eps_min-below-0", "eps_min-at-hi"])
+    def test_sweep_violation(self, tmp_path, sweep, message):
+        body = TWO_MODEL.replace("variable = eps\nstart = 0.05\nstop = 0.95\npoints = 7", sweep)
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(write_scenario(tmp_path, body))
+        assert err.value.violations == [f"[sweep] {message}"]
+
+    @pytest.mark.parametrize("body", [
+        "utility = 1.0\n[model.a]\n",
+        "[model.a]\nutility = 1.0\n[model.a]\ncost = 0.1\n",
+        "[model.a]\nutility = 1.0\nutility = 2.0\n",
+    ], ids=["no-section-header", "duplicate-section", "duplicate-key"])
+    def test_malformed_ini(self, tmp_path, body):
+        path = write_scenario(tmp_path, body)
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert err.value.path == str(path)
+        assert len(err.value.violations) == 1
+        assert err.value.violations[0].startswith("malformed INI: ")
+
     def test_fields_parse(self, tmp_path):
         scenario = load_scenario(write_scenario(tmp_path, TWO_MODEL))
         assert scenario.name == "test-pair"
@@ -230,7 +262,7 @@ class TestCliCommands:
         scenario = load_scenario(scen)
         models = scenario.models
         dist = UniformAmbiguity(0.3, 1.0)
-        cfg = scenario.opp_config()
+        cfg = scenario.opp
         # CSV cells carry 12 significant digits, so compare at that precision
         assert float(rows[1][1]) == pytest.approx(
             opp(models, dist, cfg).platform_payoff, rel=1e-11)
@@ -426,6 +458,17 @@ class TestExitCodes:
         proc = run_cli("compare", "--scenario", str(scen), "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == 2
 
+    def test_compare_needs_a_uniform_distribution(self, tmp_path, capsys):
+        body = COMPARE_ONE_POINT.replace(
+            "kind = uniform\nlo = 0.0\nhi = 1.0",
+            "kind = tabulated\nknots = 0.1, 0.5, 0.9\nvalues = 1.0, 3.0, 0.5")
+        scen = write_scenario(tmp_path, body)
+        out = tmp_path / "x.csv"
+        assert main(["compare", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(
+            "  - [distribution] kind: compare sweeps eps_min of a uniform distribution\n")
+        assert not out.exists()
+
     def test_one_model_scenario_cannot_run_opp(self, tmp_path):
         body = "\n".join(line for line in TWO_MODEL.splitlines()
                          if True) .replace("""[model.mh]
@@ -568,18 +611,27 @@ class TestVerbFlags:
 
 
 def write_both_ways(monkeypatch) -> None:
-    """Route every CLI write through the row writer and, beside it, through
-    the ``csv.writer`` oracle into ``<stem>.ref<suffix>`` (the JSON mirror
-    of ``out.ref.csv`` lands in ``out.ref.json``)."""
-    write = cli._write_outputs
+    """Route every CLI write through the CLI's writers and, beside them,
+    through the ``csv.writer`` oracle into ``<stem>.ref<suffix>`` (the JSON
+    mirror of ``out.ref.csv`` lands in ``out.ref.json``)."""
+    write_csv, write_json = cli._write_outputs, cli._write_json
+    written = {}
 
-    def both(out_path, columns, rows, as_json, command, name):
-        write(out_path, columns, rows, as_json, command, name)
+    def ref(out_path) -> Path:
         path = Path(out_path)
-        csv_writer_outputs(path.with_suffix(".ref" + path.suffix), columns, rows, as_json,
-                           command, name)
+        return path.with_suffix(".ref" + path.suffix)
 
-    monkeypatch.setattr(cli, "_write_outputs", both)
+    def both_csv(out_path, columns, rows):
+        write_csv(out_path, columns, rows)
+        written[out_path] = columns, rows
+        csv_writer_outputs(ref(out_path), columns, rows, False, "", "")
+
+    def both_json(out_path, command, name):
+        write_json(out_path, command, name)
+        csv_writer_outputs(ref(out_path), *written[out_path], True, command, name)
+
+    monkeypatch.setattr(cli, "_write_outputs", both_csv)
+    monkeypatch.setattr(cli, "_write_json", both_json)
 
 
 QUOTED_IDS = """
@@ -660,7 +712,8 @@ class TestRowWriter:
         rows = [[np.float64(0.1) + np.float64(0.2), "inf", 3, "m,1", np.float64(1e-20)],
                 [np.float64(2.0) / 3.0, 12, "inf", "none", -0.0],
                 [1e300, 0, 10 ** 15, 'q"', float("inf")]]
-        cli._write_outputs(str(tmp_path / "a.csv"), columns, rows, True, "verb", "name")
+        cli._write_outputs(str(tmp_path / "a.csv"), columns, rows)
+        cli._write_json(str(tmp_path / "a.csv"), "verb", "name")
         csv_writer_outputs(str(tmp_path / "b.csv"), columns, rows, True, "verb", "name")
         for suffix in (".csv", ".json"):
             assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()

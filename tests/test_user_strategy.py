@@ -67,6 +67,9 @@ class TestOptimalPromptCount:
         with pytest.raises(InvalidPrice):
             optimal_prompt_count(UNIT, -0.1, 0.5)
 
+    def test_unbounded_prints_as_its_name(self):
+        assert repr(UNBOUNDED) == str(UNBOUNDED) == f"{UNBOUNDED}" == "Unbounded"
+
     def test_underflowing_price_ratio_raises(self):
         # eps * p / ((1-eps) * U) rounds to 0, so the logarithmic estimate has no value
         with pytest.raises(PromptPricingError, match="underflows to 0"):
@@ -331,6 +334,12 @@ class TestPromptShape:
     ])
     def test_bands(self, price, expected):
         assert classify_prompt_shape(UNIT, price) is expected
+
+    @pytest.mark.parametrize("price", [-0.1, math.nan, math.inf])
+    def test_bad_price_rejected(self, price):
+        with pytest.raises(InvalidPrice) as exc:
+            classify_prompt_shape(UNIT, price)
+        assert str(exc.value) == f"price must be finite and >= 0, got {price}"
 
     @pytest.mark.parametrize("ratio", [0.01, 0.2, 0.249, 0.25, 0.251, 0.5])
     def test_band_matches_computed_count_shape(self, ratio):
