@@ -74,8 +74,6 @@ def _counts_vec(utility: float, price, eps: np.ndarray) -> np.ndarray:
     one_minus = 1.0 - eps
     ceiling = one_minus * utility
     buy = price <= ceiling
-    if not buy.any():
-        return np.zeros(np.broadcast(price, eps).shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = eps * price / ceiling
         k = np.floor(np.log(ratio) / np.log(eps))
@@ -372,8 +370,6 @@ def _pair_lattice_payoffs(
         top, bottom, at, pos = steps
         gain = (prices[None, :] - model.cost) * top[keep, None] * w[keep, None]
         some = mixed | (top != bottom)
-        if not some.any():
-            return np.empty((0, len(prices))), gain
         row = np.cumsum(some) - 1  # a profiled node's row; every stepping node is profiled
         score, profiled = profile(model, prices, eps[some], w[some],
                                   (top[some], bottom[some], row[at], pos))
@@ -418,8 +414,7 @@ def _pair_lattice_payoffs(
             beaten = np.zeros(gain_h.shape, dtype=np.int64)
             beating = np.zeros(gain_l.shape, dtype=np.int64)
             beaten[low_wins[keep_h]], beating[high_wins[keep_l]] = nl, nh
-            if mixed.any():
-                beaten[mixed[keep_h]], beating[mixed[keep_l]] = _prefix_lengths(score_h, score_l)
+            beaten[mixed[keep_h]], beating[mixed[keep_l]] = _prefix_lengths(score_h, score_l)
         np.add(high_from, np.bincount((beaten * n_high + cols[:nh]).ravel(), gain_h.ravel(),
                                       minlength=len(high_from)), out=high_from)
         np.add(low_from, np.bincount((rows[:nl] * (n_high + 1) + beating).ravel(),

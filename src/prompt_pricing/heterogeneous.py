@@ -293,11 +293,11 @@ def utility_based_pricing(
 ) -> PricingOutcome:
     """Best member of the utility-proportional family p_m = beta * U_m.
 
-    The shared factor beta is swept over (0, 1) in steps of 1e-3
-    (:func:`_best_on_ray`).
+    The shared factor beta is swept over (0, 1] in steps of 1e-3
+    (:func:`_best_on_ray`); at beta = 1 nobody buys, so it never pays below 0.
     """
     return _best_on_ray(models, dist, quad, np.array([m.utility for m in models]),
-                        np.arange(1, 1000) / 1000.0, "UtilityBased")
+                        np.arange(1, 1001) / 1000.0, "UtilityBased")
 
 
 def cost_based_pricing(

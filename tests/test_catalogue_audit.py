@@ -120,6 +120,16 @@ def test_dead_tier_opp_is_within_criterion_08_of_the_oracle(dead_tier, case):
         got["oracle"].platform_payoff - OPT_TOL * models.high.utility
 
 
+@pytest.mark.parametrize("case", DEAD_CASES, ids=lambda case: "-".join(case))
+def test_dead_tier_answers_never_lose_money(dead_tier, case):
+    """No answer pays below 0.  Each search can reach a schedule that pays
+    exactly 0: the utility ray's beta = 1 and the oracle's axis ends sell
+    nothing, and the cost ray's zero margin sells at cost."""
+    _, _, got = dead_tier[case]
+    for name, out in got.items():
+        assert out.platform_payoff >= 0.0, name
+
+
 def test_dead_tier_report(dead_tier):
     """One row per answer: its payoff under the 2001-node rule that
     ``compare`` reports and re-scored at 200,001 nodes, then each minus
