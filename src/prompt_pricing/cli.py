@@ -147,8 +147,7 @@ def cmd_opp(scenario: Scenario, args: argparse.Namespace) -> tuple[list[str], li
     models = scenario.models
     dist = scenario.dist
     cfg = _solver_config(scenario, args)
-    trace: list | None = [] if args.trace else None
-    outcome = opp(models, dist, cfg, trace_sink=trace)
+    outcome = opp(models, dist, cfg)
     columns = [f"price_{m.id}" for m in models] + ["platform_payoff"] + \
         [f"volume_{m.id}" for m in models]
     row = [outcome.schedule.price_for(m) for m in models] + [outcome.platform_payoff] + \
@@ -159,7 +158,7 @@ def cmd_opp(scenario: Scenario, args: argparse.Namespace) -> tuple[list[str], li
         row.append(oracle.platform_payoff)
     if args.trace:
         _write_outputs(args.trace, ["step", "price_low", "price_high", "platform_payoff"],
-                       [[i, *step] for i, step in enumerate(trace)])
+                       [[i, *step] for i, step in enumerate(outcome.trace)])
     return columns, [row]
 
 

@@ -21,7 +21,7 @@ The solvers of :mod:`~prompt_pricing.heterogeneous` score schedules here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -46,6 +46,7 @@ class PricingOutcome:
     platform_payoff: float
     prompt_volume: Mapping[str, float]
     method: str
+    trace: tuple = field(default=(), repr=False, compare=False)  # opp's sweep; not an answer
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prompt_volume", dict(self.prompt_volume))
@@ -55,6 +56,8 @@ class PricingOutcome:
 
 
 _COUNT_STEPS = 64  # correction steps each way allowed after the closed-form estimate
+_CHUNK_ELEMENTS = 1 << 17  # elements per temporary of a row or node chunk: 1 MB of float64
+_MAX_COUNT_STEPS = 16 * _CHUNK_ELEMENTS  # count steps per _count_steps call: 16 MB an array
 
 
 def _counts_vec(utility: float, price, eps: np.ndarray) -> np.ndarray:
@@ -114,13 +117,21 @@ def _count_steps(
 
     A step must fall strictly inside the axis, ``1 <= pos <= P - 1``, or
     the steps disagree with the kernel's own counts at the axis ends;
-    that raises :class:`PromptPricingError` instead of miscounting.
+    that raises :class:`PromptPricingError` instead of miscounting.  More
+    than ``_MAX_COUNT_STEPS`` steps raise it too, before any array is
+    built for them: a price far below ``(1 - eps) * U`` near eps = 1
+    buys millions of prompts, and the step list would take gigabytes.
     """
     top = _counts_vec(utility, prices[0], nodes)
     if prices[-1] == prices[0]:  # one price: no steps
         none = np.zeros(0, dtype=np.int64)
         return top, top, none, none
     bottom = _counts_vec(utility, prices[-1], nodes)
+    total = (top - bottom).sum()  # in floats, so a count past int64 still compares
+    if total > _MAX_COUNT_STEPS:
+        raise PromptPricingError(
+            f"the price {prices[0]:.6g} at utility {utility:g} makes {total:,.0f} prompt-count "
+            f"steps, more than the {_MAX_COUNT_STEPS:,} allowed")
     reps = (top - bottom).astype(np.int64)
     at = np.repeat(np.arange(len(nodes)), reps)
     # prompt k runs from the cheapest price's count down to one above the dearest's
@@ -168,9 +179,6 @@ def _count_profile(
     del drops  # freed before the product's temporary: at most three (nodes, prices) arrays live
     pays -= counts * prices
     return counts, pays
-
-
-_CHUNK_ELEMENTS = 1 << 17  # elements per temporary of a row or node chunk: 1 MB of float64
 
 
 def _family_volumes(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -84,10 +84,11 @@ def single_model_price(
     grid steps either side of the piece's best point of the last round,
     a quarter of its width, until every such bracket is within 1e-10 of
     U; each piece keeps the best point it has seen.  One call of
-    :func:`_volume_from_segments` scores a whole round, at most 17 per
-    solve: the widest piece, (U/4, U], is within 1e-10 of U after 16
-    rounds past round 0, so the loop needs no step cap.  After round 0
-    a piece is dropped when no price in it can pay within
+    :func:`_volume_from_segments` scores a whole round, at most 17 rounds
+    per solve: the widest piece, (U/4, U], is within 1e-10 of U after 16
+    rounds past round 0, so the loop needs no step cap.  One more call
+    scores the answer's own volume, so a solve makes at most 18.  After
+    round 0 a piece is dropped when no price in it can pay within
     ``_RESCORE_TOL`` of U of the best point so far: the volume never
     rises with the price, so no price in a piece pays more than its
     cheapest point's volume at the piece's dearest price.  The
@@ -161,7 +162,6 @@ def opp(
     models: ModelSet,
     dist: TabulatedAmbiguity,
     cfg: OppConfig = OppConfig(),
-    trace_sink: list | None = None,
 ) -> PricingOutcome:
     """Two-model price optimization: low-tier sweep, high-tier argmax per step.
 
@@ -178,9 +178,9 @@ def opp(
     sweep step and two high-tier grid steps either way), then around the
     first best window cell of all until the window is within 1e-8·U_H
     either way.  Every window's best cell is a candidate answer, and the
-    solve ends as :func:`grid_oracle` does (:func:`_best_outcome`).  If
-    ``trace_sink`` is given, one (p_L, p_H, payoff) tuple per sweep step
-    is appended.  A step that would make more than ``_MAX_SWEEP_STEPS``
+    solve ends as :func:`grid_oracle` does (:func:`_best_outcome`); its
+    ``trace`` holds one (p_L, p_H, payoff) tuple per sweep step (none when
+    a tier is dead).  A step that would make more than ``_MAX_SWEEP_STEPS``
     sweep steps raises :class:`ConfigError` before the sweep's arrays are built.
     """
     low, high = models.require_pair()
@@ -215,9 +215,6 @@ def opp(
     sweep = np.column_stack([low_prices, high_grid[cols][col_of]])
     payoffs = _pair_lattice_payoffs(low, high, low_prices, high_grid[cols], nodes,
                                     weights)[np.arange(len(low_prices)), col_of]
-    if trace_sink is not None:
-        trace_sink.extend(
-            (float(p_low), float(p_high), float(v)) for (p_low, p_high), v in zip(sweep, payoffs))
 
     high_step = (high.utility - high.cost) / _INNER_GRID
     limits = [(low_prices[0], low.utility), (high_grid[0], high.utility)]
@@ -242,7 +239,8 @@ def opp(
         window(winners[int(np.argmax(scores))], half)
         half = half / 4
 
-    return _best_outcome(models, winners, scores, nodes, weights, method="OPP")
+    best = _best_outcome(models, winners, scores, nodes, weights, method="OPP")
+    return replace(best, trace=tuple(zip(*sweep.T.tolist(), payoffs.tolist())))
 
 
 def grid_oracle(

@@ -419,6 +419,17 @@ class TestBatchedSegments:
         with pytest.raises(PromptPricingError, match="Newton steps"):
             single_model_price(GaiModel("m", 1.0, 0.1), U01)
 
+    def test_falling_count_cap_raises(self, monkeypatch):
+        """The count kernel's closed-form estimate here is 41 and the count
+        is 40: with no correction step allowed it must raise, not return 41."""
+        from prompt_pricing import evaluation
+
+        eps, price = np.array([0.6908738165346597]), 1.1643542636794673e-07
+        assert evaluation._counts_vec(1.0, price, eps)[0] == 40.0
+        monkeypatch.setattr(evaluation, "_COUNT_STEPS", 0)
+        with pytest.raises(PromptPricingError, match="prompt counts still falling"):
+            evaluation._counts_vec(1.0, price, eps)
+
     @pytest.mark.filterwarnings("error")
     def test_roots_that_miss_the_peak_raise(self):
         """k = 1 has its peak at eps = 0, where no lower root lies in (0, 1);
@@ -584,8 +595,7 @@ class TestOpp:
         assert abs(got.platform_payoff - oracle.platform_payoff) <= 2e-3 * 1.8
 
     def test_trace_has_one_row_per_sweep_step(self):
-        trace = []
-        opp(PAIR, U01, OppConfig(step_alpha=0.05, quad=FAST), trace_sink=trace)
+        trace = opp(PAIR, U01, OppConfig(step_alpha=0.05, quad=FAST)).trace
         expected_steps = int(math.floor((1.0 - 0.02) / 0.05)) + 2  # grid plus the endpoint
         assert len(trace) == expected_steps
 
@@ -669,9 +679,8 @@ class TestOpp:
             return kernel(low, high, axis_low, axis_high, nodes, weights)
 
         monkeypatch.setattr(heterogeneous, "_pair_lattice_payoffs", record)
-        trace = []
-        opp(PAIR, UniformAmbiguity(0.3, 1.0), OppConfig(step_alpha=0.01, quad=QuadratureConfig()),
-            trace_sink=trace)
+        trace = opp(PAIR, UniformAmbiguity(0.3, 1.0),
+                    OppConfig(step_alpha=0.01, quad=QuadratureConfig())).trace
         assert len(finish) == 1 and finish[0] < len(trace)
         chosen = len({p_high for _, p_high, _ in trace})
         assert 1 < chosen < heterogeneous._INNER_GRID
@@ -687,8 +696,7 @@ class TestOpp:
         the chosen columns, is the payoff ``platform_payoff`` gives its pair
         alone, up to summation order."""
         models, dist = FAMILY_SETS[name], UniformAmbiguity(eps_min, 1.0)
-        trace = []
-        opp(models, dist, FAST_OPP, trace_sink=trace)
+        trace = opp(models, dist, FAST_OPP).trace
         u_high = models.high.utility
         for p_low, p_high, payoff in trace:
             want = platform_payoff(models, PriceSchedule({"ml": p_low, "mh": p_high}), dist, FAST)
@@ -712,12 +720,23 @@ class TestOpp:
                                               r"the step must be above 9\.8e-06$"):
             opp(PAIR, U01, OppConfig(step_alpha=1e-12, quad=FAST))
 
+    def test_count_step_cap_raises_before_allocating(self):
+        """fig7a with both costs 0 under U(0.999, 1): the high-tier grid's first
+        price, 1e-12, buys millions of prompts at every node, about 26 million
+        count steps in all.  The cap raises before numpy allocates them."""
+        models = ModelSet([GaiModel("ml", 1.0, 0.0), GaiModel("mh", 1.8, 0.0)])
+        start = time.perf_counter()
+        with pytest.raises(PromptPricingError, match=r"the price 1e-12 at utility 1\.8 makes "
+                                                     r"[\d,]+ prompt-count steps, more than"):
+            opp(models, UniformAmbiguity(0.999, 1.0),
+                OppConfig(step_alpha=0.02, quad=QuadratureConfig(201)))
+        assert time.perf_counter() - start < 1.0
+
     def test_default_step_is_a_thousandth_of_low_utility(self):
         """Without a step the sweep moves by 1e-3·U_L: 981 steps from cost to
         utility for a low tier of utility 0.5 (491 at a step of 1e-3)."""
         models = ModelSet([GaiModel("ml", 0.5, 0.01), GaiModel("mh", 0.9, 0.02)])
-        trace = []
-        opp(models, U01, OppConfig(quad=FAST), trace_sink=trace)
+        trace = opp(models, U01, OppConfig(quad=FAST)).trace
         assert len(trace) == int(math.floor(0.49 / 5e-4)) + 1
         assert trace[1][0] - trace[0][0] == pytest.approx(5e-4, rel=1e-9)
 
@@ -1174,13 +1193,11 @@ class TestDecidedNodes:
         row are the same with the lattice that sorts every node."""
         from prompt_pricing import heterogeneous
 
-        trace = []
-        got = opp(PAIR, dist, FAST_OPP, trace_sink=trace)
+        got = opp(PAIR, dist, FAST_OPP)
         monkeypatch.setattr(heterogeneous, "_pair_lattice_payoffs", argsort_pair_lattice)
-        want_trace = []
-        want = opp(PAIR, dist, FAST_OPP, trace_sink=want_trace)
+        want = opp(PAIR, dist, FAST_OPP)
         assert got == want
-        assert trace == want_trace
+        assert got.trace == want.trace  # == leaves the trace out
 
 
 def _trim_case(name: str) -> tuple:

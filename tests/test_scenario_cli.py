@@ -251,6 +251,15 @@ class TestCliCommands:
         assert mirror["columns"] == rows[0]
         assert mirror["rows"][0]["platform_payoff"] == rows[1][2]
 
+    def test_dead_tier_trace_is_only_the_header(self, tmp_path):
+        """A low tier whose cost is above its utility makes ``opp`` price the
+        high tier alone, with no sweep: the trace file is its header."""
+        scen = write_scenario(tmp_path, TWO_MODEL.replace("cost = 0.02", "cost = 1.2"))
+        trace = tmp_path / "trace.csv"
+        assert main(["opp", "--scenario", str(scen), "--out", str(tmp_path / "x.csv"),
+                     "--trace", str(trace)]) == 0
+        assert trace.read_text() == "step,price_low,price_high,platform_payoff\n"
+
     def test_compare_single_point_equals_individual_methods(self, tmp_path):
         scen = write_scenario(tmp_path, COMPARE_ONE_POINT)
         out = tmp_path / "cmp.csv"
@@ -522,6 +531,20 @@ price = 0.3
         assert capsys.readouterr().err == (
             "numerical failure: cost-proportional pricing would sweep more than 1,000,000 "
             "markups; every cost must be above 0.0018 (max U / 1000)\n")
+        assert not out.exists()
+
+    def test_too_many_count_steps_is_a_numerical_failure(self, tmp_path):
+        """fig7a with both costs 0 under U(0.999, 1) would profile about 26
+        million prompt-count steps; ``opp`` exits 3 with one line, no traceback."""
+        body = (TWO_MODEL.replace("cost = 0.02", "cost = 0.0").replace("cost = 0.04", "cost = 0.0")
+                .replace("lo = 0.0", "lo = 0.999").replace("nodes = 301", "nodes = 201")
+                .replace("alpha = 0.05", "alpha = 0.02"))
+        scen = write_scenario(tmp_path, body)
+        out = tmp_path / "x.csv"
+        proc = run_cli("opp", "--scenario", str(scen), "--out", str(out))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numerical failure: the price 1e-12 at utility 1.8 makes ")
+        assert proc.stderr.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--out", "--trace"])
