@@ -55,7 +55,7 @@ class PricingOutcome:
                 raise ValueError(f"prompt volume for {mid!r} must be finite and >= 0, got {v}")
 
 
-_COUNT_STEPS = 64  # correction steps each way allowed after the closed-form estimate
+_COUNT_STEPS = 64  # passes of the one correction loop after the closed-form estimate
 _CHUNK_ELEMENTS = 1 << 17  # elements per temporary of a row or node chunk: 1 MB of float64
 _MAX_COUNT_STEPS = 16 * _CHUNK_ELEMENTS  # count steps per _count_steps call: 16 MB an array
 
@@ -67,10 +67,10 @@ def _counts_vec(utility: float, price, eps: np.ndarray) -> np.ndarray:
     logarithm is pinned down by marginal-gain comparisons, matching the
     scalar routine except possibly within a few ulp of indifference
     boundaries where library power functions may disagree by one unit in
-    the last place.  The estimate is exact up to rounding, so the
-    comparisons move it by a step or two; needing more than
-    ``_COUNT_STEPS`` steps either way raises :class:`PromptPricingError`
-    instead of returning an uncorrected count.
+    the last place.  The estimate is exact up to rounding, so one loop
+    moves each count a step or two: up while prompt k+1 pays, down while
+    prompt k does not.  More than ``_COUNT_STEPS`` passes raise
+    :class:`PromptPricingError` instead of returning an uncorrected count.
     """
     eps = np.asarray(eps, dtype=float)
     price = np.asarray(price, dtype=float)
@@ -83,20 +83,13 @@ def _counts_vec(utility: float, price, eps: np.ndarray) -> np.ndarray:
     k = np.where(buy & np.isfinite(k), np.maximum(k, 1.0), 1.0)
     for step in range(_COUNT_STEPS + 1):
         advance = buy & (eps ** k * one_minus * utility - price >= 0.0)
-        if not advance.any():
-            break
-        if step == _COUNT_STEPS:
-            raise PromptPricingError(
-                f"prompt counts still rising after {_COUNT_STEPS} correction steps")
-        k = np.where(advance, k + 1.0, k)
-    for step in range(_COUNT_STEPS + 1):
         back = buy & (k > 1.0) & (eps ** (k - 1.0) * one_minus * utility - price < 0.0)
-        if not back.any():
+        if not (advance.any() or back.any()):
             break
         if step == _COUNT_STEPS:
             raise PromptPricingError(
-                f"prompt counts still falling after {_COUNT_STEPS} correction steps")
-        k = np.where(back, k - 1.0, k)
+                f"prompt counts still moving after {_COUNT_STEPS} correction steps")
+        k = k + advance - back
     return np.where(buy, k, 0.0)
 
 

@@ -78,7 +78,8 @@ def single_model_price(
     U/MAX_SEGMENTS when the cost is tiny so the per-count decomposition
     stays bounded.  A floor that binds (the answer is its own probe, or
     nothing sells above it though the first prompt at the support's low
-    end pays more than C) raises :class:`PromptPricingError`.
+    end pays more than C) raises :class:`PromptPricingError`, before any
+    search when nothing sells above it.
     Each smooth piece is searched by shrinking 9-point
     grids: round 0 spans the piece, and each later round spans the two
     grid steps either side of the piece's best point of the last round,
@@ -101,18 +102,22 @@ def single_model_price(
     (:func:`_volume_from_segments`), not from the quadrature that
     :func:`platform_payoff` and every other solver report; re-scoring the
     answer by :func:`platform_payoff` differs by up to 1.2e-4 of U on the
-    fig7 tiers.  When the cost is at least U the answer is the price U,
-    where nothing sells.  ``quad`` is read nowhere; it is kept only for
+    fig7 tiers.  When that first prompt pays at most C (a cost of at
+    least U, say) the answer is the price U, where nothing sells, without
+    a search.  ``quad`` is read nowhere; it is kept only for
     callers that pass it positionally (the benchmark's workloads).
     """
     u, c = model.utility, model.cost
-    if c >= u:
+    floor = max(c, u / _MAX_SEGMENTS)
+    reach = (1.0 - dist.knots[0]) * u  # the first prompt's largest gain: no dearer price sells
+    if reach <= c:
         return PricingOutcome(PriceSchedule({model.id: float(u)}), 0.0, {model.id: 0.0}, "SingleModel")
+    if reach <= floor:  # nothing sells above the floor: the search would end at U
+        raise PromptPricingError(f"model {model.id!r}: the best price is below U/{_MAX_SEGMENTS}")
 
     def objective(p: np.ndarray) -> np.ndarray:
         return (p - c) * _volume_from_segments(model, p.ravel(), dist).reshape(p.shape)
 
-    floor = max(c, u / _MAX_SEGMENTS)
     levels = u * _TOPS[1:]
     cuts = np.unique(np.concatenate([[u], levels[levels > floor], [floor]]))
     lo, hi = cuts[:-1], cuts[1:]
@@ -137,8 +142,7 @@ def single_model_price(
     # and rounding does not pick between equal maxima
     j = int(np.argmax(_near_best(ModelSet([model]), best_v)))
     price = float(best_p[j]) if best_v[j] > 0.0 else u  # the price U sells nothing
-    if floor > c and (price == np.nextafter(floor, u) or
-                      price == u and (1.0 - dist.knots[0]) * u > c):  # the floor binds
+    if floor > c and price in (np.nextafter(floor, u), u):  # the floor binds
         raise PromptPricingError(f"model {model.id!r}: the best price is below U/{_MAX_SEGMENTS}")
 
     volume = float(_volume_from_segments(model, np.array([price]), dist)[0])
@@ -175,8 +179,9 @@ def opp(
     of the full-resolution lattice of the chosen columns.  The polish
     compares such lattice cells only: a few shrinking price-pair
     lattices around each of the strongest steps (the first spans one
-    sweep step and two high-tier grid steps either way), then around the
-    first best window cell of all until the window is within 1e-8·U_H
+    sweep step and ``2 * (U_H - C_H) / _INNER_GRID`` either way, 249/250
+    of two steps of the high-tier grid), then around the first best
+    window cell of all until the window is within 1e-8·U_H
     either way.  Every window's best cell is a candidate answer, and the
     solve ends as :func:`grid_oracle` does (:func:`_best_outcome`); its
     ``trace`` holds one (p_L, p_H, payoff) tuple per sweep step (none when

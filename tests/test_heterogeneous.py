@@ -287,6 +287,28 @@ class TestSingleModelPrice:
         with pytest.raises(PromptPricingError, match="below U/512"):
             single_model_price(model, dist)
 
+    @pytest.mark.parametrize("lo,cost", [
+        (0.0, 1.0), (0.0, 1.2), (0.5, 0.5), (0.9, 0.1), (0.999, 0.0011), (0.999, 0.0), (0.99999, 0.0)])
+    def test_nothing_sells_is_decided_before_the_search(self, lo, cost, monkeypatch):
+        """The first prompt's largest gain, (1 - lo) * U, bounds every price
+        that sells.  At or below the cost the answer is the price U with no
+        volume; above the cost but at or below the floor U/512 (the zero
+        costs) the floor binds.  Neither scores a price."""
+        from prompt_pricing import heterogeneous
+
+        def no_search(*args):
+            raise AssertionError("scored a price")
+
+        monkeypatch.setattr(heterogeneous, "_volume_from_segments", no_search)
+        model, dist = GaiModel("m", 1.0, cost), UniformAmbiguity(lo, 1.0)
+        if cost > 0.0:
+            out = single_model_price(model, dist)
+            assert (out.schedule.price_for("m"), out.platform_payoff, out.prompt_volume) == (
+                1.0, 0.0, {"m": 0.0})
+        else:
+            with pytest.raises(PromptPricingError, match="below U/512"):
+                single_model_price(model, dist)
+
     @pytest.mark.parametrize("lo,cost,price,payoff", [
         (0.0, 0.0, 0.2071067809679166, 0.25000000000000006),
         (0.0, 1e-4, 0.5000499999150634, 0.24995000250000002),
@@ -427,7 +449,7 @@ class TestBatchedSegments:
         eps, price = np.array([0.6908738165346597]), 1.1643542636794673e-07
         assert evaluation._counts_vec(1.0, price, eps)[0] == 40.0
         monkeypatch.setattr(evaluation, "_COUNT_STEPS", 0)
-        with pytest.raises(PromptPricingError, match="prompt counts still falling"):
+        with pytest.raises(PromptPricingError, match="prompt counts still moving"):
             evaluation._counts_vec(1.0, price, eps)
 
     @pytest.mark.filterwarnings("error")

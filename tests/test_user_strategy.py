@@ -466,6 +466,20 @@ class TestVectorKernels:
         with pytest.raises(PromptPricingError, match="correction steps"):
             _counts_vec(1.0, prices, eps)
 
+    def test_one_loop_moves_counts_both_ways(self, monkeypatch):
+        """One array with a count that must rise (prompt 2's gain at eps 0.3:
+        the floored logarithm gives 1) and one that must fall (estimate 41,
+        count 40): one correction loop settles both, and with no step
+        allowed it raises."""
+        eps = np.array([0.3, 0.6908738165346597])
+        prices = np.array([0.21, 1.1643542636794673e-07])
+        counts = _counts_vec(1.0, prices, eps)
+        scalar = [optimal_prompt_count(UNIT, float(p), float(e)) for p, e in zip(prices, eps)]
+        assert counts.tolist() == scalar == [2, 40]
+        monkeypatch.setattr(evaluation, "_COUNT_STEPS", 0)
+        with pytest.raises(PromptPricingError, match="prompt counts still moving"):
+            _counts_vec(1.0, prices, eps)
+
     @given(utility=st.floats(0.05, 20.0), eps=st.floats(1e-6, TOP_NODE),
            share=st.floats(1e-9, 1.5), edge=st.sampled_from([None, -1, 0, 1]))
     @example(utility=1.0, eps=TOP_NODE, share=1.0, edge=0)
